@@ -23,6 +23,7 @@ __all__ = [
     "phi_mu_tables",
     "IntPolynomial",
     "cyclotomic_poly",
+    "join_signed",
 ]
 
 
@@ -138,6 +139,18 @@ def phi_mu_tables(limit: int) -> tuple[list[int], list[int]]:
         phi[i] = phi[j] * p if j % p == 0 else phi[j] * (p - 1)
         mu[i] = 0 if j % p == 0 else -mu[j]
     return phi, mu
+
+
+def join_signed(terms) -> str:
+    """Join (negative, body) pairs as '-a + b - c'; '0' when there are none."""
+    text = ""
+    for negative, body in terms:
+        if text:
+            text += " - " if negative else " + "
+        elif negative:
+            text = "-"
+        text += body
+    return text or "0"
 
 
 class IntPolynomial:
@@ -264,22 +277,14 @@ class IntPolynomial:
 
     def pretty(self, var: str = "t") -> str:
         """Human form, terms ascending: e.g. '1 - t + t^2'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+
+        def body(k: int, c: int) -> str:
             if k == 0:
-                body = str(abs(c))
-            else:
-                pw = var if k == 1 else f"{var}^{k}"
-                body = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                return str(abs(c))
+            pw = var if k == 1 else f"{var}^{k}"
+            return pw if abs(c) == 1 else f"{abs(c)}*{pw}"
+
+        return join_signed((c < 0, body(k, c)) for k, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"IntPolynomial({self.pretty()!r})"

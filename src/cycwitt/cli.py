@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import lambda_ops, linalg, rigs, spectra, witt
-from .arith import euler_phi, ramanujan_sum
+from .arith import euler_phi, join_signed, ramanujan_sum
 from .witt import WittElement
 
 class ParseError(ValueError):
@@ -107,76 +107,56 @@ def parse_witt(text: str) -> WittElement:
     return WittElement(coeffs)
 
 
-def format_witt(w: WittElement) -> str:
-    """Canonical text: ascending indices, phi(1) multiples as bare integers."""
-    if w.is_zero():
-        return "0"
-    parts = []
-    for n, c in w.items():
+def _signed_terms(items, bare_one: bool = True):
+    # (negative, body) pairs; bare_one writes phi(1) multiples as integers
+    for n, c in items:
         mag = abs(c)
-        if n == 1:
+        if n == 1 and bare_one:
             body = str(mag)
         elif mag == 1:
             body = f"phi({n})"
         else:
             body = f"{mag}*phi({n})"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        yield c < 0, body
 
 
-def _format_coeff_descending(w: WittElement) -> str:
-    # inside series coefficients the display follows the classical table:
-    # indices descending, phi(1) written explicitly
-    parts = []
-    for n, c in sorted(w.items(), reverse=True):
-        mag = abs(c)
-        body = f"phi({n})" if mag == 1 else f"{mag}*phi({n})"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+def format_witt(w: WittElement) -> str:
+    """Canonical text: ascending indices, phi(1) multiples as bare integers."""
+    return join_signed(_signed_terms(w.items()))
 
 
 def format_series(s: lambda_ops.WittSeries, var: str = "t") -> str:
     """Series display with explicit signs, powers of t ascending."""
-    parts: list[str] = []
+
+    def body(k: int, shown: WittElement) -> str:
+        if k == 0:
+            return format_witt(shown)
+        power = var if k == 1 else f"{var}^{k}"
+        items = shown.items()
+        if items == ((1, 1),):
+            return power
+        if len(items) == 1 and items[0][0] == 1:
+            return f"{power}*{items[0][1]}"
+        if len(items) == 1 and items[0][1] == 1:
+            return f"{power}*phi({items[0][0]})"
+        # inside series coefficients the display follows the classical
+        # table: indices descending, phi(1) written explicitly
+        descending = sorted(items, reverse=True)
+        return f"{power}*({join_signed(_signed_terms(descending, bare_one=False))})"
+
+    terms = []
     for k in range(s.degree + 1):
         c = s[k]
         if c.is_zero():
             continue
         negative = all(v < 0 for _, v in c.items())
-        shown = -c if negative else c
-        items = shown.items()
-        if k == 0:
-            body = format_witt(shown)
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            if items == ((1, 1),):
-                body = power
-            elif len(items) == 1 and items[0][0] == 1:
-                body = f"{power}*{items[0][1]}"
-            elif len(items) == 1 and items[0][1] == 1:
-                body = f"{power}*phi({items[0][0]})"
-            else:
-                body = f"{power}*({_format_coeff_descending(shown)})"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+        terms.append((negative, body(k, -c if negative else c)))
+    return join_signed(terms)
 
 
-def lambda_line(n: int) -> str:
-    series = lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
-    return f"lambda_t(phi({n})) = {format_series(series)}"
-
-
-def ramanujan_table(n_max: int, m_max: int) -> str:
-    rows = [[ramanujan_sum(n, m) for m in range(1, m_max + 1)] for n in range(1, n_max + 1)]
+def ramanujan_table(rows: list[list[int]]) -> list[str]:
+    """Text lines of a table of Ramanujan sums, rows[n-1][m-1] = c_n(m)."""
+    n_max, m_max = len(rows), len(rows[0])
     width = max(len(str(v)) for row in rows for v in row)
     width = max(width, len(str(m_max)))
     label = "n\\m"
@@ -185,7 +165,7 @@ def ramanujan_table(n_max: int, m_max: int) -> str:
     lines = [header, "-" * len(header)]
     for n, row in enumerate(rows, start=1):
         lines.append(f"{n:>{label_w}} |" + "".join(f" {v:>{width}}" for v in row))
-    return "\n".join(lines)
+    return lines
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -233,28 +213,26 @@ def _cmd_indexed(args):
     return 0
 
 
+def _lambda_series(n: int) -> lambda_ops.WittSeries:
+    return lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
+
+
+def _series_pairs(series: lambda_ops.WittSeries) -> list:
+    return [series[k].to_pairs() for k in range(series.degree + 1)]
+
+
 def _cmd_lambda(args):
-    n = args.n
-    series = lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
-    obj = {"n": n, "coefficients": [series[k].to_pairs() for k in range(series.degree + 1)]}
-    _emit(args, [format_series(series)], obj)
+    series = _lambda_series(args.n)
+    _emit(args, [format_series(series)], {"n": args.n, "coefficients": _series_pairs(series)})
     return 0
 
 
 def _cmd_lambda_table(args):
-    lines = [lambda_line(n) for n in range(1, args.max + 1)]
-    obj = {
-        "table": [
-            {
-                "n": n,
-                "coefficients": [
-                    lambda_ops.lambda_series(witt.phi(n), euler_phi(n))[k].to_pairs()
-                    for k in range(euler_phi(n) + 1)
-                ],
-            }
-            for n in range(1, args.max + 1)
-        ]
-    }
+    if args.max < 1:
+        raise ValueError("lambda-table needs max >= 1")
+    table = [(n, _lambda_series(n)) for n in range(1, args.max + 1)]
+    lines = [f"lambda_t(phi({n})) = {format_series(series)}" for n, series in table]
+    obj = {"table": [{"n": n, "coefficients": _series_pairs(series)} for n, series in table]}
     _emit(args, lines, obj)
     return 0
 
@@ -283,16 +261,11 @@ def _cmd_gamma_filtration(args):
 
 
 def _cmd_ramanujan(args):
-    table = ramanujan_table(args.n, args.m_max)
-    obj = {
-        "n_max": args.n,
-        "m_max": args.m_max,
-        "rows": [
-            [ramanujan_sum(n, m) for m in range(1, args.m_max + 1)]
-            for n in range(1, args.n + 1)
-        ],
-    }
-    _emit(args, table.splitlines(), obj)
+    if args.n < 1 or args.m_max < 1:
+        raise ValueError("ramanujan needs --n >= 1 and --m-max >= 1")
+    rows = [[ramanujan_sum(n, m) for m in range(1, args.m_max + 1)] for n in range(1, args.n + 1)]
+    obj = {"n_max": args.n, "m_max": args.m_max, "rows": rows}
+    _emit(args, ramanujan_table(rows), obj)
     return 0
 
 

@@ -1,12 +1,13 @@
 """Exact integer matrix algebra.
 
 Hermite-normal-form lattices with decidable membership, reversed
-characteristic polynomials det(1 - x*A) by fraction-free elimination,
-an exact rational test for operator norm <= 1, and conversion of
-unit-spectrum integer matrices to Witt classes (an integer matrix whose
-eigenvalues all lie in the closed unit disc has characteristic
-polynomial x**a times a product of cyclotomics, so the class is read
-off an exact factorization).
+characteristic polynomials det(1 - x*A) by Berkowitz's division-free
+algorithm, an exact rational test for operator norm <= 1, and
+conversion of unit-spectrum integer matrices to Witt classes. By
+Kronecker's theorem an integer matrix whose eigenvalues all lie in the
+closed unit disc has characteristic polynomial x**a times a product of
+cyclotomics, so the class is read off an exact factorization, and a
+failed factorization proves an eigenvalue outside the disc.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .arith import IntPolynomial, cyclotomic_poly, euler_phi
 from .witt import WittElement
@@ -234,75 +236,34 @@ def hnf(generators, ambient: int | None = None) -> HnfLattice:
 
 # -- characteristic polynomial -----------------------------------------------
 
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _psub(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pdivexact(a: list[int], b: list[int]) -> list[int]:
-    # exact division in Z[x]; guaranteed by the Sylvester identity here
-    rem = list(a)
-    lead = b[-1]
-    dq = len(rem) - len(b)
-    quot = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[len(b) - 1 + k]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("fraction-free pivot division was not exact")
-        quot[k] = q
-        for j, y in enumerate(b):
-            rem[j + k] -= q * y
-    if any(rem):
-        raise ArithmeticError("fraction-free pivot division left a remainder")
-    return quot
-
-
 def charpoly_rev(a: IntMatrix) -> IntPolynomial:
-    """det(1 - x*A) by Bareiss fraction-free elimination over Z[x].
+    """det(1 - x*A) by Berkowitz's division-free algorithm.
 
     Constant term 1; degree equals the number of nonzero eigenvalues.
-    Pivots never vanish because their constant terms are determinants
-    of identity minors.
+    Grows det(x*I - A_k) over the leading k x k blocks A_k: bordering
+    A_k by a column c, a row r and a corner d multiplies by the Toeplitz
+    matrix with first column (1, -d, -r c, -r A_k c, -r A_k^2 c, ...).
+    The descending coefficients of det(x*I - A) are the ascending
+    coefficients of det(1 - x*A).
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return IntPolynomial((1,))
-
-    def cell(i, j):
-        c = [(1 if i == j else 0), -a[i][j]]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    m = [[cell(i, j) for j in range(n)] for i in range(n)]
-    prev = [1]
-    for k in range(n - 1):
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _psub(_pmul(piv, m[i][j]), _pmul(m[i][k], m[k][j]))
-                m[i][j] = _pdivexact(num, prev) if prev != [1] else num
-        prev = piv
-    return IntPolynomial(m[n - 1][n - 1])
+    m = a.entries
+    poly = [1]
+    for k in range(a.rows):
+        block = [row[:k] for row in m[:k]]
+        r = m[k][:k]
+        v = [row[k] for row in m[:k]]
+        t = [1, -m[k][k]]
+        for j in range(k):
+            if j:
+                v = [sum(x * y for x, y in zip(row, v)) for row in block]
+            t.append(-sum(x * y for x, y in zip(r, v)))
+        poly = [
+            sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPolynomial(poly)
 
 
 def contraction_le_one(a: IntMatrix) -> bool:
@@ -336,18 +297,19 @@ def contraction_le_one(a: IntMatrix) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumVerdict:
-    """Outcome of the unit-disc spectrum test.
+    """Outcome of the unit-disc spectrum test, decided exactly.
 
-    status is one of 'unit_roots' (char poly = x^a * cyclotomics, with
-    the factorization as witness), 'outside' (numeric witness root of
-    modulus > 1), or 'indeterminate' (numeric certification was
-    inconclusive; surfaced, never coerced).
+    status is 'unit_roots' (char poly = x^a * cyclotomics, with the
+    factorization as witness) or 'outside' (some eigenvalue has modulus
+    > 1). An outside verdict carries witness (k, tr(A^k)) for the least
+    k with |tr(A^k)| > dim A, which no spectrum in the closed unit disc
+    allows.
     """
 
     status: str
     factors: tuple[tuple[int, int], ...] = ()
     nilpotent: int = 0
-    witness: complex | None = None
+    witness: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -360,14 +322,28 @@ def _cyclo_candidates(deg: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, 2 * deg * deg + 2) if euler_phi(d) <= deg)
 
 
-def spectrum_in_unit_disc(a: IntMatrix, tol: float = 1e-8) -> SpectrumVerdict:
+def _growth_witness(rev: IntPolynomial, dim: int) -> tuple[int, int]:
+    # Newton's identity turns the coefficients c_i of det(1 - x*A) into the
+    # power sums p_k = tr(A^k); an eigenvalue outside the disc makes them
+    # unbounded, so the search ends.
+    c = rev.coeffs
+    p = [0]
+    for k in count(1):
+        pk = -k * (c[k] if k < len(c) else 0)
+        pk -= sum(c[i] * p[k - i] for i in range(1, min(k, len(c))))
+        if abs(pk) > dim:
+            return k, pk
+        p.append(pk)
+
+
+def spectrum_in_unit_disc(a: IntMatrix) -> SpectrumVerdict:
     """Decide whether all eigenvalues are zero or roots of unity.
 
     Attempts the exact factorization char(A) = x^a * prod Phi_d by
-    trial division; on failure falls back to a numeric certificate
-    that some root has modulus > 1 (any integer matrix with spectrum
-    in the closed disc must factor exactly, so the fallback only
-    produces counterexample witnesses).
+    trial division. A remainder left after every Phi_d is divided out
+    has an eigenvalue of modulus > 1 by Kronecker's theorem (a monic
+    integer polynomial with nonzero constant term and all roots in the
+    closed unit disc is a product of cyclotomics).
     """
     rev = charpoly_rev(a)
     nilpotent = a.rows - rev.degree
@@ -385,13 +361,7 @@ def spectrum_in_unit_disc(a: IntMatrix, tol: float = 1e-8) -> SpectrumVerdict:
             mono = q
     if mono == IntPolynomial((1,)):
         return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), nilpotent)
-    import numpy as np  # witness-only numeric fallback
-
-    roots = np.roots(list(reversed(mono.coeffs)))
-    worst = max(roots, key=abs)
-    if abs(worst) > 1 + tol:
-        return SpectrumVerdict("outside", witness=complex(worst))
-    return SpectrumVerdict("indeterminate", witness=complex(worst))
+    return SpectrumVerdict("outside", witness=_growth_witness(rev, a.rows))
 
 
 class NotUnitSpectrum(ValueError):
@@ -407,8 +377,10 @@ def witt_class(a: IntMatrix, allow_nilpotent: bool = True) -> WittElement:
     """
     verdict = spectrum_in_unit_disc(a)
     if not verdict.ok:
+        k, tr = verdict.witness
         raise NotUnitSpectrum(
-            f"spectrum test returned {verdict.status} (witness {verdict.witness})"
+            f"an eigenvalue lies outside the unit disc "
+            f"(tr(A^{k}) = {tr} exceeds dim A = {a.rows} in modulus)"
         )
     if verdict.nilpotent and not allow_nilpotent:
         raise NotUnitSpectrum(f"nilpotent part of dimension {verdict.nilpotent}")

@@ -54,6 +54,10 @@ class FiniteCRig:
         rng = range(size)
         if any(x not in rng for row in add_t + mul_t for x in row):
             raise ValueError("table entries must be element indices")
+        if zero not in rng or one not in rng:
+            raise ValueError(f"zero {zero} and one {one} must be element indices below {size}")
+        if names and len(names) != size:
+            raise ValueError(f"{len(names)} names for {size} elements")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "add_table", add_t)
         object.__setattr__(self, "mul_table", mul_t)
@@ -114,6 +118,8 @@ class FiniteCRig:
 
     @classmethod
     def zmod(cls, n: int) -> "FiniteCRig":
+        if n < 1:
+            raise ValueError("modulus must be >= 1")
         rng = range(n)
         return cls(
             [[(x + y) % n for y in rng] for x in rng],
@@ -169,13 +175,35 @@ class FiniteCRig:
             key, _, val = lines[i].partition(" ")
             header[key] = val.strip()
             i += 1
-        size = int(header["size"])
+
+        def header_int(key, default=None):
+            if key not in header:
+                if default is None:
+                    raise ValueError(f"table file has no {key!r} line")
+                return default
+            try:
+                return int(header[key])
+            except ValueError:
+                raise ValueError(f"{key!r} must be an integer, got {header[key]!r}") from None
+
+        size = header_int("size")
+        if size < 1:
+            raise ValueError(f"'size' must be >= 1, got {size}")
 
         def read_table(idx):
-            if lines[idx] not in ("add", "mul"):
-                raise ValueError(f"expected table marker, got {lines[idx]!r}")
-            rows = [[int(x) for x in lines[idx + 1 + k].split()] for k in range(size)]
-            return lines[idx], rows, idx + 1 + size
+            if idx >= len(lines) or lines[idx] not in ("add", "mul"):
+                got = repr(lines[idx]) if idx < len(lines) else "end of file"
+                raise ValueError(f"expected table marker 'add' or 'mul', got {got}")
+            rows = lines[idx + 1 : idx + 1 + size]
+            if len(rows) < size:
+                raise ValueError(f"{lines[idx]} table has {len(rows)} of {size} rows")
+            table = []
+            for row in rows:
+                try:
+                    table.append([int(x) for x in row.split()])
+                except ValueError:
+                    raise ValueError(f"{lines[idx]} table row {row!r} is not all integers") from None
+            return lines[idx], table, idx + 1 + size
 
         kind1, t1, i = read_table(i)
         kind2, t2, i = read_table(i)
@@ -186,8 +214,8 @@ class FiniteCRig:
         return cls(
             tables["add"],
             tables["mul"],
-            zero=int(header.get("zero", 0)),
-            one=int(header.get("one", 1)),
+            zero=header_int("zero", 0),
+            one=header_int("one", 1),
             names=names,
             name=header.get("name", "custom"),
         )

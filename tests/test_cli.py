@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cycwitt
 from cycwitt.cli import (
     ParseError,
     format_series,
@@ -16,6 +20,7 @@ from cycwitt.lambda_ops import lambda_series
 from cycwitt.witt import ONE, WittElement, phi
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(cycwitt.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +189,54 @@ def test_cli_rig_file_loading(tmp_path, capsys):
     path.write_text(table)
     code, out, _ = run_cli(capsys, "spec", "--rig", f"file:{path}")
     assert code == 0 and "1 prime" in out
+
+
+def run_cli_process(*argv, block_numpy=False):
+    """Run the CLI in a fresh interpreter, optionally with numpy unimportable."""
+    code = "import runpy, sys\n"
+    if block_numpy:
+        code += "sys.modules['numpy'] = None\n"
+    code += f"sys.argv = ['cycwitt', *{list(argv)!r}]\n"
+    code += "runpy.run_module('cycwitt.cli', run_name='__main__')\n"
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "table,argv",
+    [
+        ("size 2\nadd\n0 1\n1 1\nmul\n0 0\n", None),  # truncated mul table
+        ("zero 0\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None),  # no size line
+        ("size 2\nzero 5\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None),  # zero out of range
+        (None, ["radical", "--rig", "zmod:0"]),
+    ],
+    ids=["truncated", "nosize", "zero5", "zmod0"],
+)
+def test_cli_known_faults_exit_2_with_one_error_line(table, argv, tmp_path):
+    if table is not None:
+        path = tmp_path / "rig.txt"
+        path.write_text(table)
+        argv = ["spec", "--rig", f"file:{path}"]
+    proc = run_cli_process(*argv)
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_rejects_empty_tables(capsys):
+    code, _, err = run_cli(capsys, "ramanujan", "--n", "0", "--m-max", "0")
+    assert code == 2 and "--n >= 1" in err and "--m-max >= 1" in err
+    code, _, err = run_cli(capsys, "lambda-table", "0")
+    assert code == 2 and "max >= 1" in err
+
+
+def test_cli_wittclass_outside_disc_without_numpy():
+    proc = run_cli_process("wittclass", "--", "2", block_numpy=True)
+    assert proc.returncode == 1 and "not a unit-spectrum" in proc.stderr
 
 
 def test_cli_unknown_rig(capsys):

@@ -78,11 +78,29 @@ def test_charpoly_examples():
     assert charpoly_rev(c6) == IntPolynomial((1, -1, 1))
 
 
+def _singular_matrices(rng):
+    # det(1 - x*A) has degree < n for these: nilpotent, rank-deficient
+    yield IntMatrix([[rng.randint(-4, 4) if j > i else 0 for j in range(5)] for i in range(5)])
+    u = [rng.randint(-3, 3) for _ in range(6)]
+    w = [rng.randint(-3, 3) for _ in range(6)]
+    yield IntMatrix([[x * y for y in w] for x in u])
+    for n in (3, 4, 5, 6):
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        yield IntMatrix(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+        cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        yield IntMatrix([row[:-1] + [0] for row in cols])
+    yield IntMatrix.zeros(4, 4)
+
+
 def test_charpoly_against_laplace_expansion():
     rng = random.Random(4)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        a = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+    mats = []
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        mats.append(IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]))
+    mats += list(_singular_matrices(rng))
+    for a in mats:
+        n = a.rows
         cells = [
             [
                 IntPolynomial(((1 if i == j else 0), -a[i][j]))
@@ -91,6 +109,7 @@ def test_charpoly_against_laplace_expansion():
             for i in range(n)
         ]
         assert charpoly_rev(a) == _laplace_det(cells)
+    assert any(charpoly_rev(a).degree < a.rows for a in mats)
 
 
 def test_charpoly_multiplicative_on_blocks():
@@ -114,9 +133,37 @@ def test_spectrum_examples():
     v = spectrum_in_unit_disc(IntMatrix([[0, 1], [1, 0]]))
     assert v.ok and v.factors == ((1, 1), (2, 1)) and v.nilpotent == 0
     v = spectrum_in_unit_disc(IntMatrix([[2]]))
-    assert v.status == "outside" and abs(v.witness - 2) < 1e-6
+    assert v.status == "outside" and v.witness == (1, 2)
     v = spectrum_in_unit_disc(IntMatrix([[0, 1], [0, 0]]))
     assert v.ok and v.factors == () and v.nilpotent == 2
+
+
+LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        IntMatrix([[2]]),
+        IntMatrix([[-3, 0], [0, 1]]),
+        IntMatrix([[0, -1], [1, 3]]),
+        IntMatrix([[1, 1], [1, 0]]),
+        companion(LEHMER),
+        companion(LEHMER).direct_sum(companion_blocks((3, 4))),
+        companion(IntPolynomial((-1, -1, 0, 1))),  # x^3 - x - 1, smallest Pisot root
+        IntMatrix([[0, 1], [0, 0]]).direct_sum(IntMatrix([[2, 1], [1, 1]])),
+    ],
+)
+def test_outside_witness_is_least_growing_trace(a):
+    v = spectrum_in_unit_disc(a)
+    assert v.status == "outside" and not v.ok
+    k, tr = v.witness
+    assert (a**k).trace() == tr and abs(tr) > a.rows
+    assert all(abs((a**j).trace()) <= a.rows for j in range(1, k))
+
+
+def test_lehmer_witness():
+    assert spectrum_in_unit_disc(companion(LEHMER)).witness == (13, 12)
 
 
 def test_witt_class_examples():

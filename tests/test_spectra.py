@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -37,6 +38,24 @@ def test_rig_names_resolver():
     assert finite_rig_by_name("tropical4").size == 4
     with pytest.raises(ValueError):
         finite_rig_by_name("tropical-unit")
+
+
+@pytest.mark.parametrize(
+    "text,fault",
+    [
+        ("zero 0\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", "'size' line"),
+        ("size two\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", "'size' must be an integer"),
+        ("size -1\nadd\nmul\n", "'size' must be >= 1"),
+        ("size 2\nadd\n0 1\n1 1\nmul\n0 0\n", "mul table has 1 of 2 rows"),
+        ("size 2\nadd\n0 1\n1 x\nmul\n0 0\n0 1\n", "add table row '1 x'"),
+        ("size 2\nadd\n0 1\n1 1\n", "got end of file"),
+        ("size 2\none 9\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", "one 9"),
+        ("size 2\nnames a\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", "1 names for 2 elements"),
+    ],
+)
+def test_from_text_names_the_fault(text, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        FiniteCRig.from_text(text)
 
 
 def test_from_text_roundtrip():
