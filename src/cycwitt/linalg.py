@@ -131,10 +131,22 @@ class IntMatrix:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Rows separated by ';', entries by ',': e.g. '0,1;1,0'."""
+    """Rows separated by ';', entries by ',': e.g. '0,1;1,0'.
+
+    A bad entry raises ValueError naming the entry, its row and the format.
+    """
     rows = []
-    for chunk in text.strip().split(";"):
-        rows.append([int(x) for x in chunk.split(",")])
+    for i, chunk in enumerate(text.strip().split(";"), 1):
+        row = []
+        for entry in chunk.split(","):
+            try:
+                row.append(int(entry))
+            except ValueError:
+                raise ValueError(
+                    f"matrix entry {entry.strip()!r} in row {i} is not an integer "
+                    f"(expected a matrix like a,b;c,d)"
+                ) from None
+        rows.append(row)
     return IntMatrix(rows)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 __all__ = [
     "FiniteCRig",
@@ -73,28 +74,54 @@ class FiniteCRig:
         raise AttributeError("FiniteCRig is immutable")
 
     def _validate(self):
+        """Check every element, pair and triple, reading the tables.
+
+        For each pair (x, y) the three triple laws are compared as whole
+        rows over w, composed in C by ``itemgetter``; only a pair whose rows
+        differ is rescanned entry by entry, in the order (x, y, w) and with
+        the checks in the order below, so the witness is the first failing
+        triple and check.  (For a single element ``itemgetter`` returns a
+        bare entry, so every pair is rescanned; the rescan is exact.)
+        """
         rng = range(self.size)
-        add, mul = self.add, self.mul
+        A, M = self.add_table, self.mul_table
         z, e = self.zero, self.one
         for x in rng:
-            if add(x, z) != x:
+            if A[x][z] != x:
                 raise ValueError(f"additive unit fails at {x}")
-            if mul(x, e) != x:
+            if M[x][e] != x:
                 raise ValueError(f"multiplicative unit fails at {x}")
-            if mul(x, z) != z:
+            if M[x][z] != z:
                 raise ValueError(f"absorbing zero fails at {x}")
-        for x, y in itertools.product(rng, repeat=2):
-            if add(x, y) != add(y, x):
-                raise ValueError(f"addition not commutative at {x},{y}")
-            if mul(x, y) != mul(y, x):
-                raise ValueError(f"multiplication not commutative at {x},{y}")
-        for x, y, w in itertools.product(rng, repeat=3):
-            if add(add(x, y), w) != add(x, add(y, w)):
-                raise ValueError(f"addition not associative at {x},{y},{w}")
-            if mul(mul(x, y), w) != mul(x, mul(y, w)):
-                raise ValueError(f"multiplication not associative at {x},{y},{w}")
-            if mul(x, add(y, w)) != add(mul(x, y), mul(x, w)):
-                raise ValueError(f"distributivity fails at {x},{y},{w}")
+        for x in rng:
+            ax, mx = A[x], M[x]
+            for y in rng:
+                if ax[y] != A[y][x]:
+                    raise ValueError(f"addition not commutative at {x},{y}")
+                if mx[y] != M[y][x]:
+                    raise ValueError(f"multiplication not commutative at {x},{y}")
+        # through_a[y](row) is (row[y+w] for w); through_m[y](row) is (row[y*w] for w)
+        through_a = [itemgetter(*row) for row in A]
+        through_m = [itemgetter(*row) for row in M]
+        for x in rng:
+            ax, mx = A[x], M[x]
+            for y in rng:
+                # rows over w of (x+y)+w, (x*y)*w and x*y + x*w
+                sum_then, prod_then, plus_xw = A[ax[y]], M[mx[y]], A[mx[y]]
+                if (
+                    sum_then == through_a[y](ax)
+                    and prod_then == through_m[y](mx)
+                    and through_a[y](mx) == through_m[x](plus_xw)
+                ):
+                    continue
+                ay, my = A[y], M[y]
+                for w in rng:
+                    if sum_then[w] != ax[ay[w]]:
+                        raise ValueError(f"addition not associative at {x},{y},{w}")
+                    if prod_then[w] != mx[my[w]]:
+                        raise ValueError(f"multiplication not associative at {x},{y},{w}")
+                    if mx[ay[w]] != plus_xw[mx[w]]:
+                        raise ValueError(f"distributivity fails at {x},{y},{w}")
 
     def add(self, x: int, y: int) -> int:
         return self.add_table[x][y]
@@ -252,32 +279,31 @@ class Ideal:
 
 
 def ideal_generated(r: FiniteCRig, seed) -> Ideal:
-    """Least ideal containing the seed set: the closure of seed + {0}
-    under pairwise sums and scaling."""
-    cur = set(seed) | {r.zero}
-    while True:
-        nxt = set(cur)
-        for x, y in itertools.product(cur, repeat=2):
-            nxt.add(r.add(x, y))
-        for c in r.elements():
-            for x in cur:
-                nxt.add(r.mul(c, x))
-        if nxt == cur:
-            return Ideal(r, frozenset(cur))
-        cur = nxt
+    """Least ideal containing the seed set.
 
-
-def _is_ideal(r: FiniteCRig, s: frozenset) -> bool:
-    if r.zero not in s:
-        return False
-    for x, y in itertools.product(s, repeat=2):
-        if r.add(x, y) not in s:
-            return False
-    for c in r.elements():
-        for x in s:
-            if r.mul(c, x) not in s:
-                return False
-    return True
+    In a commutative rig this is the additive closure of {0} and the
+    multiples c*g (c in r, g in seed), because construction has checked
+    distributivity and associativity.  The closure grows one multiple m at
+    a time: a set C closed under + becomes {c + k*m : c in C, k >= 0},
+    whose layers C + m, C + 2m, ... are read off the row of m in the add
+    table.  A multiple already in C adds nothing, and once the multiples
+    of a seed element are in, C is an ideal again, so a seed element
+    already in C is skipped.
+    """
+    add_t, mul_t = r.add_table, r.mul_table
+    found = {r.zero}
+    for g in seed:
+        if g in found:
+            continue
+        for m in mul_t[g]:  # the row of g is every c*g
+            if m in found:
+                continue
+            plus_m = add_t[m].__getitem__
+            layer = found
+            while layer:
+                layer = set(map(plus_m, layer)) - found
+                found |= layer
+    return Ideal(r, frozenset(found))
 
 
 def all_ideals(r: FiniteCRig) -> list[frozenset]:
@@ -395,42 +421,50 @@ class Localization:
 
 def localize(r: FiniteCRig, s_set) -> Localization:
     """Fractions x/s over a multiplicative set, identifying (x, s) with
-    (x', s') when u*s'*x == u*s*x' for some u in the set."""
+    (x', s') when u*s'*x == u*s*x' for some u in the set.
+
+    Every u divides t = prod(S), so the relation holds exactly for u = f,
+    the idempotent power of t: f*s'*x == f*s*x'.  Each f*s is a unit of
+    the monoid f*r, whose identity is f; with i_s its inverse there, the
+    key x*i_s names the class of (x, s).  Classes are numbered by first
+    appearance among the pairs (x, s), x ascending, then s ascending.
+    """
     s_set = frozenset(s_set)
+    mul_t = r.mul_table
     if r.one not in s_set or any(
-        r.mul(a, b) not in s_set for a in s_set for b in s_set
+        not s_set.issuperset(map(mul_t[a].__getitem__, s_set)) for a in s_set
     ):
         raise ValueError("denominator set must be multiplicative and contain 1")
-    pairs = [(x, s) for x in r.elements() for s in sorted(s_set)]
-    index = {p: i for i, p in enumerate(pairs)}
+    denoms = sorted(s_set)
+    t = r.one
+    for s in denoms:
+        t = mul_t[t][s]
+    f = t
+    while mul_t[f][f] != f:
+        f = mul_t[f][t]
+    f_row = mul_t[f]
+    monoid = set(f_row)
+    inverse = {}
+    for s in denoms:
+        fs_row = mul_t[f_row[s]]
+        inverse[s] = next((y for y in monoid if fs_row[y] == f), None)
+        if inverse[s] is None:
+            raise RuntimeError(
+                f"internal error: f*s = {r.names[f_row[s]]} is not a unit of f*r "
+                f"for f = {r.names[f]} over {r.name}"
+            )
 
-    # union-find over the expansion moves (x, s) -> (u*x, u*s)
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for (x, s), i in index.items():
-        for u in s_set:
-            union(i, index[(r.mul(u, x), r.mul(u, s))])
-
-    reps: dict[int, int] = {}
+    key_class: dict[int, int] = {}
     class_ids: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
-    for p in pairs:
-        root = find(index[p])
-        if root not in reps:
-            reps[root] = len(order)
-            order.append(p)
-        class_ids[p] = reps[root]
+    for x in r.elements():
+        x_row = mul_t[x]
+        for s in denoms:
+            key = x_row[inverse[s]]
+            if key not in key_class:
+                key_class[key] = len(order)
+                order.append((x, s))
+            class_ids[(x, s)] = key_class[key]
 
     k = len(order)
 

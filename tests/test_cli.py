@@ -227,6 +227,20 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "matrix,entry,row",
+    [("", "''", 1), ("1,2;3,x", "'x'", 2), ("1,2;,4", "''", 2)],
+)
+def test_cli_bad_matrix_names_entry_and_row(matrix, entry, row, capsys):
+    code, out, err = run_cli(capsys, "charpoly", "--", matrix)
+    lines = err.strip().splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    assert lines[0] == (
+        f"error: matrix entry {entry} in row {row} is not an integer "
+        f"(expected a matrix like a,b;c,d)"
+    )
+
+
 def test_cli_rejects_empty_tables(capsys):
     code, _, err = run_cli(capsys, "ramanujan", "--n", "0", "--m-max", "0")
     assert code == 2 and "--n >= 1" in err and "--m-max >= 1" in err

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from cycwitt.spectra import (
     finite_rig_by_name,
     ideal_generated,
     localize,
+    multiplicative_closure,
     radical,
     spec,
     theorem1_check,
@@ -23,6 +25,96 @@ def test_construction_validates_tables():
     with pytest.raises(ValueError):
         # multiplication table without a unit
         FiniteCRig([[0, 1], [1, 1]], [[0, 0], [0, 0]])
+
+
+def _table(n, op):
+    return [[op(x, y) for y in range(n)] for x in range(n)]
+
+
+_BOOL_ADD = [[0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "add,mul,message",
+    [
+        ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "additive unit fails at 1"),
+        (_BOOL_ADD, [[0, 0], [0, 0]], "multiplicative unit fails at 1"),
+        (_BOOL_ADD, [[1, 0], [0, 1]], "absorbing zero fails at 0"),
+        (
+            _table(3, lambda x, y: (x + y) % 3),
+            [[0, 0, 0], [0, 1, 0], [0, 2, 2]],
+            "multiplication not commutative at 1,2",
+        ),
+        (
+            [[0, 1, 2], [1, 2, 2], [2, 2, 1]],
+            [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+            "addition not associative at 1,1,2",
+        ),
+        (
+            _table(4, max),
+            [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 2], [0, 3, 2, 1]],
+            "multiplication not associative at 2,2,3",
+        ),
+        (_table(3, max), _table(3, lambda x, y: x * y % 3), "distributivity fails at 2,1,2"),
+    ],
+)
+def test_construction_witnesses(add, mul, message):
+    with pytest.raises(ValueError) as info:
+        FiniteCRig(add, mul)
+    assert str(info.value) == message
+
+
+def _first_violation(add, mul, zero, one):
+    """Reference validator: every law, entry by entry, in the order
+    element, pair, triple; returns the first violation's message."""
+    rng = range(len(add))
+    for x in rng:
+        if add[x][zero] != x:
+            return f"additive unit fails at {x}"
+        if mul[x][one] != x:
+            return f"multiplicative unit fails at {x}"
+        if mul[x][zero] != zero:
+            return f"absorbing zero fails at {x}"
+    for x, y in itertools.product(rng, repeat=2):
+        if add[x][y] != add[y][x]:
+            return f"addition not commutative at {x},{y}"
+        if mul[x][y] != mul[y][x]:
+            return f"multiplication not commutative at {x},{y}"
+    for x, y, w in itertools.product(rng, repeat=3):
+        if add[add[x][y]][w] != add[x][add[y][w]]:
+            return f"addition not associative at {x},{y},{w}"
+        if mul[mul[x][y]][w] != mul[x][mul[y][w]]:
+            return f"multiplication not associative at {x},{y},{w}"
+        if mul[x][add[y][w]] != add[mul[x][y]][mul[x][w]]:
+            return f"distributivity fails at {x},{y},{w}"
+    return None
+
+
+def test_validation_witness_matches_entrywise_scan():
+    # symmetric one- and two-entry edits of valid tables keep both
+    # operations commutative; the witnesses cover the unit, zero and
+    # triple laws
+    rng = random.Random(4)
+    bases = [FiniteCRig.zmod(n) for n in range(1, 8)]
+    bases += [FiniteCRig.boolean(), FiniteCRig.tropical4()]
+    failures = 0
+    for base in bases:
+        n = base.size
+        for _ in range(60):
+            tables = [list(map(list, base.add_table)), list(map(list, base.mul_table))]
+            for _ in range(rng.choice((1, 2))):
+                t = rng.choice(tables)
+                x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                t[x][y] = t[y][x] = v
+            want = _first_violation(*tables, base.zero, base.one)
+            try:
+                FiniteCRig(*tables, zero=base.zero, one=base.one)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (base.name, tables)
+            failures += want is not None
+    assert failures > 100
 
 
 def test_builtin_rigs_are_valid():
@@ -83,6 +175,53 @@ def test_ideal_generated_examples():
     assert ideal_generated(z6, {2}).elements == frozenset({0, 2, 4})
     b = FiniteCRig.boolean()
     assert ideal_generated(b, {1}).elements == frozenset({0, 1})
+
+
+def _ideal_generated_fixpoint(r, seed):
+    """Reference closure: close seed + {0} under every pairwise sum and
+    every scaling, pass after pass, until nothing changes."""
+    cur = set(seed) | {r.zero}
+    while True:
+        nxt = set(cur)
+        for x, y in itertools.product(cur, repeat=2):
+            nxt.add(r.add(x, y))
+        for c in r.elements():
+            for x in cur:
+                nxt.add(r.mul(c, x))
+        if nxt == cur:
+            return frozenset(cur)
+        cur = nxt
+
+
+def _boolean_times_zmod3():
+    pairs = list(itertools.product(range(2), range(3)))
+    b = FiniteCRig.boolean()
+    idx = {p: i for i, p in enumerate(pairs)}
+
+    def table(op_b, op_z):
+        return [
+            [idx[(op_b(a, c), op_z(x, y))] for c, y in pairs] for a, x in pairs
+        ]
+
+    return FiniteCRig(
+        table(b.add, lambda x, y: (x + y) % 3),
+        table(b.mul, lambda x, y: x * y % 3),
+        zero=idx[(0, 0)],
+        one=idx[(1, 1)],
+        names=[f"({a},{x})" for a, x in pairs],
+        name="boolean x zmod:3",
+    )
+
+
+def test_ideal_generated_matches_pairwise_fixpoint():
+    rigs = [FiniteCRig.zmod(n) for n in range(1, 31)]
+    rigs += [FiniteCRig.boolean(), FiniteCRig.tropical4(), _boolean_times_zmod3()]
+    for r in rigs:
+        for k in range(3):
+            for seed in itertools.combinations(r.elements(), k):
+                assert ideal_generated(r, seed).elements == _ideal_generated_fixpoint(
+                    r, seed
+                ), (r.name, seed)
 
 
 def test_all_ideals_of_zmod_match_divisors():
@@ -198,6 +337,66 @@ def _iso_to_zmod(r: FiniteCRig, n: int) -> bool:
         ):
             return True
     return False
+
+
+def _localize_union_find(r, s_set):
+    """Reference localization: union-find over the expansion moves
+    (x, s) -> (u*x, u*s), classes numbered by first appearance."""
+    pairs = [(x, s) for x in r.elements() for s in sorted(s_set)]
+    index = {p: i for i, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (x, s), i in index.items():
+        for u in s_set:
+            ri, rj = find(i), find(index[(r.mul(u, x), r.mul(u, s))])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    reps, class_ids, order = {}, {}, []
+    for p in pairs:
+        root = find(index[p])
+        if root not in reps:
+            reps[root] = len(order)
+            order.append(p)
+        class_ids[p] = reps[root]
+
+    def cls(x, s):
+        return class_ids[(x, s)]
+
+    add = [
+        [cls(r.add(r.mul(x, t), r.mul(y, s)), r.mul(s, t)) for y, t in order]
+        for x, s in order
+    ]
+    mul = [[cls(r.mul(x, y), r.mul(s, t)) for y, t in order] for x, s in order]
+    names = tuple(
+        f"{r.names[x]}/{r.names[s]}" if s != r.one else r.names[x] for x, s in order
+    )
+    return class_ids, add, mul, names, cls(r.zero, r.one), cls(r.one, r.one)
+
+
+def test_localize_matches_union_find():
+    rigs = [FiniteCRig.zmod(n) for n in range(1, 25)]
+    rigs += [FiniteCRig.boolean(), FiniteCRig.tropical4()]
+    for r in rigs:
+        closures = {
+            multiplicative_closure(r, seed)
+            for k in (1, 2)
+            for seed in itertools.combinations(r.elements(), k)
+        }
+        for s_set in closures:
+            loc = localize(r, s_set)
+            lr = loc.rig
+            class_ids, add, mul, names, zero, one = _localize_union_find(r, s_set)
+            assert loc._pair_class == class_ids, (r.name, sorted(s_set))
+            assert lr.add_table == tuple(map(tuple, add))
+            assert lr.mul_table == tuple(map(tuple, mul))
+            assert (lr.names, lr.zero, lr.one) == (names, zero, one)
 
 
 def test_localize_zmod6_examples():
