@@ -10,7 +10,8 @@ Whitespace is insignificant.  The printer emits the canonical form
 (terms ascending by index, zero omitted, bare integers for phi(1)
 multiples), and printing then parsing is the identity on canonical
 elements.  Matrices are written 'a,b;c,d'.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 3 internal error (a cross-check
+or invariant inside the library failed: a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -284,8 +285,7 @@ def _cmd_parseval(args):
 def _cmd_charpoly(args):
     a = linalg.parse_matrix(args.matrix)
     if a.rows != a.cols:
-        print("error: matrix must be square", file=sys.stderr)
-        return 2
+        raise ValueError("matrix must be square")
     p = linalg.charpoly_rev(a)
     _emit(args, [p.pretty("x")], {"coefficients": list(p.coeffs)})
     return 0
@@ -294,8 +294,7 @@ def _cmd_charpoly(args):
 def _cmd_wittclass(args):
     a = linalg.parse_matrix(args.matrix)
     if a.rows != a.cols:
-        print("error: matrix must be square", file=sys.stderr)
-        return 2
+        raise ValueError("matrix must be square")
     try:
         w = linalg.witt_class(a)
     except linalg.NotUnitSpectrum as exc:
@@ -319,11 +318,17 @@ def _cmd_sections(args):
     return 0 if report.ok else 1
 
 
-def _load_finite_rig(name: str) -> spectra.FiniteCRig:
+def _load_finite_rig(name: str) -> rigs.FiniteCRig:
     if name.startswith("file:"):
         with open(name[5:], encoding="utf-8") as f:
-            return spectra.FiniteCRig.from_text(f.read())
-    return spectra.finite_rig_by_name(name)
+            return rigs.FiniteCRig.from_text(f.read())
+    r = rigs.rig_by_name(name)
+    if not isinstance(r, rigs.FiniteCRig):
+        raise ValueError(
+            f"unknown finite rig {name!r} (use boolean | zmod:N | tropical4, "
+            f"or load a table file)"
+        )
+    return r
 
 
 def _cmd_spec(args):
@@ -468,12 +473,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+        # RadicalMismatch, localize's missing inverse, inexact divisions
+        # and failed invariants: a bug, kept apart from a failed check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import divisors, euler_phi
@@ -27,8 +26,6 @@ __all__ = [
     "WittSeries",
     "lambda_basis",
     "lambda_series",
-    "INFINITY",
-    "mobius_D",
     "gamma_basis",
     "gamma_series",
     "gamma_positive_check",
@@ -171,33 +168,6 @@ def lambda_series(a: WittElement, degree: int) -> WittSeries:
     for n, c in a.items():
         out = out * _basis_series(n, degree).pow(c)
     return out
-
-
-class _Infinity:
-    """Point at infinity of the projective t-line."""
-
-    _singleton = None
-
-    def __new__(cls):
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-
-def mobius_D(t):
-    """The involution t -> t/(t-1) on extended rationals; D(1) = INFINITY."""
-    if t is INFINITY:
-        return Fraction(1)
-    t = Fraction(t)
-    if t == 1:
-        return INFINITY
-    return t / (t - 1)
 
 
 def gamma_basis(a: WittElement, k: int, degree: int | None = None) -> WittElement:

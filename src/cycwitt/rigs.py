@@ -1,8 +1,12 @@
 """Commutative rigs (rings without negatives) and matrices over them.
 
-Shipped carriers: the two-element boolean rig, exact-rational tropical
-carriers ([0,1] and [0,inf] with max as addition and ordinary
-multiplication), the integers, integers mod n, and the rationals.
+A rig is either finite and given by its operation tables
+(``FiniteCRig``: the two-element boolean rig, the integers mod n, a
+four-element tropical rig, or tables read from a file, all validated at
+construction) or a carrier with callable operations: the integers, the
+rationals, and the exact-rational tropical carriers [0,1] and [0,inf]
+with max as addition and ordinary multiplication.  ``rig_by_name`` is
+the one registry of rig names.
 Matrices over a rig compose, block-sum and Kronecker-multiply; the law
 checkers verify the rig axioms and the matrix-category laws (symmetry
 under block swap, centrality of scalars, the interleaving permutation
@@ -19,11 +23,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .linalg import IntMatrix, contraction_le_one
 
 __all__ = [
-    "Rig", "BooleanRig", "IntRig", "RationalRig", "ZModRig",
+    "Rig", "FiniteCRig", "IntRig", "RationalRig",
     "TropicalUnitRig", "TropicalNonNegRig", "SquareMatrixRig", "INF",
     "RigMatrix", "identity", "zeros", "mat_compose", "direct_sum",
     "kronecker", "oplus", "perm_matrix", "tau", "sigma",
@@ -55,9 +60,10 @@ class Rig:
 
     Subclasses set ``finite`` and either enumerate the carrier or
     provide a sampler; law conformance is checked by check_rig_laws,
-    not assumed.
+    not assumed.  Two rigs are equal when their ``key()`` agrees.
     """
 
+    __slots__ = ()
     name = "rig"
     commutative = True
     finite = False
@@ -83,7 +89,7 @@ class Rig:
         return self.name
 
     def __eq__(self, other):
-        return isinstance(other, Rig) and self.key() == other.key()
+        return self is other or (isinstance(other, Rig) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -92,20 +98,229 @@ class Rig:
         return f"<rig {self.name}>"
 
 
-class BooleanRig(Rig):
-    name = "boolean"
+class FiniteCRig(Rig):
+    """Finite commutative rig given by addition and multiplication tables.
+
+    Elements are indices 0..size-1; ``names`` carries display strings.
+    The tables are validated exhaustively (commutativity, associativity,
+    units, distributivity, absorbing zero) and a bad table is rejected
+    with a witness.  Two instances are equal when name, tables, zero and
+    one agree.
+    """
+
+    __slots__ = ("size", "add_table", "mul_table", "zero", "one", "names", "name")
     finite = True
-    zero = 0
-    one = 1
 
-    def add(self, x, y):
-        return 1 if (x or y) else 0
+    def __init__(self, add_table, mul_table, zero=0, one=1, names=None, name="rig"):
+        add_t = tuple(tuple(row) for row in add_table)
+        mul_t = tuple(tuple(row) for row in mul_table)
+        size = len(add_t)
+        if any(len(r) != size for r in add_t) or len(mul_t) != size or any(
+            len(r) != size for r in mul_t
+        ):
+            raise ValueError("tables must be square and equally sized")
+        rng = range(size)
+        if any(x not in rng for row in add_t + mul_t for x in row):
+            raise ValueError("table entries must be element indices")
+        if zero not in rng or one not in rng:
+            raise ValueError(f"zero {zero} and one {one} must be element indices below {size}")
+        if names and len(names) != size:
+            raise ValueError(f"{len(names)} names for {size} elements")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "add_table", add_t)
+        object.__setattr__(self, "mul_table", mul_t)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(
+            self, "names", tuple(names) if names else tuple(str(i) for i in rng)
+        )
+        object.__setattr__(self, "name", name)
+        self._validate()
 
-    def mul(self, x, y):
-        return 1 if (x and y) else 0
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteCRig is immutable")
 
-    def elements(self):
-        return (0, 1)
+    def _validate(self):
+        """Check every element, pair and triple, reading the tables.
+
+        For each pair (x, y) the three triple laws are compared as whole
+        rows over w, composed in C by ``itemgetter``; only a pair whose rows
+        differ is rescanned entry by entry, in the order (x, y, w) and with
+        the checks in the order below, so the witness is the first failing
+        triple and check.  (For a single element ``itemgetter`` returns a
+        bare entry, so every pair is rescanned; the rescan is exact.)
+        """
+        rng = range(self.size)
+        A, M = self.add_table, self.mul_table
+        z, e = self.zero, self.one
+        for x in rng:
+            if A[x][z] != x:
+                raise ValueError(f"additive unit fails at {x}")
+            if M[x][e] != x:
+                raise ValueError(f"multiplicative unit fails at {x}")
+            if M[x][z] != z:
+                raise ValueError(f"absorbing zero fails at {x}")
+        for x in rng:
+            ax, mx = A[x], M[x]
+            for y in rng:
+                if ax[y] != A[y][x]:
+                    raise ValueError(f"addition not commutative at {x},{y}")
+                if mx[y] != M[y][x]:
+                    raise ValueError(f"multiplication not commutative at {x},{y}")
+        # through_a[y](row) is (row[y+w] for w); through_m[y](row) is (row[y*w] for w)
+        through_a = [itemgetter(*row) for row in A]
+        through_m = [itemgetter(*row) for row in M]
+        for x in rng:
+            ax, mx = A[x], M[x]
+            for y in rng:
+                # rows over w of (x+y)+w, (x*y)*w and x*y + x*w
+                sum_then, prod_then, plus_xw = A[ax[y]], M[mx[y]], A[mx[y]]
+                if (
+                    sum_then == through_a[y](ax)
+                    and prod_then == through_m[y](mx)
+                    and through_a[y](mx) == through_m[x](plus_xw)
+                ):
+                    continue
+                ay, my = A[y], M[y]
+                for w in rng:
+                    if sum_then[w] != ax[ay[w]]:
+                        raise ValueError(f"addition not associative at {x},{y},{w}")
+                    if prod_then[w] != mx[my[w]]:
+                        raise ValueError(f"multiplication not associative at {x},{y},{w}")
+                    if mx[ay[w]] != plus_xw[mx[w]]:
+                        raise ValueError(f"distributivity fails at {x},{y},{w}")
+
+    def add(self, x: int, y: int) -> int:
+        return self.add_table[x][y]
+
+    def mul(self, x: int, y: int) -> int:
+        return self.mul_table[x][y]
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def key(self):
+        return (self.name, self.add_table, self.mul_table, self.zero, self.one)
+
+    def element_by_name(self, s: str) -> int:
+        if s in self.names:
+            return self.names.index(s)
+        raise ValueError(f"no element named {s!r} in {self.name}")
+
+    def describe(self, subset) -> str:
+        return "{" + ", ".join(self.names[x] for x in sorted(subset)) + "}"
+
+    def __repr__(self):
+        return f"FiniteCRig({self.name}, size={self.size})"
+
+    @classmethod
+    def zmod(cls, n: int) -> "FiniteCRig":
+        if n < 1:
+            raise ValueError("modulus must be >= 1")
+        rng = range(n)
+        return cls(
+            [[(x + y) % n for y in rng] for x in rng],
+            [[(x * y) % n for y in rng] for x in rng],
+            zero=0,
+            one=1 % n,
+            name=f"zmod:{n}",
+        )
+
+    @classmethod
+    def boolean(cls) -> "FiniteCRig":
+        return cls(
+            [[0, 1], [1, 1]],
+            [[0, 0], [0, 1]],
+            name="boolean",
+        )
+
+    @classmethod
+    def tropical4(cls) -> "FiniteCRig":
+        """Four tropical values 0 < eps < 1 < top with max as addition;
+        eps*eps = 0, eps*top = eps, top*top = top."""
+        order = [0, 1, 2, 3]  # 0, eps, one, top
+        add = [[max(x, y) for y in order] for x in order]
+        mul = [
+            [0, 0, 0, 0],
+            [0, 0, 1, 1],
+            [0, 1, 2, 3],
+            [0, 1, 3, 3],
+        ]
+        return cls(add, mul, zero=0, one=2, names=("0", "eps", "1", "top"), name="tropical4")
+
+    @classmethod
+    def from_text(cls, text: str) -> "FiniteCRig":
+        """Parse the small table format::
+
+            size 2
+            zero 0
+            one 1
+            names 0 1
+            add
+            0 1
+            1 1
+            mul
+            0 0
+            0 1
+
+        The ``names`` line is optional.
+        """
+        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        header: dict[str, str] = {}
+        i = 0
+        while i < len(lines) and lines[i].split()[0] not in ("add", "mul"):
+            key, _, val = lines[i].partition(" ")
+            header[key] = val.strip()
+            i += 1
+
+        def header_int(key, default=None):
+            if key not in header:
+                if default is None:
+                    raise ValueError(f"table file has no {key!r} line")
+                return default
+            try:
+                return int(header[key])
+            except ValueError:
+                raise ValueError(f"{key!r} must be an integer, got {header[key]!r}") from None
+
+        size = header_int("size")
+        if size < 1:
+            raise ValueError(f"'size' must be >= 1, got {size}")
+
+        def read_table(idx):
+            if idx >= len(lines) or lines[idx] not in ("add", "mul"):
+                got = repr(lines[idx]) if idx < len(lines) else "end of file"
+                raise ValueError(f"expected table marker 'add' or 'mul', got {got}")
+            rows = lines[idx + 1 : idx + 1 + size]
+            if len(rows) < size:
+                raise ValueError(f"{lines[idx]} table has {len(rows)} of {size} rows")
+            table = []
+            for row in rows:
+                try:
+                    table.append([int(x) for x in row.split()])
+                except ValueError:
+                    raise ValueError(f"{lines[idx]} table row {row!r} is not all integers") from None
+            return lines[idx], table, idx + 1 + size
+
+        kind1, t1, i = read_table(i)
+        kind2, t2, i = read_table(i)
+        tables = {kind1: t1, kind2: t2}
+        if set(tables) != {"add", "mul"}:
+            raise ValueError("need exactly one add table and one mul table")
+        names = tuple(header["names"].split()) if "names" in header else None
+        return cls(
+            tables["add"],
+            tables["mul"],
+            zero=header_int("zero", 0),
+            one=header_int("one", 1),
+            names=names,
+            name=header.get("name", "custom"),
+        )
+
+
+# the boolean rig is a table like every finite rig; the old class name
+# stays callable for existing callers
+BooleanRig = FiniteCRig.boolean
 
 
 class IntRig(Rig):
@@ -136,27 +351,6 @@ class RationalRig(Rig):
 
     def sample(self, rng, k):
         return [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k)]
-
-
-class ZModRig(Rig):
-    finite = True
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("modulus must be >= 1")
-        self.n = n
-        self.name = f"zmod:{n}"
-        self.zero = 0
-        self.one = 1 % n
-
-    def add(self, x, y):
-        return (x + y) % self.n
-
-    def mul(self, x, y):
-        return (x * y) % self.n
-
-    def elements(self):
-        return tuple(range(self.n))
 
 
 class TropicalUnitRig(Rig):
@@ -256,20 +450,28 @@ class SquareMatrixRig(Rig):
             yield tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
+_RIGS = {
+    "boolean": FiniteCRig.boolean,
+    "tropical4": FiniteCRig.tropical4,
+    "int": IntRig,
+    "rational": RationalRig,
+    "tropical-unit": TropicalUnitRig,
+    "tropical-nonneg": TropicalNonNegRig,
+}
+
+
 def rig_by_name(name: str) -> Rig:
-    if name == "boolean":
-        return BooleanRig()
-    if name == "int":
-        return IntRig()
-    if name == "rational":
-        return RationalRig()
-    if name == "tropical-unit":
-        return TropicalUnitRig()
-    if name == "tropical-nonneg":
-        return TropicalNonNegRig()
+    """The rig of a name: ``boolean``, ``zmod:N`` and ``tropical4`` are
+    tables (``FiniteCRig``); ``int``, ``rational``, ``tropical-unit`` and
+    ``tropical-nonneg`` are carriers with callable operations."""
     if name.startswith("zmod:"):
-        return ZModRig(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown rig name: {name!r}")
+        modulus = name[5:]
+        if not modulus.isdecimal():
+            raise ValueError(f"zmod:N needs a positive integer N, got {modulus!r}")
+        return FiniteCRig.zmod(int(modulus))
+    if name not in _RIGS:
+        raise ValueError(f"unknown rig name {name!r} (use {' | '.join([*_RIGS, 'zmod:N'])})")
+    return _RIGS[name]()
 
 
 class RigMatrix:

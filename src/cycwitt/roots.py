@@ -180,7 +180,7 @@ def elementary_symmetric(a: RootMultiset, k: int) -> WittElement:
     try:
         return to_witt(RootMultiset(lvl, coeffs[k]))
     except NotGaloisStable as exc:  # pragma: no cover - stable inputs only
-        raise AssertionError(f"internal error: unstable symmetric multiset: {exc}")
+        raise AssertionError(f"unstable symmetric multiset: {exc}")
 
 
 def root_sum(a: RootMultiset) -> int:

@@ -1,19 +1,21 @@
 """Prime spectra of finite commutative rigs.
 
-A finite commutative rig is given by its operation tables and validated
-at construction.  Ideals are subsets containing 0 and closed under sums
-and arbitrary scaling; a proper ideal is prime when its complement is
-multiplicatively closed.  At finite scale everything in sight is
-enumerable, so radicals, localizations, the Zariski topology and the
-structure-sheaf description of basic opens are all checked literally
-rather than symbolically.
+The rigs are ``rigs.FiniteCRig``: operation tables, validated at
+construction, behind the same ``Rig`` interface and ``rig_by_name``
+registry as every other carrier.  Ideals are subsets containing 0 and
+closed under sums and arbitrary scaling; a proper ideal is prime when
+its complement is multiplicatively closed.  At finite scale everything
+in sight is enumerable, so radicals, localizations, the Zariski
+topology and the structure-sheaf description of basic opens are all
+checked literally rather than symbolically.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+
+from .rigs import FiniteCRig
 
 __all__ = [
     "FiniteCRig",
@@ -29,236 +31,7 @@ __all__ = [
     "localize",
     "theorem1_check",
     "Theorem1Report",
-    "finite_rig_by_name",
 ]
-
-
-class FiniteCRig:
-    """Finite commutative rig given by addition and multiplication tables.
-
-    Elements are indices 0..size-1; ``names`` carries display strings.
-    The tables are validated exhaustively (commutativity, associativity,
-    units, distributivity, absorbing zero) and a bad table is rejected
-    with a witness.
-    """
-
-    __slots__ = ("size", "add_table", "mul_table", "zero", "one", "names", "name")
-
-    def __init__(self, add_table, mul_table, zero=0, one=1, names=None, name="rig"):
-        add_t = tuple(tuple(row) for row in add_table)
-        mul_t = tuple(tuple(row) for row in mul_table)
-        size = len(add_t)
-        if any(len(r) != size for r in add_t) or len(mul_t) != size or any(
-            len(r) != size for r in mul_t
-        ):
-            raise ValueError("tables must be square and equally sized")
-        rng = range(size)
-        if any(x not in rng for row in add_t + mul_t for x in row):
-            raise ValueError("table entries must be element indices")
-        if zero not in rng or one not in rng:
-            raise ValueError(f"zero {zero} and one {one} must be element indices below {size}")
-        if names and len(names) != size:
-            raise ValueError(f"{len(names)} names for {size} elements")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "add_table", add_t)
-        object.__setattr__(self, "mul_table", mul_t)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(
-            self, "names", tuple(names) if names else tuple(str(i) for i in rng)
-        )
-        object.__setattr__(self, "name", name)
-        self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteCRig is immutable")
-
-    def _validate(self):
-        """Check every element, pair and triple, reading the tables.
-
-        For each pair (x, y) the three triple laws are compared as whole
-        rows over w, composed in C by ``itemgetter``; only a pair whose rows
-        differ is rescanned entry by entry, in the order (x, y, w) and with
-        the checks in the order below, so the witness is the first failing
-        triple and check.  (For a single element ``itemgetter`` returns a
-        bare entry, so every pair is rescanned; the rescan is exact.)
-        """
-        rng = range(self.size)
-        A, M = self.add_table, self.mul_table
-        z, e = self.zero, self.one
-        for x in rng:
-            if A[x][z] != x:
-                raise ValueError(f"additive unit fails at {x}")
-            if M[x][e] != x:
-                raise ValueError(f"multiplicative unit fails at {x}")
-            if M[x][z] != z:
-                raise ValueError(f"absorbing zero fails at {x}")
-        for x in rng:
-            ax, mx = A[x], M[x]
-            for y in rng:
-                if ax[y] != A[y][x]:
-                    raise ValueError(f"addition not commutative at {x},{y}")
-                if mx[y] != M[y][x]:
-                    raise ValueError(f"multiplication not commutative at {x},{y}")
-        # through_a[y](row) is (row[y+w] for w); through_m[y](row) is (row[y*w] for w)
-        through_a = [itemgetter(*row) for row in A]
-        through_m = [itemgetter(*row) for row in M]
-        for x in rng:
-            ax, mx = A[x], M[x]
-            for y in rng:
-                # rows over w of (x+y)+w, (x*y)*w and x*y + x*w
-                sum_then, prod_then, plus_xw = A[ax[y]], M[mx[y]], A[mx[y]]
-                if (
-                    sum_then == through_a[y](ax)
-                    and prod_then == through_m[y](mx)
-                    and through_a[y](mx) == through_m[x](plus_xw)
-                ):
-                    continue
-                ay, my = A[y], M[y]
-                for w in rng:
-                    if sum_then[w] != ax[ay[w]]:
-                        raise ValueError(f"addition not associative at {x},{y},{w}")
-                    if prod_then[w] != mx[my[w]]:
-                        raise ValueError(f"multiplication not associative at {x},{y},{w}")
-                    if mx[ay[w]] != plus_xw[mx[w]]:
-                        raise ValueError(f"distributivity fails at {x},{y},{w}")
-
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
-
-    def mul(self, x: int, y: int) -> int:
-        return self.mul_table[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def element_by_name(self, s: str) -> int:
-        if s in self.names:
-            return self.names.index(s)
-        raise ValueError(f"no element named {s!r} in {self.name}")
-
-    def describe(self, subset) -> str:
-        return "{" + ", ".join(self.names[x] for x in sorted(subset)) + "}"
-
-    def __repr__(self):
-        return f"FiniteCRig({self.name}, size={self.size})"
-
-    @classmethod
-    def zmod(cls, n: int) -> "FiniteCRig":
-        if n < 1:
-            raise ValueError("modulus must be >= 1")
-        rng = range(n)
-        return cls(
-            [[(x + y) % n for y in rng] for x in rng],
-            [[(x * y) % n for y in rng] for x in rng],
-            zero=0,
-            one=1 % n,
-            name=f"zmod:{n}",
-        )
-
-    @classmethod
-    def boolean(cls) -> "FiniteCRig":
-        return cls(
-            [[0, 1], [1, 1]],
-            [[0, 0], [0, 1]],
-            name="boolean",
-        )
-
-    @classmethod
-    def tropical4(cls) -> "FiniteCRig":
-        """Four tropical values 0 < eps < 1 < top with max as addition;
-        eps*eps = 0, eps*top = eps, top*top = top."""
-        order = [0, 1, 2, 3]  # 0, eps, one, top
-        add = [[max(x, y) for y in order] for x in order]
-        mul = [
-            [0, 0, 0, 0],
-            [0, 0, 1, 1],
-            [0, 1, 2, 3],
-            [0, 1, 3, 3],
-        ]
-        return cls(add, mul, zero=0, one=2, names=("0", "eps", "1", "top"), name="tropical4")
-
-    @classmethod
-    def from_text(cls, text: str) -> "FiniteCRig":
-        """Parse the small table format::
-
-            size 2
-            zero 0
-            one 1
-            names 0 1
-            add
-            0 1
-            1 1
-            mul
-            0 0
-            0 1
-
-        The ``names`` line is optional.
-        """
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header: dict[str, str] = {}
-        i = 0
-        while i < len(lines) and lines[i].split()[0] not in ("add", "mul"):
-            key, _, val = lines[i].partition(" ")
-            header[key] = val.strip()
-            i += 1
-
-        def header_int(key, default=None):
-            if key not in header:
-                if default is None:
-                    raise ValueError(f"table file has no {key!r} line")
-                return default
-            try:
-                return int(header[key])
-            except ValueError:
-                raise ValueError(f"{key!r} must be an integer, got {header[key]!r}") from None
-
-        size = header_int("size")
-        if size < 1:
-            raise ValueError(f"'size' must be >= 1, got {size}")
-
-        def read_table(idx):
-            if idx >= len(lines) or lines[idx] not in ("add", "mul"):
-                got = repr(lines[idx]) if idx < len(lines) else "end of file"
-                raise ValueError(f"expected table marker 'add' or 'mul', got {got}")
-            rows = lines[idx + 1 : idx + 1 + size]
-            if len(rows) < size:
-                raise ValueError(f"{lines[idx]} table has {len(rows)} of {size} rows")
-            table = []
-            for row in rows:
-                try:
-                    table.append([int(x) for x in row.split()])
-                except ValueError:
-                    raise ValueError(f"{lines[idx]} table row {row!r} is not all integers") from None
-            return lines[idx], table, idx + 1 + size
-
-        kind1, t1, i = read_table(i)
-        kind2, t2, i = read_table(i)
-        tables = {kind1: t1, kind2: t2}
-        if set(tables) != {"add", "mul"}:
-            raise ValueError("need exactly one add table and one mul table")
-        names = tuple(header["names"].split()) if "names" in header else None
-        return cls(
-            tables["add"],
-            tables["mul"],
-            zero=header_int("zero", 0),
-            one=header_int("one", 1),
-            names=names,
-            name=header.get("name", "custom"),
-        )
-
-
-def finite_rig_by_name(name: str) -> FiniteCRig:
-    if name == "boolean":
-        return FiniteCRig.boolean()
-    if name == "tropical4":
-        return FiniteCRig.tropical4()
-    if name.startswith("zmod:"):
-        return FiniteCRig.zmod(int(name.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown finite rig {name!r} (use boolean | zmod:N | tropical4, "
-        f"or load a table file)"
-    )
 
 
 @dataclass(frozen=True)
@@ -450,7 +223,7 @@ def localize(r: FiniteCRig, s_set) -> Localization:
         inverse[s] = next((y for y in monoid if fs_row[y] == f), None)
         if inverse[s] is None:
             raise RuntimeError(
-                f"internal error: f*s = {r.names[f_row[s]]} is not a unit of f*r "
+                f"f*s = {r.names[f_row[s]]} is not a unit of f*r "
                 f"for f = {r.names[f]} over {r.name}"
             )
 
@@ -572,14 +345,13 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
     # neighborhood inside D(s) on which the family is one global fraction
     prime_list = list(opens)
     pos = {p: i for i, p in enumerate(prime_list)}
-    neighborhoods = []  # (member set, admissible (num, w) fractions)
+    neighborhoods = {}  # basic open -> its admissible (num, w) fractions
     for t in r.elements():
-        nbhd = tuple(q for q in sp.primes if t not in q)
-        if not nbhd or not set(nbhd) <= set(prime_list):
+        nbhd = sp.basic_open(t)
+        if not nbhd or nbhd in neighborhoods or not set(nbhd) <= set(prime_list):
             continue
         denoms = [w for w in r.elements() if all(w not in q for q in nbhd)]
-        fracs = [(num, w) for w in denoms for num in r.elements()]
-        neighborhoods.append((nbhd, fracs))
+        neighborhoods[nbhd] = [(num, w) for w in denoms for num in r.elements()]
 
     all_fams = []
     total = 0
@@ -590,7 +362,7 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
             witnessed = any(
                 p in nbhd
                 and all(stalks[q].class_of(num, w) == fam[pos[q]] for q in nbhd)
-                for nbhd, fracs in neighborhoods
+                for nbhd, fracs in neighborhoods.items()
                 for num, w in fracs
             )
             if not witnessed:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cycwitt
+from cycwitt import spectra
 from cycwitt.cli import (
     ParseError,
     format_series,
@@ -206,25 +207,54 @@ def run_cli_process(*argv, block_numpy=False):
 
 
 @pytest.mark.parametrize(
-    "table,argv",
+    "table,argv,message",
     [
-        ("size 2\nadd\n0 1\n1 1\nmul\n0 0\n", None),  # truncated mul table
-        ("zero 0\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None),  # no size line
-        ("size 2\nzero 5\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None),  # zero out of range
-        (None, ["radical", "--rig", "zmod:0"]),
+        ("size 2\nadd\n0 1\n1 1\nmul\n0 0\n", None, None),  # truncated mul table
+        ("zero 0\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None, None),  # no size line
+        ("size 2\nzero 5\none 1\nadd\n0 1\n1 1\nmul\n0 0\n0 1\n", None, None),  # zero out of range
+        (None, ["radical", "--rig", "zmod:0"], None),
+        (None, ["spec", "--rig", "zmod:x"], "zmod:N needs a positive integer N, got 'x'"),
+        (None, ["spec", "--rig", "zmod:"], "zmod:N needs a positive integer N, got ''"),
+        (
+            None,
+            ["spec", "--rig", "tropical-unit"],
+            "unknown finite rig 'tropical-unit' (use boolean | zmod:N | tropical4, "
+            "or load a table file)",
+        ),
+        (
+            None,
+            ["spec", "--rig", "nope"],
+            "unknown rig name 'nope' (use boolean | tropical4 | int | rational | "
+            "tropical-unit | tropical-nonneg | zmod:N)",
+        ),
+        (None, ["charpoly", "1,2"], "matrix must be square"),
+        (None, ["wittclass", "1,2;3,4;5,6"], "matrix must be square"),
     ],
-    ids=["truncated", "nosize", "zero5", "zmod0"],
+    ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
+         "charpoly-nonsquare", "wittclass-nonsquare"],
 )
-def test_cli_known_faults_exit_2_with_one_error_line(table, argv, tmp_path):
+def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
         path = tmp_path / "rig.txt"
         path.write_text(table)
         argv = ["spec", "--rig", f"file:{path}"]
     proc = run_cli_process(*argv)
     lines = proc.stderr.strip().splitlines()
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message is None or lines[0] == f"error: {message}"
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_internal_error_exit_3(monkeypatch, capsys):
+    def mismatch(*args, **kwargs):
+        raise spectra.RadicalMismatch("power radical {0} != prime intersection {0, 4}")
+
+    monkeypatch.setattr(spectra, "radical", mismatch)
+    code, out, err = run_cli(capsys, "radical", "--rig", "zmod:8", "--ideal", "0")
+    lines = err.strip().splitlines()
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert lines == ["internal error: power radical {0} != prime intersection {0, 4}"]
 
 
 @pytest.mark.parametrize(

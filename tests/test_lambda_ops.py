@@ -1,13 +1,11 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from cycwitt import roots
 from cycwitt.arith import cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
-    INFINITY,
     WittSeries,
     gamma_basis,
     gamma_filtration,
@@ -16,7 +14,6 @@ from cycwitt.lambda_ops import (
     graded_frobenius_check,
     lambda_basis,
     lambda_series,
-    mobius_D,
 )
 from cycwitt.linalg import hnf
 from cycwitt.witt import ONE, WittElement, f0, mul, phi, trace
@@ -142,15 +139,6 @@ def test_lambda_series_multiplicative():
 def test_series_inverse_roundtrip():
     s = lambda_series(phi(6) - 2 * ONE, 6)
     assert s * s.inverse() == WittSeries.one(6)
-
-
-def test_mobius_D_values():
-    assert mobius_D(0) == 0
-    assert mobius_D(2) == 2
-    assert mobius_D(1) is INFINITY
-    assert mobius_D(INFINITY) == 1
-    for t in (Fraction(3), Fraction(-4, 7), Fraction(5, 2)):
-        assert mobius_D(mobius_D(t)) == t
 
 
 def test_gamma_examples():

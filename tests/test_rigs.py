@@ -1,17 +1,19 @@
+import importlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cycwitt.linalg import IntMatrix, contraction_le_one
 from cycwitt.rigs import (
     INF,
-    BooleanRig,
+    FiniteCRig,
     IntRig,
     Rig,
     RigMatrix,
     SquareMatrixRig,
     TropicalNonNegRig,
-    ZModRig,
     check_prop_laws,
     check_rig_laws,
     direct_sum,
@@ -37,6 +39,73 @@ SHIPPED = ["boolean", "int", "rational", "tropical-unit", "tropical-nonneg", "zm
 def test_shipped_rigs_satisfy_laws(name):
     report = check_rig_laws(rig_by_name(name))
     assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize(
+    "name,fault",
+    [
+        ("nope", "unknown rig name 'nope'"),
+        ("zmod:x", "got 'x'"),
+        ("zmod:", "got ''"),
+        ("zmod:-3", "got '-3'"),
+        ("zmod:0", "modulus must be >= 1"),
+    ],
+)
+def test_rig_by_name_rejects_bad_names(name, fault):
+    with pytest.raises(ValueError, match=fault):
+        rig_by_name(name)
+
+
+def test_finite_tables_match_the_carrier_formulas():
+    # the formulas of the callable boolean and mod-n carriers these
+    # tables replaced are the oracle
+    b = rig_by_name("boolean")
+    for x in (0, 1):
+        for y in (0, 1):
+            assert b.add(x, y) == (1 if (x or y) else 0)
+            assert b.mul(x, y) == (1 if (x and y) else 0)
+    assert (b.zero, b.one) == (0, 1)
+    for n in range(1, 13):
+        z = FiniteCRig.zmod(n)
+        assert (z.zero, z.one) == (0, 1 % n)
+        for x in range(n):
+            for y in range(n):
+                assert z.add(x, y) == (x + y) % n
+                assert z.mul(x, y) == x * y % n
+
+
+def test_finite_rig_equality():
+    a, b = FiniteCRig.zmod(6), rig_by_name("zmod:6")
+    assert a is not b and a == b and hash(a) == hash(b)
+    f = RigMatrix(a, [[1, 2], [3, 4]])
+    g = RigMatrix(b, [[5], [1]])
+    assert mat_compose(f, g) == RigMatrix(a, [[1], [1]])
+    assert FiniteCRig.zmod(6) != FiniteCRig.zmod(7)
+    assert FiniteCRig.zmod(2) != rig_by_name("boolean")
+    table = "size 2\nadd\n0 1\n1 {}\nmul\n0 0\n0 1\n"
+    custom_bool, custom_z2 = (FiniteCRig.from_text(table.format(v)) for v in (1, 0))
+    assert custom_bool.name == custom_z2.name == "custom"
+    assert custom_bool != custom_z2
+    with pytest.raises(ValueError, match="different rigs"):
+        mat_compose(RigMatrix(custom_bool, [[1]]), RigMatrix(custom_z2, [[1]]))
+
+
+def test_traced_benchmark_targets_resolve():
+    # the benchmark's tracer wraps these by name; a moved class or a
+    # renamed function must fail here rather than in the traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) >= 20
+    for mod_name, attr_path in tracing.TARGETS:
+        obj = importlib.import_module(f"cycwitt.{mod_name}")
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (mod_name, attr_path)
+    from cycwitt import rigs, spectra
+
+    assert spectra.FiniteCRig is rigs.FiniteCRig
 
 
 def test_broken_rig_fails_with_witness():
@@ -70,7 +139,7 @@ def test_tropical_nonneg_infinity_conventions():
 
 
 def test_mat_compose_examples():
-    b = BooleanRig()
+    b = FiniteCRig.boolean()
     f = RigMatrix(b, [[1, 0], [1, 1]])
     g = RigMatrix(b, [[0, 1], [1, 0]])
     assert mat_compose(identity(b, 2), f) == f
@@ -117,7 +186,7 @@ def test_perm_matrix_row_selector():
 
 
 def test_prop_laws_boolean_exhaustive():
-    report = check_prop_laws(BooleanRig(), max_rows=2, max_cols=3, quad_cap=4000)
+    report = check_prop_laws(FiniteCRig.boolean(), max_rows=2, max_cols=3, quad_cap=4000)
     assert report.ok, report.failures[:2]
 
 
@@ -129,7 +198,7 @@ def test_prop_laws_sampled(name):
 
 
 def test_prop_laws_noncommutative_control_fails():
-    control = SquareMatrixRig(BooleanRig(), 2)
+    control = SquareMatrixRig(FiniteCRig.boolean(), 2)
     assert check_rig_laws(control).ok  # it is a rig, just not commutative
     report = check_prop_laws(control, max_rows=1, max_cols=1, samples=4,
                              quad_cap=200, pair_cap=400)
@@ -152,16 +221,16 @@ def test_kron_orders_related_by_interleaving():
 
 
 def test_gl_enumeration_examples():
-    b = BooleanRig()
+    b = FiniteCRig.boolean()
     gl2 = gl_enumerate(b, 2)
     assert sorted(m.entries for m in gl2) == [
         ((0, 1), (1, 0)),
         ((1, 0), (0, 1)),
     ]
-    assert sorted(m[0][0] for m in gl_enumerate(ZModRig(4), 1)) == [1, 3]
+    assert sorted(m[0][0] for m in gl_enumerate(FiniteCRig.zmod(4), 1)) == [1, 3]
     assert [m.entries for m in gl_enumerate(b, 1)] == [((1,),)]
     with pytest.raises(ValueError):
-        gl_enumerate(ZModRig(4), 3, max_matrices=100)
+        gl_enumerate(FiniteCRig.zmod(4), 3, max_matrices=100)
 
 
 def test_global_sections_examples():

@@ -4,11 +4,11 @@ import re
 
 import pytest
 
+from cycwitt.rigs import rig_by_name
 from cycwitt.spectra import (
     FiniteCRig,
     Ideal,
     all_ideals,
-    finite_rig_by_name,
     ideal_generated,
     localize,
     multiplicative_closure,
@@ -125,11 +125,14 @@ def test_builtin_rigs_are_valid():
 
 
 def test_rig_names_resolver():
-    assert finite_rig_by_name("boolean").size == 2
-    assert finite_rig_by_name("zmod:9").size == 9
-    assert finite_rig_by_name("tropical4").size == 4
-    with pytest.raises(ValueError):
-        finite_rig_by_name("tropical-unit")
+    # every documented name; the finite ones are tables
+    for name, size in {"boolean": 2, "zmod:1": 1, "zmod:9": 9, "tropical4": 4}.items():
+        r = rig_by_name(name)
+        assert isinstance(r, FiniteCRig) and r.finite and r.commutative
+        assert r.name == name and r.size == size and list(r.elements()) == list(range(size))
+    for name in ("int", "rational", "tropical-unit", "tropical-nonneg"):
+        r = rig_by_name(name)
+        assert r.name == name and not r.finite and not isinstance(r, FiniteCRig)
 
 
 @pytest.mark.parametrize(
@@ -285,7 +288,7 @@ def test_radical_examples():
 
 def test_galois_correspondence_closed_sets():
     for name in ["zmod:12", "zmod:18", "tropical4"]:
-        r = finite_rig_by_name(name)
+        r = rig_by_name(name)
         sp = spec(r)
         # VI(Z) = Z for closed Z, over all ideals' closed sets
         for elems in all_ideals(r):
