@@ -5,7 +5,9 @@ its roots, computed through Newton's identities from the power sums
 F_i phi(n); the generating series lambda_t extends multiplicatively to
 arbitrary (virtual) elements.  The reindexed gamma operations come from
 the polynomial identity (-1)^k gamma^k(x) = lambda^k(x + (k-1)*phi(1)),
-avoiding any rational substitution.  On top of these, the module builds
+avoiding any rational substitution; expanded, it reads
+gamma^k(x) = (-1)^k sum_{j=1..k} C(k-1, k-j) lambda^j(x), so one series
+lambda_t(x) yields every gamma^k(x).  On top of these, the module builds
 the descending gamma filtration of the augmentation ideal (kernel of
 the root-count map f0) as explicit integer lattices and checks the
 graded eigenvalue behaviour of the operator families on it.
@@ -107,10 +109,16 @@ class WittSeries:
         return WittSeries(inv)
 
     def pow(self, e: int) -> "WittSeries":
+        """self**e by square-and-multiply; e < 0 inverts first."""
         base = self if e >= 0 else self.inverse()
         out = WittSeries.one(self.degree)
-        for _ in range(abs(e)):
-            out = out * base
+        e = abs(e)
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __repr__(self):
@@ -118,13 +126,13 @@ class WittSeries:
 
 
 @lru_cache(maxsize=None)
-def _lambda_row(n: int) -> tuple[WittElement, ...]:
-    """(e_0, ..., e_phi(n)) for the roots of phi(n), by Newton's identities.
+def _lambda_row(n: int, top: int) -> tuple[WittElement, ...]:
+    """(e_0, ..., e_top), top <= euler_phi(n), for the roots of phi(n), by
+    Newton's identities; e_k needs only the power sums F_i phi(n), i <= k.
 
     Each division by k is exact because the ambient group is torsion
     free; inexactness would be a bug, not bad input.
     """
-    top = euler_phi(n)
     powers = [None] + [frobenius(i, phi(n)) for i in range(1, top + 1)]
     es: list[WittElement] = [ONE]
     for k in range(1, top + 1):
@@ -144,11 +152,11 @@ def lambda_basis(n: int, k: int) -> WittElement:
         raise ValueError(f"lambda_basis() requires n >= 1, got {n}")
     if not 0 <= k <= euler_phi(n):
         raise ValueError(f"lambda_basis() needs 0 <= k <= euler_phi({n}), got {k}")
-    return _lambda_row(n)[k]
+    return _lambda_row(n, euler_phi(n))[k]
 
 
 def _basis_series(n: int, degree: int) -> WittSeries:
-    row = _lambda_row(n)
+    row = _lambda_row(n, min(degree, euler_phi(n)))
     out = []
     for k in range(degree + 1):
         if k < len(row):
@@ -183,11 +191,15 @@ def gamma_basis(a: WittElement, k: int, degree: int | None = None) -> WittElemen
 
 
 def gamma_series(a: WittElement, degree: int) -> WittSeries:
-    """gamma_t(a) truncated; coefficient of t**k is (-1)**k gamma^k(a)."""
+    """gamma_t(a) truncated; coefficient of t**k is (-1)**k gamma^k(a),
+    read from the one series lambda_t(a) by the expanded shift identity."""
+    lam = lambda_series(a, degree)
     out = [ONE]
     for k in range(1, degree + 1):
-        g = gamma_basis(a, k)
-        out.append(g if k % 2 == 0 else -g)
+        acc = WittElement()
+        for j in range(1, k + 1):
+            acc = acc + lam.lam(j) * math.comb(k - 1, k - j)
+        out.append(acc)
     return WittSeries(out)
 
 
@@ -271,16 +283,22 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     """Lattices I_0 (everything), I_1 (kernel of f0, spanned by
     phi(d) - euler_phi(d) for d | N, d > 1), and for k >= 2 the span of
     gamma-monomials gamma^{n_1}(a_1)...gamma^{n_l}(a_l) over the fixed
-    I_1 basis with n_1 + ... + n_l >= k.
+    I_1 basis with k <= n_1 + ... + n_l <= monomial_bound (default
+    depth + 2).  Enlarging the bound can only grow the lattices, so
+    downstream membership checks stay valid for sublattices.
 
-    Monomials are enumerated up to total gamma-degree and length
-    monomial_bound (default depth + 2).  Enlarging the bound can only
-    grow the lattices, so downstream membership checks stay valid for
-    sublattices.
+    A dynamic program over gamma degree: S_t, the span of the monomials
+    of degree exactly t, is spanned by s * gamma^e(b) for 1 <= e <= t and
+    s in the Hermite basis of S_{t-e} (the product is bilinear and
+    commutative), with S_0 = Z phi(1); then I_k = S_k + ... + S_bound.
+    Every atom has degree e >= 1, so a monomial of degree <= bound has at
+    most bound factors and needs no separate length bound.  Each S_t has
+    rank <= tau(N), so the work is O(bound**2 tau(N)**2) products, not
+    one per monomial (a count exponential in the bound).
     """
-    if N < 1 or depth < 1:
-        raise ValueError("gamma_filtration() requires N >= 1 and depth >= 1")
     bound = monomial_bound if monomial_bound is not None else depth + 2
+    if N < 1 or depth < 1 or bound < 0:
+        raise ValueError("gamma_filtration() requires N >= 1, depth >= 1 and monomial_bound >= 0")
     ds = divisors(N)
     r = len(ds)
     ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -288,29 +306,15 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     basis = [phi(d) - ONE * euler_phi(d) for d in ds if d > 1]
     lattices.append(hnf([_vec(b, ds) for b in basis], ambient=r))
 
-    # one gamma table per (exponent, basis element), exponents 1..bound
-    gam = {
-        (e, i): gamma_basis(b, e)
-        for e in range(1, bound + 1)
-        for i, b in enumerate(basis)
-    }
-    atoms = sorted(gam)  # (exponent, basis index), deterministic order
-
-    monomials: list[tuple[int, WittElement]] = []  # (total gamma degree, value)
-
-    def walk(start: int, total: int, length: int, value: WittElement) -> None:
-        for a in range(start, len(atoms)):
-            e, i = atoms[a]
-            if total + e > bound or length + 1 > bound:
-                continue
-            v = mul(value, gam[(e, i)])
-            monomials.append((total + e, v))
-            walk(a, total + e, length + 1, v)
-
-    walk(0, 0, 0, ONE)
+    series = [gamma_series(b, bound) for b in basis]
+    atoms = {e: [g for s in series if (g := s.lam(e))] for e in range(1, bound + 1)}
+    spans = [[ONE]]  # spans[t]: Hermite basis of S_t
+    for t in range(1, bound + 1):
+        gens = [_vec(mul(v, a), ds) for e in range(1, t + 1) for a in atoms[e] for v in spans[t - e]]
+        spans.append([_unvec(row, ds) for row in hnf(gens, ambient=r).basis])
 
     for k in range(2, depth + 1):
-        gens = [_vec(v, ds) for s, v in monomials if s >= k]
+        gens = [_vec(v, ds) for t in range(k, bound + 1) for v in spans[t]]
         lattices.append(hnf(gens, ambient=r))
     return GammaFiltration(N, depth, ds, lattices)
 

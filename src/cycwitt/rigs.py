@@ -425,6 +425,10 @@ class SquareMatrixRig(Rig):
             tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
         )
 
+    def key(self):
+        # the name alone would equate matrices over two same-named tables
+        return ("mat", self.size, self.base.key())
+
     def add(self, x, y):
         return tuple(
             tuple(self.base.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(x, y)

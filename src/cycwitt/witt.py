@@ -56,7 +56,7 @@ from .arith import (
 
 __all__ = [
     "WittElement", "phi", "ZERO", "ONE",
-    "add", "neg", "scale", "basis_mul", "mul",
+    "basis_mul", "mul",
     "frobenius", "verschiebung", "trace", "t_m", "f0", "integral", "inner",
     "parseval_check", "ParsevalReport",
     "zeta_partial_check", "ZetaReport",
@@ -188,18 +188,6 @@ def phi(n: int) -> WittElement:
 
 ZERO = WittElement()
 ONE = phi(1)
-
-
-def add(a: WittElement, b: WittElement) -> WittElement:
-    return a + b
-
-
-def neg(a: WittElement) -> WittElement:
-    return -a
-
-
-def scale(c: int, a: WittElement) -> WittElement:
-    return a * c
 
 
 def _local_basis_mul(p: int, a: int, b: int) -> dict[int, int]:

@@ -165,6 +165,9 @@ def test_cli_gamma_filtration(capsys):
     obj = json.loads(out)
     assert obj["divisors"] == [1, 2, 3, 6]
     assert obj["lattices"][0]["rank"] == 4
+    # a prime level: the lambda row stops at the truncation degree, not at phi(9973)
+    code, out, _ = run_cli(capsys, "gamma-filtration", "--level", "9973", "--depth", "2")
+    assert code == 0 and "I_2: rank 1" in out
 
 
 def test_cli_spec_and_radical(capsys):

@@ -6,7 +6,9 @@ import pytest
 from cycwitt import roots
 from cycwitt.arith import cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
+    GammaFiltration,
     WittSeries,
+    _lambda_row,
     gamma_basis,
     gamma_filtration,
     gamma_positive_check,
@@ -173,6 +175,8 @@ def test_gamma_filtration_levels():
         [[-1, 1, 0, 0], [-2, 0, 1, 0], [-2, 0, 0, 1]]
     )  # phi2 - phi1, phi3 - 2, phi6 - 2 over divisors (1, 2, 3, 6)
     assert filt.lattices[1] == expected_i1
+    with pytest.raises(ValueError, match="monomial_bound"):
+        gamma_filtration(6, 2, -1)
 
 
 def test_gamma_filtration_nested():
@@ -205,3 +209,78 @@ def test_graded_check_small(big_n):
     # the lambda-side containment is reported, not asserted; record it
     if not report.lambda_ok:
         print(report.summary())
+
+
+def _walk_gamma_filtration(N, depth, monomial_bound=None):
+    """Reference filtration: lists every gamma-monomial up to total
+    degree and length monomial_bound, atoms from gamma_basis one exponent
+    at a time, and puts them all through hnf."""
+    bound = monomial_bound if monomial_bound is not None else depth + 2
+    ds = divisors(N)
+    r = len(ds)
+
+    def vec(w):
+        return [w.coeff(d) for d in ds]
+
+    lattices = [hnf([[int(i == j) for j in range(r)] for i in range(r)])]
+    basis = [phi(d) - ONE * euler_phi(d) for d in ds if d > 1]
+    lattices.append(hnf([vec(b) for b in basis], ambient=r))
+    gam = {(e, i): gamma_basis(b, e) for e in range(1, bound + 1) for i, b in enumerate(basis)}
+    atoms = sorted(gam)
+    monomials = []  # (total gamma degree, value)
+
+    def walk(start, total, length, value):
+        for a in range(start, len(atoms)):
+            e, i = atoms[a]
+            if total + e > bound or length + 1 > bound:
+                continue
+            v = mul(value, gam[(e, i)])
+            monomials.append((total + e, v))
+            walk(a, total + e, length + 1, v)
+
+    walk(0, 0, 0, ONE)
+    for k in range(2, depth + 1):
+        lattices.append(hnf([vec(v) for s, v in monomials if s >= k], ambient=r))
+    return GammaFiltration(N, depth, ds, lattices)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(n, 2) for n in range(1, 61)]
+    + [(n, 3) for n in (12, 24, 30, 36, 48, 60)]
+    + [(8, 3, 7), (12, 2, 6), (30, 3, 5)],
+)
+def test_gamma_filtration_matches_monomial_walk(args):
+    assert gamma_filtration(*args) == _walk_gamma_filtration(*args)
+
+
+def _virtual_elements():
+    out = [phi(d) - euler_phi(d) * ONE for d in range(1, 61)]
+    rng = random.Random(6)
+    for _ in range(60):
+        terms = rng.randint(1, 3)
+        out.append(WittElement({rng.randint(1, 60): rng.randint(-3, 3) for _ in range(terms)}))
+    return out
+
+
+def test_gamma_series_matches_shift_identity():
+    for x in _virtual_elements():
+        series = gamma_series(x, 6)
+        assert [series.lam(k) for k in range(7)] == [gamma_basis(x, k) for k in range(7)], x
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_truncated_lambda_row_is_prefix(n):
+    top = euler_phi(n)
+    full = _lambda_row(n, top)
+    for k in sorted({0, 1, 2, top // 2, top - 1} & set(range(top + 1))):
+        assert _lambda_row(n, k) == full[: k + 1]
+
+
+def test_series_pow_is_repeated_product():
+    s = lambda_series(phi(12) - 3 * ONE + phi(5), 6)
+    for e in range(-6, 7):
+        expected = WittSeries.one(6)
+        for _ in range(abs(e)):
+            expected = expected * (s if e > 0 else s.inverse())
+        assert s.pow(e) == expected, e

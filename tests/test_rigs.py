@@ -88,6 +88,12 @@ def test_finite_rig_equality():
     assert custom_bool != custom_z2
     with pytest.raises(ValueError, match="different rigs"):
         mat_compose(RigMatrix(custom_bool, [[1]]), RigMatrix(custom_z2, [[1]]))
+    # matrix rigs over them share the name mat2:custom and must still differ
+    mat_bool, mat_z2 = SquareMatrixRig(custom_bool, 2), SquareMatrixRig(custom_z2, 2)
+    assert mat_bool.name == mat_z2.name and mat_bool != mat_z2
+    assert SquareMatrixRig(custom_bool, 2) == mat_bool
+    with pytest.raises(ValueError, match="different rigs"):
+        mat_compose(RigMatrix(mat_bool, [[mat_bool.one]]), RigMatrix(mat_z2, [[mat_z2.one]]))
 
 
 def test_traced_benchmark_targets_resolve():

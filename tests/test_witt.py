@@ -10,7 +10,6 @@ from cycwitt.witt import (
     ONE,
     ZERO,
     WittElement,
-    add,
     basis_mul,
     f0,
     frobenius,
@@ -18,10 +17,8 @@ from cycwitt.witt import (
     inner,
     integral,
     mul,
-    neg,
     parseval_check,
     phi,
-    scale,
     t_m,
     trace,
     verschiebung,
@@ -40,8 +37,8 @@ def test_element_canonical_form():
     assert WittElement({}) == ZERO
     assert phi(2) - phi(2) == ZERO
     assert (2 * ONE + 3 * ONE).coeff(1) == 5
-    assert scale(-2, phi(6) + ONE) == -2 * phi(6) - 2 * ONE
-    assert add(phi(2), neg(phi(2))) == ZERO
+    assert (phi(6) + ONE) * -2 == -2 * phi(6) - 2 * ONE
+    assert phi(2) + -phi(2) == ZERO
     with pytest.raises(ValueError):
         WittElement({0: 1})
 
