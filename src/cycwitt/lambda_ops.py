@@ -363,13 +363,14 @@ def graded_frobenius_check(N: int, depth: int, m_max: int) -> GradedReport:
     for n in range(depth + 1):
         nxt = filt.lattices[n + 1]
         for x in filt.basis_elements(n):
+            series = lambda_series(x, m_max) if n >= 1 else None
             for m in range(1, m_max + 1):
                 y = frobenius(m, x) - x * m**n
                 report.frobenius_checked += 1
                 if not nxt.contains(_vec(y, ds)):
                     report.frobenius_failures.append((n, x, m))
                 if n >= 1:
-                    lam = lambda_series(x, m).lam(m)
+                    lam = series.lam(m)
                     z = (lam if (m + 1) % 2 == 0 else -lam) - x * m ** (n - 1)
                     report.lambda_checked += 1
                     if not nxt.contains(_vec(z, ds)):

@@ -282,9 +282,12 @@ def contraction_le_one(a: IntMatrix) -> bool:
     """Exact test for operator norm <= 1: is 1 - A^T A positive semidefinite?
 
     Decided over the rationals by symmetric pivoting; a negative pivot,
-    or a zero pivot with a nonzero residual row, certifies failure.
+    or a zero pivot with a nonzero residual row, certifies failure.  A column
+    of squared norm above 1 makes a diagonal entry negative: rejected in integers.
     """
     at = a.transpose()
+    if any(sum(x * x for x in col) > 1 for col in at):
+        return False
     n = a.cols
     g = [
         [Fraction((1 if i == j else 0) - sum(x * y for x, y in zip(at[i], at[j])))

@@ -2,13 +2,13 @@
 
 A rig is either finite and given by its operation tables
 (``FiniteCRig``: the two-element boolean rig, the integers mod n, a
-four-element tropical rig, or tables read from a file, all validated at
-construction) or a carrier with callable operations: the integers, the
-rationals, and the exact-rational tropical carriers [0,1] and [0,inf]
-with max as addition and ordinary multiplication.  ``rig_by_name`` is
-the one registry of rig names.
-Matrices over a rig compose, block-sum and Kronecker-multiply; the law
-checkers verify the rig axioms and the matrix-category laws (symmetry
+four-element tropical rig, or tables from a file, validated at
+construction over an additive generating set) or a carrier with callable
+operations: the integers, the rationals, and the exact-rational tropical
+carriers [0,1] and [0,inf] with max as addition and ordinary product.
+``rig_by_name`` is the one registry of rig names.  Matrices over a rig
+compose (over tables, skipping zeros), block-sum and Kronecker-multiply;
+the law checkers verify the rig axioms and the matrix-category laws (symmetry
 under block swap, centrality of scalars, the interleaving permutation
 that exchanges the two Kronecker orders) either exhaustively or by
 seeded sampling.  The module also enumerates unit groups of matrix
@@ -19,6 +19,7 @@ signed sub-permutation matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -102,7 +103,7 @@ class FiniteCRig(Rig):
     """Finite commutative rig given by addition and multiplication tables.
 
     Elements are indices 0..size-1; ``names`` carries display strings.
-    The tables are validated exhaustively (commutativity, associativity,
+    The tables are validated at construction (commutativity, associativity,
     units, distributivity, absorbing zero) and a bad table is rejected
     with a witness.  Two instances are equal when name, tables, zero and
     one agree.
@@ -141,14 +142,17 @@ class FiniteCRig(Rig):
         raise AttributeError("FiniteCRig is immutable")
 
     def _validate(self):
-        """Check every element, pair and triple, reading the tables.
+        """Check the laws in O(n^2 * |G|) table reads.
 
-        For each pair (x, y) the three triple laws are compared as whole
-        rows over w, composed in C by ``itemgetter``; only a pair whose rows
-        differ is rescanned entry by entry, in the order (x, y, w) and with
-        the checks in the order below, so the witness is the first failing
-        triple and check.  (For a single element ``itemgetter`` returns a
-        bare entry, so every pair is rescanned; the rescan is exact.)
+        Units, zero and both commutativities are checked pointwise.  Every
+        element is reached from 0 by adding generators from G, built
+        greedily (G = {1} for zmod:N).  For g in G and all x, y, Light's
+        test x + (g + y) = (x + g) + y proves + associative (the a that
+        associate include 0 and G and are closed under +).  Then
+        x(y + g) = xy + xg and (xy)g = x(yg), if they hold for w and g, hold
+        for w + g: x(y + (w + g)) = (xy + xw) + xg and (xy)(w + g)
+        = x(yw) + x(yg) = x(y(w + g)); by induction on w they hold for all.
+        A failure falls back to the full scan, which raises the first witness.
         """
         rng = range(self.size)
         A, M = self.add_table, self.mul_table
@@ -160,16 +164,38 @@ class FiniteCRig(Rig):
                 raise ValueError(f"multiplicative unit fails at {x}")
             if M[x][z] != z:
                 raise ValueError(f"absorbing zero fails at {x}")
+        if tuple(zip(*A)) != A or tuple(zip(*M)) != M:
+            for x in rng:
+                ax, mx = A[x], M[x]
+                for y in rng:
+                    if ax[y] != A[y][x]:
+                        raise ValueError(f"addition not commutative at {x},{y}")
+                    if mx[y] != M[y][x]:
+                        raise ValueError(f"multiplication not commutative at {x},{y}")
+        gens, reached = [], {z}
         for x in rng:
-            ax, mx = A[x], M[x]
-            for y in rng:
-                if ax[y] != A[y][x]:
-                    raise ValueError(f"addition not commutative at {x},{y}")
-                if mx[y] != M[y][x]:
-                    raise ValueError(f"multiplication not commutative at {x},{y}")
+            if x not in reached:
+                gens.append(x)
+                layer = reached
+                while layer:
+                    layer = {A[s][g] for s in layer for g in gens} - reached
+                    reached |= layer
         # through_a[y](row) is (row[y+w] for w); through_m[y](row) is (row[y*w] for w)
         through_a = [itemgetter(*row) for row in A]
         through_m = [itemgetter(*row) for row in M]
+        # rows over y: x + (g + y), x(y + g), x(yg) against (x + g) + y, xy + xg, (xy)g
+        if all(
+            through_a[g](ax) == A[ax[g]]
+            and through_a[g](mx) == through_m[x](A[mx[g]])
+            and through_m[g](mx) == through_m[x](M[g])
+            for g in gens
+            for x, ax, mx in zip(rng, A, M)
+        ):
+            return
+        # Full scan: a pair (x, y) whose rows over w differ is rescanned in the
+        # order (x, y, w), checks as below, so the witness is the first failing
+        # triple and check.  (For one element ``itemgetter`` returns a bare
+        # entry, so every pair is rescanned; the rescan is exact.)
         for x in rng:
             ax, mx = A[x], M[x]
             for y in rng:
@@ -364,7 +390,7 @@ class TropicalUnitRig(Rig):
         return x if x >= y else y
 
     def mul(self, x, y):
-        return x * y
+        return x * y if x and y else self.zero
 
     def sample(self, rng, k):
         out = []
@@ -388,8 +414,8 @@ class TropicalNonNegRig(Rig):
         return x if x >= y else y
 
     def mul(self, x, y):
-        if x == Fraction(0) or y == Fraction(0):
-            return Fraction(0)
+        if not x or not y:  # INF is truthy
+            return self.zero
         if x is INF or y is INF:
             return INF
         return x * y
@@ -496,6 +522,14 @@ class RigMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RigMatrix is immutable")
 
+    @classmethod
+    def _of(cls, rig: Rig, rows: tuple, ncols: int) -> "RigMatrix":
+        """Trusted: rows is a tuple of tuples of length ncols (0 if empty)."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rig, rows, len(rows), ncols)):
+            object.__setattr__(m, name, value)
+        return m
+
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -512,9 +546,7 @@ class RigMatrix:
 
 
 def identity(rig: Rig, n: int) -> RigMatrix:
-    return RigMatrix(
-        rig, [[rig.one if i == j else rig.zero for j in range(n)] for i in range(n)]
-    )
+    return _scalar(rig, rig.one, n)
 
 
 def zeros(rig: Rig, n: int, m: int) -> RigMatrix:
@@ -522,39 +554,55 @@ def zeros(rig: Rig, n: int, m: int) -> RigMatrix:
 
 
 def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:
-    """Matrix product; sums use rig addition, products rig multiplication."""
+    """Matrix product; sums use rig addition, products rig multiplication.
+
+    Over a ``FiniteCRig`` the tables are read and zero entries of f are
+    skipped, exactly: construction proved zero absorbing and the additive
+    unit, so a permutation or block-diagonal factor costs one row of reads
+    per nonzero entry.  Callable carriers are assumed to obey no law (the
+    law checkers must expose a bad zero or one): each entry is the literal
+    fold of the products, starting at zero.
+    """
     if f.rig != g.rig:
         raise ValueError("matrices over different rigs")
     if f.cols != g.rows:
         raise ValueError(f"inner dimensions differ: {f.rows}x{f.cols} o {g.rows}x{g.cols}")
     r = f.rig
-    out = []
-    for i in range(f.rows):
-        row = []
-        for j in range(g.cols):
-            acc = r.zero
-            for k in range(f.cols):
-                acc = r.add(acc, r.mul(f[i][k], g[k][j]))
-            row.append(acc)
-        out.append(row)
-    return RigMatrix(r, out)
+    if isinstance(r, FiniteCRig):
+        A, M, z = r.add_table, r.mul_table, r.zero
+        out = []
+        for f_row in f.entries:
+            acc = (z,) * g.cols
+            for a, g_row in zip(f_row, g.entries):
+                if a != z:
+                    ma = M[a]
+                    acc = tuple([A[s][ma[b]] for s, b in zip(acc, g_row)])
+            out.append(acc)
+    else:
+        add, mul, zero = r.add, r.mul, r.zero
+        g_cols = tuple(zip(*g.entries))
+        out = [
+            tuple(functools.reduce(add, map(mul, f_row, col), zero) for col in g_cols)
+            for f_row in f.entries
+        ]
+    return RigMatrix._of(r, tuple(out), g.cols if out else 0)
 
 
 def direct_sum(f: RigMatrix, g: RigMatrix) -> RigMatrix:
     if f.rig != g.rig:
         raise ValueError("matrices over different rigs")
-    r = f.rig
-    top = [list(row) + [r.zero] * g.cols for row in f.entries]
-    bot = [[r.zero] * f.cols + list(row) for row in g.entries]
-    return RigMatrix(r, top + bot)
+    right, left = (f.rig.zero,) * g.cols, (f.rig.zero,) * f.cols
+    rows = tuple([row + right for row in f.entries] + [left + row for row in g.entries])
+    return RigMatrix._of(f.rig, rows, f.cols + g.cols)
 
 
 def oplus(f: RigMatrix, k: int) -> RigMatrix:
     """k-fold block sum of f with itself (k = 0 gives the empty matrix)."""
-    out = RigMatrix(f.rig, [])
-    for _ in range(k):
-        out = direct_sum(out, f)
-    return out
+    z, c = f.rig.zero, f.cols
+    rows = tuple(
+        (z,) * (b * c) + row + (z,) * ((k - 1 - b) * c) for b in range(k) for row in f.entries
+    )
+    return RigMatrix._of(f.rig, rows, k * c)
 
 
 def kronecker(f: RigMatrix, g: RigMatrix) -> RigMatrix:
@@ -588,10 +636,12 @@ def sigma(m: int, n: int) -> tuple[int, ...]:
 def perm_matrix(rig: Rig, perm) -> RigMatrix:
     """Matrix with row i selecting strand perm[i] (entry one at column perm[i])."""
     n = len(perm)
-    e = [[rig.zero] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        e[i][j] = rig.one
-    return RigMatrix(rig, e)
+    rows = []
+    for j in perm:
+        row = [rig.zero] * n
+        row[j] = rig.one
+        rows.append(tuple(row))
+    return RigMatrix._of(rig, tuple(rows), n)
 
 
 def all_matrices(rig: Rig, n: int, m: int):
@@ -620,13 +670,17 @@ class LawReport:
 
 def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
     """Verify associativity, units, commutative addition, distributivity and
-    the absorbing zero; exhaustive when the carrier is small, sampled
-    otherwise."""
+    the absorbing zero over at most budget^2 triples: exhaustive on a small
+    finite carrier, else over round(budget^(2/3)) sampled elements.  A finite
+    carrier's sums and products are memoized unless it is a table already."""
+    add, mul = r.add, r.mul
     if r.finite:
         elems = list(r.elements())
         exhaustive = len(elems) ** 3 <= budget**2
         if not exhaustive:
-            elems = Rig.sample(r, random.Random(seed), budget)
+            elems = Rig.sample(r, random.Random(seed), round(budget ** (2 / 3)))
+        if not isinstance(r, FiniteCRig):
+            add, mul = functools.cache(add), functools.cache(mul)
     else:
         elems = r.sample(random.Random(seed), max(8, round(budget ** (1 / 3))))
         exhaustive = False
@@ -636,27 +690,27 @@ def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
         report.failures.append((law, witness))
 
     for x in elems:
-        if r.add(x, r.zero) != x:
+        if add(x, r.zero) != x:
             fail("additive unit", x)
-        if r.mul(x, r.one) != x or r.mul(r.one, x) != x:
+        if mul(x, r.one) != x or mul(r.one, x) != x:
             fail("multiplicative unit", x)
-        if r.mul(x, r.zero) != r.zero or r.mul(r.zero, x) != r.zero:
+        if mul(x, r.zero) != r.zero or mul(r.zero, x) != r.zero:
             fail("absorbing zero", x)
     for x, y in itertools.product(elems, repeat=2):
         report.cases += 1
-        if r.add(x, y) != r.add(y, x):
+        if add(x, y) != add(y, x):
             fail("commutative addition", x, y)
-        if r.commutative and r.mul(x, y) != r.mul(y, x):
+        if r.commutative and mul(x, y) != mul(y, x):
             fail("commutative multiplication", x, y)
     for x, y, z in itertools.product(elems, repeat=3):
         report.cases += 1
-        if r.add(r.add(x, y), z) != r.add(x, r.add(y, z)):
+        if add(add(x, y), z) != add(x, add(y, z)):
             fail("associative addition", x, y, z)
-        if r.mul(r.mul(x, y), z) != r.mul(x, r.mul(y, z)):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
             fail("associative multiplication", x, y, z)
-        if r.mul(r.add(x, y), z) != r.add(r.mul(x, z), r.mul(y, z)):
+        if mul(add(x, y), z) != add(mul(x, z), mul(y, z)):
             fail("right distributivity", x, y, z)
-        if r.mul(z, r.add(x, y)) != r.add(r.mul(z, x), r.mul(z, y)):
+        if mul(z, add(x, y)) != add(mul(z, x), mul(z, y)):
             fail("left distributivity", x, y, z)
         if report.failures:
             break
@@ -866,9 +920,8 @@ def check_prop_laws(
 
 
 def _scalar(r: Rig, a, n: int) -> RigMatrix:
-    return RigMatrix(
-        r, [[a if i == j else r.zero for j in range(n)] for i in range(n)]
-    )
+    rows = tuple(tuple(a if i == j else r.zero for j in range(n)) for i in range(n))
+    return RigMatrix._of(r, rows, n)
 
 
 def gl_enumerate(r: Rig, n: int, max_matrices: int = 8192) -> list[RigMatrix]:

@@ -12,6 +12,7 @@ checked literally rather than symbolically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -116,8 +117,10 @@ class SpecSpace:
         return len(self.primes)
 
 
+@functools.lru_cache(maxsize=8)
 def spec(r: FiniteCRig) -> SpecSpace:
-    """All primes: proper ideals with multiplicatively closed complement."""
+    """All primes: proper ideals with multiplicatively closed complement;
+    cached (rig and space are immutable) for the radicals and theorem1."""
     primes = []
     for cand in all_ideals(r):
         if r.one in cand:

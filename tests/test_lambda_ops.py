@@ -211,6 +211,30 @@ def test_graded_check_small(big_n):
         print(report.summary())
 
 
+def _graded_lambda_reference(N, depth, m_max):
+    """The lambda side of graded_frobenius_check, one series per (x, m)."""
+    filt = gamma_filtration(N, depth + 1)
+    ds = filt.divisors
+    checked, failures = 0, []
+    for n in range(1, depth + 1):
+        for x in filt.basis_elements(n):
+            for m in range(1, m_max + 1):
+                lam = lambda_series(x, m).lam(m)
+                z = (lam if (m + 1) % 2 == 0 else -lam) - x * m ** (n - 1)
+                checked += 1
+                if not filt.lattices[n + 1].contains([z.coeff(d) for d in ds]):
+                    failures.append((n, x, m))
+    return checked, failures
+
+
+@pytest.mark.parametrize("big_n", (4, 8, 12))
+def test_graded_check_matches_per_degree_series(big_n):
+    # the levels of acceptance criterion 11
+    report = graded_frobenius_check(big_n, 3, 5)
+    assert (report.lambda_checked, report.lambda_failures) == _graded_lambda_reference(big_n, 3, 5)
+    assert report.frobenius_ok
+
+
 def _walk_gamma_filtration(N, depth, monomial_bound=None):
     """Reference filtration: lists every gamma-monomial up to total
     degree and length monomial_bound, atoms from gamma_basis one exponent

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,31 @@ def test_contraction_examples():
     assert contraction_le_one(IntMatrix([[0, 1], [-1, 0]]))
     assert contraction_le_one(IntMatrix.zeros(2, 3))
     assert not contraction_le_one(IntMatrix([[2]]))
+
+
+def _psd_by_pivoting(a):
+    """Reference: the rational pivoting test of 1 - A^T A alone."""
+    n = a.cols
+    g = [[Fraction(int(i == j) - sum(a[k][i] * a[k][j] for k in range(a.rows)))
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        d = g[i][i]
+        if d < 0 or (d == 0 and any(g[i][j] for j in range(i + 1, n))):
+            return False
+        for r in range(i + 1, n):
+            if d:
+                f = g[r][i] / d
+                for c in range(i + 1, n):
+                    g[r][c] -= f * g[i][c]
+    return True
+
+
+def test_contraction_matches_pivoting_alone():
+    shapes = [(2, 2, 2), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1)]
+    for n, m, bound in shapes:
+        for flat in itertools.product(range(-bound, bound + 1), repeat=n * m):
+            a = IntMatrix([flat[i * m : (i + 1) * m] for i in range(n)])
+            assert contraction_le_one(a) == _psd_by_pivoting(a), a
 
 
 def test_spectrum_examples():

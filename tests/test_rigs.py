@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import itertools
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from cycwitt.rigs import (
     INF,
     FiniteCRig,
     IntRig,
+    LawReport,
     Rig,
     RigMatrix,
     SquareMatrixRig,
@@ -22,6 +26,7 @@ from cycwitt.rigs import (
     identity,
     kronecker,
     mat_compose,
+    oplus,
     perm_matrix,
     rig_by_name,
     sigma,
@@ -280,3 +285,155 @@ def test_signed_perms_bridge_to_power_operators():
             w = witt_class(a)
             for m in range(1, 5):
                 assert witt_class(a**m) == frobenius(m, w)
+
+
+def _literal_compose(f, g):
+    """Reference product: every entry is the fold of its products from zero."""
+    r = f.rig
+    out = []
+    for i in range(f.rows):
+        row = []
+        for j in range(g.cols):
+            acc = r.zero
+            for k in range(f.cols):
+                acc = r.add(acc, r.mul(f[i][k], g[k][j]))
+            row.append(acc)
+        out.append(row)
+    return RigMatrix(r, out)
+
+
+def _literal_oplus(f, k):
+    """Reference block sum: k copies of f on the diagonal, zeros elsewhere."""
+    n, m = f.rows, f.cols
+    return RigMatrix(f.rig, [
+        [f[i % n][j % m] if i // n == j // m else f.rig.zero for j in range(k * m)]
+        for i in range(k * n)
+    ])
+
+
+def _relabelled_zmod3():
+    # zmod:3 with its elements renamed by x -> 2 - x, so zero is index 2
+    # and a kernel that tested entries for truth instead of zero would fail
+    z3 = FiniteCRig.zmod(3)
+    swap = [2, 1, 0]  # an involution, so it renames both ways
+    add = [[swap[z3.add(swap[x], swap[y])] for y in range(3)] for x in range(3)]
+    mul = [[swap[z3.mul(swap[x], swap[y])] for y in range(3)] for x in range(3)]
+    return FiniteCRig(add, mul, zero=2, one=1, name="zmod3-relabelled")
+
+
+KERNEL_RIGS = [
+    FiniteCRig.boolean(), FiniteCRig.zmod(2), FiniteCRig.zmod(6), FiniteCRig.tropical4(),
+    _relabelled_zmod3(), IntRig(), rig_by_name("tropical-unit"), TropicalNonNegRig(),
+    SquareMatrixRig(FiniteCRig.boolean(), 2),
+]
+
+
+@pytest.mark.parametrize("rig", KERNEL_RIGS, ids=lambda r: r.name)
+def test_mat_compose_matches_literal_fold(rig):
+    rng = random.Random(11)
+    elems = list(rig.elements()) if rig.finite else None
+
+    def rand(n, m):
+        if rig.finite:
+            return RigMatrix(rig, [[rng.choice(elems) for _ in range(m)] for _ in range(n)])
+        return RigMatrix(rig, [rig.sample(rng, m) for _ in range(n)])
+
+    shapes = range(1, 4)
+    for n, k, m in itertools.product(shapes, repeat=3):
+        for _ in range(4):
+            f, g = rand(n, k), rand(k, m)
+            assert mat_compose(f, g) == _literal_compose(f, g), (f, g)
+    # permutation, identity and block-sum factors on either side
+    for n in shapes:
+        for perm in itertools.permutations(range(n)):
+            p, f = perm_matrix(rig, perm), rand(n, n)
+            for a, b in ((p, f), (f, p), (identity(rig, n), f), (f, identity(rig, n))):
+                assert mat_compose(a, b) == _literal_compose(a, b)
+    for k in range(4):
+        f = rand(2, 1)
+        assert oplus(f, k) == _literal_oplus(f, k)
+        for a, b in ((oplus(f, k), rand(k, 3)), (rand(3, 2 * k), oplus(f, k))):
+            assert mat_compose(a, b) == _literal_compose(a, b)
+    f, g = rand(2, 3), rand(1, 2)
+    assert direct_sum(f, g) == RigMatrix(
+        rig, [list(f[0]) + [rig.zero] * 2, list(f[1]) + [rig.zero] * 2,
+              [rig.zero] * 3 + list(g[0])]
+    )
+
+
+def _literal_check_rig_laws(r, budget=512, seed=0):
+    """Reference checker: every sum and product recomputed, no memo."""
+    elems = list(r.elements())
+    exhaustive = len(elems) ** 3 <= budget**2
+    if not exhaustive:
+        elems = Rig.sample(r, random.Random(seed), round(budget ** (2 / 3)))
+    report = LawReport(r.name, exhaustive)
+
+    def fail(law, *witness):
+        report.failures.append((law, witness))
+
+    for x in elems:
+        if r.add(x, r.zero) != x:
+            fail("additive unit", x)
+        if r.mul(x, r.one) != x or r.mul(r.one, x) != x:
+            fail("multiplicative unit", x)
+        if r.mul(x, r.zero) != r.zero or r.mul(r.zero, x) != r.zero:
+            fail("absorbing zero", x)
+    for x, y in itertools.product(elems, repeat=2):
+        report.cases += 1
+        if r.add(x, y) != r.add(y, x):
+            fail("commutative addition", x, y)
+        if r.commutative and r.mul(x, y) != r.mul(y, x):
+            fail("commutative multiplication", x, y)
+    for x, y, z in itertools.product(elems, repeat=3):
+        report.cases += 1
+        if r.add(r.add(x, y), z) != r.add(x, r.add(y, z)):
+            fail("associative addition", x, y, z)
+        if r.mul(r.mul(x, y), z) != r.mul(x, r.mul(y, z)):
+            fail("associative multiplication", x, y, z)
+        if r.mul(r.add(x, y), z) != r.add(r.mul(x, z), r.mul(y, z)):
+            fail("right distributivity", x, y, z)
+        if r.mul(z, r.add(x, y)) != r.add(r.mul(z, x), r.mul(z, y)):
+            fail("left distributivity", x, y, z)
+        if report.failures:
+            break
+    return report
+
+
+class _Mod4Minus(Rig):
+    """Four elements with subtraction mod 4 as a broken addition."""
+
+    name = "mod4-minus"
+    finite = True
+    zero = 0
+    one = 1
+
+    def add(self, x, y):
+        return (x - y) % 4
+
+    def mul(self, x, y):
+        return x * y % 4
+
+    def elements(self):
+        return range(4)
+
+
+def test_memoized_rig_laws_match_literal_checker():
+    carriers = [rig_by_name(n) for n in ("boolean", "tropical4", "zmod:1", "zmod:6", "zmod:12")]
+    carriers += [_relabelled_zmod3(), _Mod4Minus()]
+    for r in carriers:
+        assert check_rig_laws(r) == _literal_check_rig_laws(r), r.name
+    control = SquareMatrixRig(FiniteCRig.boolean(), 2)
+    assert check_rig_laws(control, budget=64, seed=3) == _literal_check_rig_laws(control, 64, 3)
+    broken = check_rig_laws(_Mod4Minus())
+    assert broken.failures and broken.failures[0] == ("commutative addition", (0, 1))
+
+
+def test_rig_laws_sample_above_exhaustive_size():
+    start = time.perf_counter()
+    report = check_rig_laws(rig_by_name("zmod:65"))
+    elapsed = time.perf_counter() - start
+    # 64 sampled elements: 64^2 pairs and 64^3 = 512^2 triples
+    assert report.ok and not report.exhaustive
+    assert report.cases == 64**2 + 64**3
+    assert elapsed < 5, elapsed

@@ -4,10 +4,13 @@ import re
 
 import pytest
 
+from cycwitt import spectra
 from cycwitt.rigs import rig_by_name
 from cycwitt.spectra import (
     FiniteCRig,
     Ideal,
+    RadicalMismatch,
+    SpecSpace,
     all_ideals,
     ideal_generated,
     localize,
@@ -115,6 +118,37 @@ def test_validation_witness_matches_entrywise_scan():
             assert got == want, (base.name, tables)
             failures += want is not None
     assert failures > 100
+
+
+def test_validation_rejects_a_distributive_nonassociative_product():
+    # the F2-span of 1, u, v (bits of the index) with u*u = v*v = 0 and
+    # u*v = u: units, zero, commutativity and distributivity hold, so only
+    # the associativity check at a generator can reject it
+    add = _table(8, lambda x, y: x ^ y)
+    mul = [
+        [0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7],
+        [0, 2, 0, 2, 2, 0, 2, 0], [0, 3, 2, 1, 6, 5, 4, 7],
+        [0, 4, 2, 6, 0, 4, 2, 6], [0, 5, 0, 5, 4, 1, 4, 1],
+        [0, 6, 2, 4, 2, 4, 0, 6], [0, 7, 0, 7, 6, 1, 6, 1],
+    ]
+    message = "multiplication not associative at 2,4,4"
+    assert _first_violation(add, mul, 0, 1) == message
+    with pytest.raises(ValueError) as info:
+        FiniteCRig(add, mul)
+    assert str(info.value) == message
+
+
+def test_stalks_pass_both_validators():
+    # a stalk is built through FiniteCRig, so the generating-set validator
+    # accepted it; the entrywise scan must agree
+    rigs = [FiniteCRig.zmod(n) for n in (6, 12, 30, 36, 60)] + [FiniteCRig.tropical4()]
+    stalks = 0
+    for r in rigs:
+        for p in spec(r).primes:
+            loc = localize(r, frozenset(x for x in r.elements() if x not in p)).rig
+            assert _first_violation(loc.add_table, loc.mul_table, loc.zero, loc.one) is None
+            stalks += 1
+    assert stalks >= 12
 
 
 def test_builtin_rigs_are_valid():
@@ -284,6 +318,22 @@ def test_radical_examples():
     sp = spec(z6)
     for p in sp.primes:
         assert radical(z6, Ideal(z6, p), sp).elements == p
+
+
+def test_spec_cache_agrees_with_fresh_spec():
+    for name in ("zmod:12", "zmod:30", "boolean", "tropical4"):
+        r = rig_by_name(name)
+        assert spec(r) == spec.__wrapped__(r)
+        assert spec(rig_by_name(name)) is spec(r)  # equal rigs share the space
+
+
+def test_radical_cross_check_survives_cached_spec(monkeypatch):
+    z12 = FiniteCRig.zmod(12)
+    spec(z12)
+    wrong = SpecSpace(z12, (frozenset(x for x in range(12) if x % 3 == 0),))
+    monkeypatch.setattr(spectra, "spec", lambda r: wrong)
+    with pytest.raises(RadicalMismatch):
+        radical(z12, ideal_generated(z12, ()))
 
 
 def test_galois_correspondence_closed_sets():
