@@ -1,4 +1,9 @@
-"""Exact integer matrix algebra.
+"""Matrices over rigs, and exact integer matrix algebra.
+
+Matrices live here: ``RigMatrix`` over any ``Rig``, with ``mat_compose``,
+``direct_sum`` and ``kronecker`` written once, and ``IntMatrix``, the
+``RigMatrix`` over the integers.  Each rig has one product kernel,
+``Rig.compose``.  ``rigs`` imports this module, never the reverse.
 
 Hermite-normal-form lattices with decidable membership, reversed
 characteristic polynomials det(1 - x*A) by Berkowitz's division-free
@@ -12,15 +17,22 @@ failed factorization proves an eigenvalue outside the disc.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
 
 from .arith import IntPolynomial, cyclotomic_poly, euler_phi
 from .witt import WittElement
 
 __all__ = [
+    "Rig",
+    "IntRig",
+    "RigMatrix",
+    "mat_compose",
+    "direct_sum",
+    "kronecker",
     "IntMatrix",
     "parse_matrix",
     "format_matrix",
@@ -37,13 +49,93 @@ __all__ = [
 ]
 
 
-class IntMatrix:
-    """Dense rectangular integer matrix; immutable, elementwise equality."""
+class Rig:
+    """A carrier with 0, 1, add and mul.
 
-    __slots__ = ("rows", "cols", "entries")
+    Subclasses set ``finite`` and either enumerate the carrier or
+    provide a sampler; law conformance is checked by
+    ``rigs.check_rig_laws``, not assumed.  Two rigs are equal when their
+    ``key()`` agrees.
+    """
 
-    def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+    __slots__ = ()
+    name = "rig"
+    commutative = True
+    finite = False
+    zero = None
+    one = None
+
+    def add(self, x, y):
+        raise NotImplementedError
+
+    def mul(self, x, y):
+        raise NotImplementedError
+
+    def compose(self, f_rows, g_rows, ncols: int) -> tuple:
+        """Rows of the product of an n-by-k and a k-by-ncols matrix.  No law
+        is assumed (the law checkers must expose a bad zero or one): each
+        entry is the literal fold of its products, starting at zero."""
+        add, mul, zero = self.add, self.mul, self.zero
+        g_cols = tuple(zip(*g_rows))
+        return tuple(
+            tuple([reduce(add, map(mul, f_row, col), zero) for col in g_cols])
+            for f_row in f_rows
+        )
+
+    def elements(self):
+        raise NotImplementedError(f"{self.name} has no enumerable carrier")
+
+    def sample(self, rng, k: int) -> list:
+        if self.finite:
+            elems = list(self.elements())
+            return [rng.choice(elems) for _ in range(k)]
+        raise NotImplementedError(f"{self.name} has no sampler")
+
+    def key(self):
+        return self.name
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Rig) and self.key() == other.key())
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"<rig {self.name}>"
+
+
+class IntRig(Rig):
+    name = "int"
+    zero = 0
+    one = 1
+
+    def add(self, x, y):
+        return x + y
+
+    def mul(self, x, y):
+        return x * y
+
+    def compose(self, f_rows, g_rows, ncols):
+        g_cols = tuple(zip(*g_rows))
+        return tuple(
+            tuple([sum(map(operator.mul, row, col)) for col in g_cols]) for row in f_rows
+        )
+
+    def sample(self, rng, k):
+        return [rng.randint(-9, 9) for _ in range(k)]
+
+
+INT = IntRig()
+
+
+class RigMatrix:
+    """Rectangular matrix with entries in a fixed rig; immutable."""
+
+    __slots__ = ("rig", "entries", "rows", "cols")
+
+    def __init__(self, rig: Rig, entries):
+        object.__setattr__(self, "rig", rig)
+        rows = tuple(tuple(row) for row in entries)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -52,7 +144,70 @@ class IntMatrix:
         object.__setattr__(self, "cols", ncols)
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, rig: Rig, rows: tuple, ncols: int) -> "RigMatrix":
+        """Trusted: rows is a tuple of tuples of length ncols (0 if empty)."""
+        m = object.__new__(cls)
+        # a subclass declares no slots of its own, so name RigMatrix's
+        for name, value in zip(RigMatrix.__slots__, (rig, rows, len(rows), ncols)):
+            object.__setattr__(m, name, value)
+        return m
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, RigMatrix):
+            return NotImplemented
+        return self.rig == other.rig and self.entries == other.entries and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.rig, self.entries, self.cols))
+
+    def __repr__(self):
+        return f"RigMatrix({self.rig.name}, {self.entries!r})"
+
+
+def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:
+    """Matrix product; sums use rig addition, products rig multiplication,
+    both through the rig's ``compose`` kernel."""
+    if f.rig != g.rig:
+        raise ValueError("matrices over different rigs")
+    if f.cols != g.rows:
+        raise ValueError(f"inner dimensions differ: {f.rows}x{f.cols} o {g.rows}x{g.cols}")
+    rows = f.rig.compose(f.entries, g.entries, g.cols)
+    return type(f)._of(f.rig, rows, g.cols if rows else 0)
+
+
+def direct_sum(f: RigMatrix, g: RigMatrix) -> RigMatrix:
+    if f.rig != g.rig:
+        raise ValueError("matrices over different rigs")
+    right, left = (f.rig.zero,) * g.cols, (f.rig.zero,) * f.cols
+    rows = tuple([row + right for row in f.entries] + [left + row for row in g.entries])
+    return type(f)._of(f.rig, rows, f.cols + g.cols)
+
+
+def kronecker(f: RigMatrix, g: RigMatrix) -> RigMatrix:
+    """Kronecker product; row (i, k) of the result is indexed i*g.rows + k,
+    matching the interleaving permutation convention of rigs.sigma()."""
+    if f.rig != g.rig:
+        raise ValueError("matrices over different rigs")
+    mul = f.rig.mul
+    rows = tuple(
+        tuple([mul(a, b) for a in r1 for b in r2]) for r1 in f.entries for r2 in g.entries
+    )
+    return type(f)._of(f.rig, rows, f.cols * g.cols if rows else 0)
+
+
+class IntMatrix(RigMatrix):
+    """Dense rectangular integer matrix: the ``RigMatrix`` over ``INT``."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        super().__init__(INT, (map(int, row) for row in entries))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -61,17 +216,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, n: int, m: int) -> "IntMatrix":
         return cls([[0] * m for _ in range(n)])
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.entries, self.cols))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -85,12 +229,7 @@ class IntMatrix:
             return IntMatrix([[x * other for x in row] for row in self.entries])
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
+        return mat_compose(self, other)
 
     __rmul__ = __mul__
 
@@ -114,17 +253,8 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def direct_sum(self, other: "IntMatrix") -> "IntMatrix":
-        top = [list(r) + [0] * other.cols for r in self.entries]
-        bot = [[0] * self.cols + list(r) for r in other.entries]
-        return IntMatrix(top + bot)
-
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        out = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                out.append([a * b for a in r1 for b in r2])
-        return IntMatrix(out)
+    direct_sum = direct_sum
+    kron = kronecker
 
     def __repr__(self):
         return f"IntMatrix({format_matrix(self)!r})"
@@ -420,7 +550,4 @@ def companion_blocks(indices) -> IntMatrix:
     mats = [companion(cyclotomic_poly(d)) for d in indices]
     if not mats:
         raise ValueError("need at least one block")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.direct_sum(m)
-    return out
+    return reduce(direct_sum, mats)

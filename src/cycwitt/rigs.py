@@ -6,15 +6,17 @@ four-element tropical rig, or tables from a file, validated at
 construction over an additive generating set) or a carrier with callable
 operations: the integers, the rationals, and the exact-rational tropical
 carriers [0,1] and [0,inf] with max as addition and ordinary product.
-``rig_by_name`` is the one registry of rig names.  Matrices over a rig
-compose (over tables, skipping zeros), block-sum and Kronecker-multiply;
-the law checkers verify the rig axioms and the matrix-category laws (symmetry
-under block swap, centrality of scalars, the interleaving permutation
-that exchanges the two Kronecker orders) either exhaustively or by
-seeded sampling.  The module also enumerates unit groups of matrix
-monoids, the hyperoctahedral signed-permutation groups, and the
-integer matrices of operator norm at most one, which are exactly the
-signed sub-permutation matrices.
+``rig_by_name`` is the one registry of rig names.  ``Rig``, ``IntRig``,
+``RigMatrix`` and the matrix operations ``mat_compose``, ``direct_sum``
+and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
+has one product kernel, ``compose``, and the kernel of ``FiniteCRig``
+reads its tables and skips zeros.  The law checkers verify the rig axioms and
+the matrix-category laws (symmetry under block swap, centrality of
+scalars, the interleaving permutation that exchanges the two Kronecker
+orders) either exhaustively or by seeded sampling.  The module also
+enumerates unit groups of matrix monoids, the hyperoctahedral
+signed-permutation groups, and the integer matrices of operator norm at
+most one, which are exactly the signed sub-permutation matrices.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .linalg import IntMatrix, contraction_le_one
+from .linalg import (
+    IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, kronecker,
+    mat_compose,
+)
 
 __all__ = [
     "Rig", "FiniteCRig", "IntRig", "RationalRig",
     "TropicalUnitRig", "TropicalNonNegRig", "SquareMatrixRig", "INF",
-    "RigMatrix", "identity", "zeros", "mat_compose", "direct_sum",
+    "RigMatrix", "identity", "mat_compose", "direct_sum",
     "kronecker", "oplus", "perm_matrix", "tau", "sigma",
     "check_rig_laws", "LawReport",
     "check_prop_laws", "PropLawReport",
@@ -54,49 +59,6 @@ class _Inf:
 
 
 INF = _Inf()
-
-
-class Rig:
-    """A carrier with 0, 1, add and mul.
-
-    Subclasses set ``finite`` and either enumerate the carrier or
-    provide a sampler; law conformance is checked by check_rig_laws,
-    not assumed.  Two rigs are equal when their ``key()`` agrees.
-    """
-
-    __slots__ = ()
-    name = "rig"
-    commutative = True
-    finite = False
-    zero = None
-    one = None
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def elements(self):
-        raise NotImplementedError(f"{self.name} has no enumerable carrier")
-
-    def sample(self, rng: random.Random, k: int) -> list:
-        if self.finite:
-            elems = list(self.elements())
-            return [rng.choice(elems) for _ in range(k)]
-        raise NotImplementedError(f"{self.name} has no sampler")
-
-    def key(self):
-        return self.name
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Rig) and self.key() == other.key())
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"<rig {self.name}>"
 
 
 class FiniteCRig(Rig):
@@ -218,6 +180,21 @@ class FiniteCRig(Rig):
 
     def add(self, x: int, y: int) -> int:
         return self.add_table[x][y]
+
+    def compose(self, f_rows, g_rows, ncols):
+        """Table reads that skip zero entries of f, exactly: construction
+        proved zero absorbing and the additive unit, so a permutation or
+        block-diagonal factor costs one row of reads per nonzero entry."""
+        A, M, z = self.add_table, self.mul_table, self.zero
+        out = []
+        for f_row in f_rows:
+            acc = (z,) * ncols
+            for a, g_row in zip(f_row, g_rows):
+                if a != z:
+                    ma = M[a]
+                    acc = tuple([A[s][ma[b]] for s, b in zip(acc, g_row)])
+            out.append(acc)
+        return tuple(out)
 
     def mul(self, x: int, y: int) -> int:
         return self.mul_table[x][y]
@@ -349,21 +326,6 @@ class FiniteCRig(Rig):
 BooleanRig = FiniteCRig.boolean
 
 
-class IntRig(Rig):
-    name = "int"
-    zero = 0
-    one = 1
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def sample(self, rng, k):
-        return [rng.randint(-9, 9) for _ in range(k)]
-
-
 class RationalRig(Rig):
     name = "rational"
     zero = Fraction(0)
@@ -461,17 +423,7 @@ class SquareMatrixRig(Rig):
         )
 
     def mul(self, x, y):
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.base.zero
-                for k in range(n):
-                    acc = self.base.add(acc, self.base.mul(x[i][k], y[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        return self.base.compose(x, y, self.size)
 
     def elements(self):
         base = list(self.base.elements())
@@ -504,96 +456,8 @@ def rig_by_name(name: str) -> Rig:
     return _RIGS[name]()
 
 
-class RigMatrix:
-    """Rectangular matrix with entries in a fixed rig."""
-
-    __slots__ = ("rig", "entries", "rows", "cols")
-
-    def __init__(self, rig: Rig, entries):
-        object.__setattr__(self, "rig", rig)
-        rows = tuple(tuple(row) for row in entries)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RigMatrix is immutable")
-
-    @classmethod
-    def _of(cls, rig: Rig, rows: tuple, ncols: int) -> "RigMatrix":
-        """Trusted: rows is a tuple of tuples of length ncols (0 if empty)."""
-        m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (rig, rows, len(rows), ncols)):
-            object.__setattr__(m, name, value)
-        return m
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, RigMatrix):
-            return NotImplemented
-        return self.rig == other.rig and self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.rig, self.entries, self.cols))
-
-    def __repr__(self):
-        return f"RigMatrix({self.rig.name}, {self.entries!r})"
-
-
 def identity(rig: Rig, n: int) -> RigMatrix:
     return _scalar(rig, rig.one, n)
-
-
-def zeros(rig: Rig, n: int, m: int) -> RigMatrix:
-    return RigMatrix(rig, [[rig.zero] * m for _ in range(n)])
-
-
-def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:
-    """Matrix product; sums use rig addition, products rig multiplication.
-
-    Over a ``FiniteCRig`` the tables are read and zero entries of f are
-    skipped, exactly: construction proved zero absorbing and the additive
-    unit, so a permutation or block-diagonal factor costs one row of reads
-    per nonzero entry.  Callable carriers are assumed to obey no law (the
-    law checkers must expose a bad zero or one): each entry is the literal
-    fold of the products, starting at zero.
-    """
-    if f.rig != g.rig:
-        raise ValueError("matrices over different rigs")
-    if f.cols != g.rows:
-        raise ValueError(f"inner dimensions differ: {f.rows}x{f.cols} o {g.rows}x{g.cols}")
-    r = f.rig
-    if isinstance(r, FiniteCRig):
-        A, M, z = r.add_table, r.mul_table, r.zero
-        out = []
-        for f_row in f.entries:
-            acc = (z,) * g.cols
-            for a, g_row in zip(f_row, g.entries):
-                if a != z:
-                    ma = M[a]
-                    acc = tuple([A[s][ma[b]] for s, b in zip(acc, g_row)])
-            out.append(acc)
-    else:
-        add, mul, zero = r.add, r.mul, r.zero
-        g_cols = tuple(zip(*g.entries))
-        out = [
-            tuple(functools.reduce(add, map(mul, f_row, col), zero) for col in g_cols)
-            for f_row in f.entries
-        ]
-    return RigMatrix._of(r, tuple(out), g.cols if out else 0)
-
-
-def direct_sum(f: RigMatrix, g: RigMatrix) -> RigMatrix:
-    if f.rig != g.rig:
-        raise ValueError("matrices over different rigs")
-    right, left = (f.rig.zero,) * g.cols, (f.rig.zero,) * f.cols
-    rows = tuple([row + right for row in f.entries] + [left + row for row in g.entries])
-    return RigMatrix._of(f.rig, rows, f.cols + g.cols)
 
 
 def oplus(f: RigMatrix, k: int) -> RigMatrix:
@@ -603,19 +467,6 @@ def oplus(f: RigMatrix, k: int) -> RigMatrix:
         (z,) * (b * c) + row + (z,) * ((k - 1 - b) * c) for b in range(k) for row in f.entries
     )
     return RigMatrix._of(f.rig, rows, k * c)
-
-
-def kronecker(f: RigMatrix, g: RigMatrix) -> RigMatrix:
-    """Kronecker product; row (i, k) of the result is indexed i*g.rows + k,
-    matching the interleaving permutation convention of sigma()."""
-    if f.rig != g.rig:
-        raise ValueError("matrices over different rigs")
-    r = f.rig
-    out = []
-    for r1 in f.entries:
-        for r2 in g.entries:
-            out.append([r.mul(a, b) for a in r1 for b in r2])
-    return RigMatrix(r, out)
 
 
 def tau(n: int, m: int) -> tuple[int, ...]:
@@ -965,6 +816,10 @@ def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
     return sorted(out, key=lambda a: a.entries)
 
 
+# global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
+SECTIONS_BUDGET = 150_000
+
+
 @dataclass
 class SectionsReport:
     """Exhaustive enumeration of integer norm-contractions of a given shape."""
@@ -991,9 +846,13 @@ class SectionsReport:
 def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
     """Enumerate integer matrices with bounded entries passing the exact
     norm-contraction test and compare against the signed sub-permutation
-    matrices of the same shape."""
+    matrices of the same shape.  Raises if the (2*entry_bound + 1)^(n*m)
+    candidates exceed SECTIONS_BUDGET."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
+    count = (2 * entry_bound + 1) ** (n * m)
+    if count > SECTIONS_BUDGET:
+        raise ValueError(f"budget exceeded: {count} candidate matrices > {SECTIONS_BUDGET}")
     report = SectionsReport(n, m, entry_bound)
     rng = range(-entry_bound, entry_bound + 1)
     passed = []

@@ -52,10 +52,11 @@ class Ideal:
         return f"Ideal({self.rig.describe(self.elements)})"
 
 
-def ideal_generated(r: FiniteCRig, seed) -> Ideal:
-    """Least ideal containing the seed set.
+def _grow(r: FiniteCRig, found: set, seed) -> set:
+    """Grow the ideal ``found`` in place to the least ideal containing it
+    and the seed, and return it.
 
-    In a commutative rig this is the additive closure of {0} and the
+    In a commutative rig this is the additive closure of ``found`` and the
     multiples c*g (c in r, g in seed), because construction has checked
     distributivity and associativity.  The closure grows one multiple m at
     a time: a set C closed under + becomes {c + k*m : c in C, k >= 0},
@@ -65,7 +66,6 @@ def ideal_generated(r: FiniteCRig, seed) -> Ideal:
     already in C is skipped.
     """
     add_t, mul_t = r.add_table, r.mul_table
-    found = {r.zero}
     for g in seed:
         if g in found:
             continue
@@ -77,21 +77,31 @@ def ideal_generated(r: FiniteCRig, seed) -> Ideal:
             while layer:
                 layer = set(map(plus_m, layer)) - found
                 found |= layer
-    return Ideal(r, frozenset(found))
+    return found
+
+
+def ideal_generated(r: FiniteCRig, seed) -> Ideal:
+    """Least ideal containing the seed set."""
+    return Ideal(r, frozenset(_grow(r, {r.zero}, seed)))
 
 
 def all_ideals(r: FiniteCRig) -> list[frozenset]:
     """Every ideal, by closure-lattice search from {0} (never by subset
-    enumeration); sorted by size then contents."""
-    start = ideal_generated(r, ()).elements
+    enumeration); sorted by size then contents.  The least ideal holding an
+    ideal B and x is B + (x), so B grows by one generator of every distinct
+    principal ideal not inside it."""
+    generators = {}
+    for x in r.elements():
+        generators.setdefault(ideal_generated(r, (x,)).elements, x)
+    start = frozenset((r.zero,))
     seen = {start}
     queue = [start]
     while queue:
         base = queue.pop()
-        for x in r.elements():
+        for x in generators.values():
             if x in base:
                 continue
-            nxt = ideal_generated(r, base | {x}).elements
+            nxt = frozenset(_grow(r, set(base), (x,)))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

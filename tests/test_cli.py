@@ -232,9 +232,14 @@ def run_cli_process(*argv, block_numpy=False):
         ),
         (None, ["charpoly", "1,2"], "matrix must be square"),
         (None, ["wittclass", "1,2;3,4;5,6"], "matrix must be square"),
+        (
+            None,
+            ["sections", "--rows", "3", "--cols", "3", "--bound", "3"],
+            "budget exceeded: 40353607 candidate matrices > 150000",
+        ),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
-         "charpoly-nonsquare", "wittclass-nonsquare"],
+         "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:

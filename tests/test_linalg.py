@@ -1,24 +1,36 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cycwitt
 from cycwitt.arith import IntPolynomial, cyclotomic_poly
 from cycwitt.linalg import (
     IntMatrix,
+    IntRig,
     NotUnitSpectrum,
+    RigMatrix,
     charpoly_rev,
     companion,
     companion_blocks,
     contraction_le_one,
+    direct_sum,
     format_matrix,
     hnf,
+    kronecker,
+    mat_compose,
     parse_matrix,
     spectrum_in_unit_disc,
     witt_class,
 )
 from cycwitt.witt import ONE, frobenius, mul, phi, trace
+
+SRC = str(Path(cycwitt.__file__).resolve().parent.parent)
 
 
 def test_matrix_parse_format_roundtrip():
@@ -218,6 +230,46 @@ def test_trace_agrees_with_matrix_trace():
     for ds in [(1,), (2,), (6,), (1, 2, 4), (5, 12)]:
         a = companion_blocks(ds)
         assert trace(witt_class(a)) == a.trace()
+
+
+def test_int_matrix_is_the_rig_matrix_over_the_integers():
+    rng = random.Random(5)
+
+    def rand(n, m):
+        return IntMatrix([[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
+
+    for n, k, m in itertools.product(range(4), repeat=3):
+        a = rand(n, k)
+        b = rand(a.cols, m)  # no rows means no columns
+        want = [
+            [sum(a[i][t] * b[t][j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert a * b == IntMatrix(want), (a, b)
+        for c in (a * b, a.direct_sum(b), direct_sum(a, b), a.kron(b), kronecker(a, b)):
+            assert type(c) is IntMatrix
+        rows = [list(r) for r in a.entries]
+        assert a == RigMatrix(IntRig(), rows) and hash(a) == hash(RigMatrix(IntRig(), rows))
+    sq = rand(3, 3)
+    for c in (sq**0, sq**3, IntMatrix.identity(3), mat_compose(sq, sq)):
+        assert type(c) is IntMatrix
+    assert sq**3 == sq * sq * sq
+
+
+def test_linalg_does_not_import_rigs():
+    # rigs imports linalg; the reverse would make every user of integer
+    # matrices or the Witt ring load and compile rig code it never runs
+    code = (
+        "import sys, cycwitt.linalg, cycwitt.lambda_ops\n"
+        "print('cycwitt.rigs' in sys.modules)\n"
+    )
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_matrix_power_and_shape_guards():

@@ -249,6 +249,10 @@ def test_global_sections_examples():
     assert len(global_sections(2, 1, 1).matrices) == 5
     rep = global_sections(2, 2, 2)
     assert rep.ok and len(rep.matrices) == 17
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget exceeded: 40353607 candidate"):
+        global_sections(3, 3, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_global_sections_independent_of_bound():

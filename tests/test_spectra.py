@@ -273,6 +273,44 @@ def test_all_ideals_of_zmod_match_divisors():
         assert set(ideals) == expected
 
 
+def _reclosing_all_ideals(r):
+    """Reference search: every candidate ideal is closed again from {0}."""
+    start = ideal_generated(r, ()).elements
+    seen, queue = {start}, [start]
+    while queue:
+        base = queue.pop()
+        for x in r.elements():
+            if x not in base:
+                nxt = ideal_generated(r, base | {x}).elements
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def _f2_square_zero_pair():
+    # F2[u, v]/(u, v)^2, the bits of an index being the coefficients of
+    # 1, u and v: every F2-subspace of the maximal ideal {0, u, v, u + v}
+    # is an ideal, and the maximal ideal itself is not principal
+    def mul(x, y):
+        a, b = x & 1, y & 1
+        return (a & b) | (a * (y & 6)) ^ (b * (x & 6))
+
+    return FiniteCRig(_table(8, lambda x, y: x ^ y), _table(8, mul), name="f2-uv")
+
+
+def test_all_ideals_matches_reclosing_search():
+    f2uv = _f2_square_zero_pair()
+    assert len(all_ideals(f2uv)) == 6  # {0}, (u), (v), (u + v), (u, v), all
+    rigs = [FiniteCRig.boolean(), FiniteCRig.tropical4(), f2uv]
+    rigs += [FiniteCRig.zmod(n) for n in range(1, 61)]
+    for r in (FiniteCRig.zmod(36), FiniteCRig.tropical4(), _boolean_times_zmod3(), f2uv):
+        for p in spec(r).primes:
+            rigs.append(localize(r, frozenset(x for x in r.elements() if x not in p)).rig)
+    for r in rigs:
+        assert all_ideals(r) == _reclosing_all_ideals(r), r.name
+
+
 def test_spec_examples():
     b = FiniteCRig.boolean()
     assert [set(p) for p in spec(b).primes] == [{0}]
