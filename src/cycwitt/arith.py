@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# The three unbounded caches in this module hold one entry per distinct
+# argument: the indices, levels and degrees of the elements, matrices and
+# commands a caller supplies, together with their divisors.  They grow with
+# the inputs, not with the work done on them.
 @lru_cache(maxsize=None)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.

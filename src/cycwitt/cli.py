@@ -214,6 +214,17 @@ def _cmd_indexed(args):
     return 0
 
 
+# The largest euler_phi(n) whose lambda series the lambda commands expand;
+# lambda 1009, just above it, prints 0.5 MB of digits.
+LAMBDA_BUDGET = 1000
+
+
+def _check_lambda_budget(n: int) -> None:
+    # euler_phi(n) >= sqrt(n/2), so larger n are refused without factoring
+    if n > 2 * LAMBDA_BUDGET**2 or (n >= 1 and euler_phi(n) > LAMBDA_BUDGET):
+        raise ValueError(f"budget exceeded: euler_phi({n}) > {LAMBDA_BUDGET} coefficients")
+
+
 def _lambda_series(n: int) -> lambda_ops.WittSeries:
     return lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
 
@@ -223,6 +234,7 @@ def _series_pairs(series: lambda_ops.WittSeries) -> list:
 
 
 def _cmd_lambda(args):
+    _check_lambda_budget(args.n)
     series = _lambda_series(args.n)
     _emit(args, [format_series(series)], {"n": args.n, "coefficients": _series_pairs(series)})
     return 0
@@ -231,6 +243,8 @@ def _cmd_lambda(args):
 def _cmd_lambda_table(args):
     if args.max < 1:
         raise ValueError("lambda-table needs max >= 1")
+    for n in range(1, args.max + 1):  # by Bertrand's postulate, ends by n = 2 * LAMBDA_BUDGET + 2
+        _check_lambda_budget(n)
     table = [(n, _lambda_series(n)) for n in range(1, args.max + 1)]
     lines = [f"lambda_t(phi({n})) = {format_series(series)}" for n, series in table]
     obj = {"table": [{"n": n, "coefficients": _series_pairs(series)} for n, series in table]}

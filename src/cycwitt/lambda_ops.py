@@ -1,8 +1,7 @@
 """Exterior-power style operations on Witt elements.
 
 lambda^k on a basis class is the k-th elementary symmetric function of
-its roots, computed through Newton's identities from the power sums
-F_i phi(n); the generating series lambda_t extends multiplicatively to
+its roots; the generating series lambda_t extends multiplicatively to
 arbitrary (virtual) elements.  The reindexed gamma operations come from
 the polynomial identity (-1)^k gamma^k(x) = lambda^k(x + (k-1)*phi(1)),
 avoiding any rational substitution; expanded, it reads
@@ -11,15 +10,38 @@ lambda_t(x) yields every gamma^k(x).  On top of these, the module builds
 the descending gamma filtration of the augmentation ideal (kernel of
 the root-count map f0) as explicit integer lattices and checks the
 graded eigenvalue behaviour of the operator families on it.
+
+Trace coordinates.  The maps t_d = trace o F_d are ring maps to the
+integers, with t_d(phi(n)) the Ramanujan sum c_n(d).  On the span of
+phi(n), n | L, the t_d for d | L are a complete set of coordinates in
+which products are pointwise, and the orthogonality of Ramanujan sums
+inverts them:
+
+    coeff of phi(n) = sum over d | L of euler_phi(L/d) c_n(d) t_d / (L euler_phi(n)).
+
+Every such division is checked and a remainder raises ArithmeticError.
+So lambda_t works coordinate by coordinate on truncated integer series:
+coordinate d of lambda_t(phi(n)) is the product of (1 - z**d t) over the
+primitive n-th roots z, the reversed cyclotomic polynomial of
+m = n/gcd(n, d) to the power euler_phi(n)/euler_phi(m), and a product or
+inverse of series is a product or inverse per coordinate.  The gamma
+filtration takes its products there too.  The trace map is Z-linear and
+injective, so the Hermite form of trace vectors spans the image of the
+same lattice: its rows map back exactly, and a second Hermite form in
+phi coordinates yields the unique basis the phi-coordinate products
+would have given.  The tests cross-check all of it against Newton's
+identities over Witt elements, the series ring operations of WittSeries
+and the monomial walk.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import divisors, euler_phi
+from .arith import divisors, euler_phi, factor, mobius, ramanujan_sum
 from .linalg import HnfLattice, hnf
 from .roots import elementary_symmetric, orbit
 from .witt import ONE, WittElement, frobenius, mul, phi
@@ -125,25 +147,146 @@ class WittSeries:
         return f"WittSeries(degree={self.degree}, {list(self.coeffs)!r})"
 
 
-@lru_cache(maxsize=None)
-def _lambda_row(n: int, top: int) -> tuple[WittElement, ...]:
-    """(e_0, ..., e_top), top <= euler_phi(n), for the roots of phi(n), by
-    Newton's identities; e_k needs only the power sums F_i phi(n), i <= k.
+class _TraceCoords:
+    """The ring maps t_d = trace o F_d, d | L, on the span of phi(n), n | L.
 
-    Each division by k is exact because the ambient group is torsion
-    free; inexactness would be a bug, not bad input.
+    t_d(phi(n)) is the Ramanujan sum c_n(d), and the vector of all t_d
+    determines an element of the span: orthogonality of Ramanujan sums
+    over the z <= L, grouped by d = gcd(z, L), gives
+    coeff of phi(n) = sum over d | L of euler_phi(L/d) c_n(d) t_d / (L euler_phi(n)).
+    The numerators factor over the primes of L, since c_n(d) and
+    euler_phi(L/d) are products of their prime-power parts, so they are
+    summed one prime at a time: tau(L) * sum(e + 1) products for
+    L = prod p**e, not tau(L)**2.
     """
-    powers = [None] + [frobenius(i, phi(n)) for i in range(1, top + 1)]
-    es: list[WittElement] = [ONE]
-    for k in range(1, top + 1):
-        acc = WittElement()
-        sign = 1
-        for i in range(1, k + 1):
-            term = mul(es[k - i], powers[i])
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        es.append(acc.divexact(k))
-    return tuple(es)
+
+    __slots__ = ("ds", "_slot", "_steps", "_dens")
+
+    def __init__(self, L: int):
+        self.ds = divisors(L)
+        radix = [1]  # the divisors with the exponent of the last prime running fastest
+        self._steps = []
+        stride = len(self.ds)
+        for p, e in factor(L):
+            radix = [d * p**j for d in radix for j in range(e + 1)]
+            stride //= e + 1
+            table = [[euler_phi(p ** (e - b)) * ramanujan_sum(p**a, p**b) for b in range(e + 1)]
+                     for a in range(e + 1)]
+            self._steps.append((stride, table))
+        slot = {d: i for i, d in enumerate(radix)}
+        self._slot = [slot[d] for d in self.ds]
+        self._dens = [L * euler_phi(n) for n in self.ds]
+
+    def coeffs(self, g) -> list[int]:
+        """The phi-coordinates over ds of the element whose trace vector is g.
+
+        A remainder means g is no trace vector of an integer combination,
+        which the callers never produce: it raises ArithmeticError.
+        """
+        v = [0] * len(g)
+        for i, x in zip(self._slot, g):
+            v[i] = x
+        for stride, table in self._steps:
+            span = stride * len(table)
+            for base in (hi + lo for hi in range(0, len(v), span) for lo in range(stride)):
+                vals = v[base:base + span:stride]
+                for a, row in enumerate(table):
+                    v[base + a * stride] = sum(map(operator.mul, row, vals))
+        out = []
+        for n, i, den in zip(self.ds, self._slot, self._dens):
+            q, r = divmod(v[i], den)
+            if r:
+                raise ArithmeticError(
+                    f"trace vector {list(g)} over divisors {self.ds} has no integer "
+                    f"coefficient at phi({n}): implementation bug"
+                )
+            out.append(q)
+        return out
+
+    def element(self, g) -> WittElement:
+        return _unvec(self.coeffs(g), self.ds)
+
+
+# Bounded, unlike the arith caches: each entry holds tau(L)**2 integers, and
+# lambda_series asks for one level per support it meets.
+@lru_cache(maxsize=32)
+def _trace_coords(L: int) -> _TraceCoords:
+    return _TraceCoords(L)
+
+
+def _times_binomial(col: list[int], e: int, k: int) -> list[int]:
+    """col * (1 - t**e)**k to the length of col, for any integer k."""
+    top = len(col) - 1
+    terms = top // e + 1  # powers of t**e below the truncation
+    col = list(col)
+    if abs(k) < terms:  # |k| passes of one factor (1 - t**e) or its inverse each
+        for _ in range(abs(k)):
+            if k > 0:
+                for i in range(top, e - 1, -1):
+                    col[i] -= col[i - e]
+            else:
+                for i in range(e, top + 1):
+                    col[i] += col[i - e]
+        return col
+    # the coefficient of t**(e j) in (1 - t**e)**k is (-1)**j C(k, j) = b_j,
+    # with b_j = b_(j-1) (j - 1 - k) / j exact
+    bs = [1]
+    for j in range(1, terms):
+        bs.append(bs[-1] * (j - 1 - k) // j)
+    out = [0] * (top + 1)
+    for i, c in enumerate(col):
+        if c:
+            for j in range((top - i) // e + 1):
+                out[i + e * j] += c * bs[j]
+    return out
+
+
+def _trace_lambda(a: WittElement, degree: int, ds: tuple[int, ...]) -> list[list[int]]:
+    """t_d(lambda_t(a)) for each d in ds, as integer series to degree.
+
+    On phi(n) it is the product of (1 - z**d t) over the primitive n-th
+    roots z; the z**d are the primitive m-th roots, m = n/gcd(n, d), each
+    euler_phi(n)/euler_phi(m) times, so it is the reversed m-th
+    cyclotomic polynomial to that power.  t_d is a ring map, so a
+    combination gives the product of these powers, exponents times
+    coefficients.  With Phi_m reversed = prod over e | m of
+    (1 - t**e)**mobius(m/e), the whole coordinate is a product of
+    (1 - t**e)**k_e over e <= degree: one integer exponent per e.
+    """
+    cols = []
+    for d in ds:
+        exps: dict[int, int] = {}
+        for n, c in a.items():
+            m = n // math.gcd(n, d)
+            k = c * (euler_phi(n) // euler_phi(m))
+            for e in divisors(m):
+                if e > degree:
+                    break
+                if mu := mobius(m // e):
+                    exps[e] = exps.get(e, 0) + mu * k
+        col = [1] + [0] * degree
+        for e, k in exps.items():
+            if k:
+                col = _times_binomial(col, e, k)
+        cols.append(col)
+    return cols
+
+
+def _gamma_from_lambda(col: list[int], degree: int) -> list[int]:
+    """The shift identity on one trace coordinate (see gamma_series)."""
+    out = [1]
+    for k in range(1, degree + 1):
+        out.append(sum(math.comb(k - 1, k - j) * (-col[j] if j % 2 else col[j])
+                       for j in range(1, k + 1)))
+    return out
+
+
+def _series(cols: list[list[int]], coords: _TraceCoords, degree: int) -> WittSeries:
+    return WittSeries([coords.element([col[k] for col in cols]) for k in range(degree + 1)])
+
+
+def _level(a: WittElement) -> int:
+    return math.lcm(*a.support) if a else 1
 
 
 def lambda_basis(n: int, k: int) -> WittElement:
@@ -152,30 +295,17 @@ def lambda_basis(n: int, k: int) -> WittElement:
         raise ValueError(f"lambda_basis() requires n >= 1, got {n}")
     if not 0 <= k <= euler_phi(n):
         raise ValueError(f"lambda_basis() needs 0 <= k <= euler_phi({n}), got {k}")
-    return _lambda_row(n, euler_phi(n))[k]
-
-
-def _basis_series(n: int, degree: int) -> WittSeries:
-    row = _lambda_row(n, min(degree, euler_phi(n)))
-    out = []
-    for k in range(degree + 1):
-        if k < len(row):
-            out.append(row[k] if k % 2 == 0 else -row[k])
-        else:
-            out.append(WittElement())
-    return WittSeries(out)
+    return lambda_series(phi(n), k).lam(k)
 
 
 def lambda_series(a: WittElement, degree: int) -> WittSeries:
-    """lambda_t(a) truncated: the product over the support of
-    lambda_t(phi(n)) ** coefficient, with negative coefficients handled
-    by exact series inversion."""
+    """lambda_t(a) truncated, computed in the trace coordinates over the
+    divisors of L = lcm(support): each coordinate is a truncated integer
+    series, and each coefficient comes back by exact inversion."""
     if degree < 0:
         raise ValueError("truncation degree must be >= 0")
-    out = WittSeries.one(degree)
-    for n, c in a.items():
-        out = out * _basis_series(n, degree).pow(c)
-    return out
+    coords = _trace_coords(_level(a))
+    return _series(_trace_lambda(a, degree, coords.ds), coords, degree)
 
 
 def gamma_basis(a: WittElement, k: int, degree: int | None = None) -> WittElement:
@@ -193,14 +323,11 @@ def gamma_basis(a: WittElement, k: int, degree: int | None = None) -> WittElemen
 def gamma_series(a: WittElement, degree: int) -> WittSeries:
     """gamma_t(a) truncated; coefficient of t**k is (-1)**k gamma^k(a),
     read from the one series lambda_t(a) by the expanded shift identity."""
-    lam = lambda_series(a, degree)
-    out = [ONE]
-    for k in range(1, degree + 1):
-        acc = WittElement()
-        for j in range(1, k + 1):
-            acc = acc + lam.lam(j) * math.comb(k - 1, k - j)
-        out.append(acc)
-    return WittSeries(out)
+    if degree < 0:
+        raise ValueError("truncation degree must be >= 0")
+    coords = _trace_coords(_level(a))
+    cols = _trace_lambda(a, degree, coords.ds)
+    return _series([_gamma_from_lambda(col, degree) for col in cols], coords, degree)
 
 
 @dataclass
@@ -262,7 +389,7 @@ def _vec(w: WittElement, ds: tuple[int, ...]) -> list[int]:
 
 
 def _unvec(v, ds: tuple[int, ...]) -> WittElement:
-    return WittElement({d: c for d, c in zip(ds, v) if c})
+    return WittElement._of(dict(zip(ds, v)))
 
 
 @dataclass
@@ -290,11 +417,18 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     A dynamic program over gamma degree: S_t, the span of the monomials
     of degree exactly t, is spanned by s * gamma^e(b) for 1 <= e <= t and
     s in the Hermite basis of S_{t-e} (the product is bilinear and
-    commutative), with S_0 = Z phi(1); then I_k = S_k + ... + S_bound.
-    Every atom has degree e >= 1, so a monomial of degree <= bound has at
-    most bound factors and needs no separate length bound.  Each S_t has
-    rank <= tau(N), so the work is O(bound**2 tau(N)**2) products, not
-    one per monomial (a count exponential in the bound).
+    commutative), with S_0 = Z phi(1); then I_k = I_{k+1} + S_k, from
+    I_{bound+1} = 0.  Every atom has degree e >= 1, so a monomial of
+    degree <= bound has at most bound factors and needs no separate
+    length bound.  Each S_t has rank <= tau(N), so the work is
+    O(bound**2 tau(N)**2) products, not one per monomial (a count
+    exponential in the bound).
+
+    All of it runs in the trace coordinates over divisors(N), where a
+    product is pointwise.  The trace map is injective and Z-linear, so
+    a Hermite basis there spans the image of the same lattice; its rows
+    map back exactly, and a second Hermite form in phi coordinates gives
+    the unique basis.
     """
     bound = monomial_bound if monomial_bound is not None else depth + 2
     if N < 1 or depth < 1 or bound < 0:
@@ -306,16 +440,28 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     basis = [phi(d) - ONE * euler_phi(d) for d in ds if d > 1]
     lattices.append(hnf([_vec(b, ds) for b in basis], ambient=r))
 
-    series = [gamma_series(b, bound) for b in basis]
-    atoms = {e: [g for s in series if (g := s.lam(e))] for e in range(1, bound + 1)}
-    spans = [[ONE]]  # spans[t]: Hermite basis of S_t
+    coords = _trace_coords(N)
+    atoms: dict[int, list[list[int]]] = {e: [] for e in range(1, bound + 1)}  # gamma^e(b)
+    for b in basis:
+        cols = [_gamma_from_lambda(col, bound) for col in _trace_lambda(b, bound, ds)]
+        for e in atoms:
+            v = [-col[e] if e % 2 else col[e] for col in cols]
+            if any(v):
+                atoms[e].append(v)
+    spans = [[[1] * r]]  # spans[t]: Hermite basis of S_t, in trace coordinates
     for t in range(1, bound + 1):
-        gens = [_vec(mul(v, a), ds) for e in range(1, t + 1) for a in atoms[e] for v in spans[t - e]]
-        spans.append([_unvec(row, ds) for row in hnf(gens, ambient=r).basis])
+        gens = [[x * y for x, y in zip(v, a)]
+                for e in range(1, t + 1) for a in atoms[e] for v in spans[t - e]]
+        spans.append(list(hnf(gens, ambient=r).basis))
 
-    for k in range(2, depth + 1):
-        gens = [_vec(v, ds) for t in range(k, bound + 1) for v in spans[t]]
-        lattices.append(hnf(gens, ambient=r))
+    ideal: list = []  # Hermite basis of I_k in trace coordinates, from I_{k+1} + S_k
+    upper = []  # the I_k with k <= depth, descending, in phi coordinates
+    for k in range(bound, 1, -1):
+        ideal = list(hnf(ideal + spans[k], ambient=r).basis)
+        if k <= depth:
+            upper.append(hnf([coords.coeffs(row) for row in ideal], ambient=r))
+    empty = hnf([], ambient=r)
+    lattices += upper[::-1] + [empty] * (depth - max(bound, 1))
     return GammaFiltration(N, depth, ds, lattices)
 
 

@@ -461,6 +461,8 @@ class SpectrumVerdict:
         return self.status == "unit_roots"
 
 
+# Unbounded on purpose: one entry per matrix dimension asked about, and
+# each entry lists the d with euler_phi(d) <= deg.
 @lru_cache(maxsize=None)
 def _cyclo_candidates(deg: int) -> tuple[int, ...]:
     # euler_phi(d) >= sqrt(d/2), so d <= 2*deg**2 suffices

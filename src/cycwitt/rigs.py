@@ -850,6 +850,9 @@ def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
     candidates exceed SECTIONS_BUDGET."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
+    for name, size in (("rows", n), ("cols", m)):
+        if size < 0:
+            raise ValueError(f"{name} must be >= 0, got {size}")
     count = (2 * entry_bound + 1) ** (n * m)
     if count > SECTIONS_BUDGET:
         raise ValueError(f"budget exceeded: {count} candidate matrices > {SECTIONS_BUDGET}")

@@ -3,13 +3,20 @@
 Elements are finite integer combinations of basis classes ``phi(n)``,
 one for each n >= 1, where ``phi(n)`` stands for the full Galois orbit
 of primitive n-th roots of unity and ``phi(1)`` is the ring unit.  The
-product of two basis classes is again an integer combination, computed
-prime by prime:
+product of two basis classes is again an integer combination.  Prime by
+prime it reads:
 
 * coprime indices multiply to ``phi(n*m)``;
 * at a single prime p, ``phi(p^a) * phi(p^b)`` is
   ``euler_phi(p^b) * phi(p^a)`` for a > b >= 1, and for a = b >= 1 it is
   ``euler_phi(p^a) * (phi(p^a) + ... + phi(1)) - p^(a-1) * phi(p^a)``.
+
+Only the primes of g = gcd(n, m) do anything beyond the coprime rule,
+so ``basis_mul`` works gcd first: g = 1 gives ``phi(n*m)``; otherwise
+it starts from ``phi(lcm(n, m))`` and factors g alone.  A prime p^e || g
+whose exponents in n and m differ multiplies the coefficient by
+``euler_phi(p^e)``; one with equal exponents e expands the index's p^e
+part into the local sum above.
 
 The operator family F_m ("take m-th powers of roots") acts by
 
@@ -83,6 +90,14 @@ class WittElement:
                     c[n] = v
         object.__setattr__(self, "_c", c)
 
+    @classmethod
+    def _of(cls, c: dict[int, int]) -> "WittElement":
+        """Trusted constructor for module results: keys are known positive
+        integers, so only the zero coefficients are dropped."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "_c", {n: v for n, v in c.items() if v})
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("WittElement is immutable")
 
@@ -117,10 +132,10 @@ class WittElement:
         c = dict(self._c)
         for n, v in other._c.items():
             c[n] = c.get(n, 0) + v
-        return WittElement(c)
+        return WittElement._of(c)
 
     def __neg__(self):
-        return WittElement({n: -v for n, v in self._c.items()})
+        return WittElement._of({n: -v for n, v in self._c.items()})
 
     def __sub__(self, other):
         if not isinstance(other, WittElement):
@@ -128,11 +143,11 @@ class WittElement:
         c = dict(self._c)
         for n, v in other._c.items():
             c[n] = c.get(n, 0) - v
-        return WittElement(c)
+        return WittElement._of(c)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WittElement({n: v * other for n, v in self._c.items()})
+            return WittElement._of({n: v * other for n, v in self._c.items()})
         if isinstance(other, WittElement):
             return mul(self, other)
         return NotImplemented
@@ -190,59 +205,55 @@ ZERO = WittElement()
 ONE = phi(1)
 
 
-def _local_basis_mul(p: int, a: int, b: int) -> dict[int, int]:
-    """phi(p^a) * phi(p^b) within the single-prime tower, as {p^j: coeff}."""
-    if a < b:
-        a, b = b, a
-    if b == 0:
-        return {p**a: 1}
-    if a > b:
-        return {p**a: euler_phi(p**b)}
-    tot = euler_phi(p**a)
-    out = {p**j: tot for j in range(a + 1)}
-    out[p**a] = tot - p ** (a - 1)
-    if out[p**a] == 0:
-        del out[p**a]
+def _gcd_mul(n: int, m: int, g: int) -> dict[int, int]:
+    """phi(n) * phi(m) for g = gcd(n, m) > 1, factoring g alone."""
+    out = {n // g * m: 1}
+    for p, e in factor(g):
+        q = p**e
+        tot = q - q // p
+        if not (n // q) % p or not (m // q) % p:  # unequal exponents: p^e is the smaller power
+            out = {u: c * tot for u, c in out.items()}
+            continue
+        top = tot - q // p  # coefficient of the full p^e; zero for p = 2
+        expanded = {}
+        for u, c in out.items():
+            base = u // q
+            for j in range(e):
+                expanded[base * p**j] = c * tot
+            if top:
+                expanded[u] = c * top
+        out = expanded
     return out
-
-
-@lru_cache(maxsize=None)
-def _basis_mul_items(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    acc = {1: 1}
-    for p in sorted(set(prime_factors(n)) | set(prime_factors(m))):
-        a = b = 0
-        nn, mm = n, m
-        while nn % p == 0:
-            a += 1
-            nn //= p
-        while mm % p == 0:
-            b += 1
-            mm //= p
-        local = _local_basis_mul(p, a, b)
-        acc = {u * q: cu * cq for u, cu in acc.items() for q, cq in local.items()}
-    return tuple(sorted(acc.items()))
 
 
 def basis_mul(n: int, m: int) -> WittElement:
     """Product phi(n) * phi(m) as an integer combination of basis classes."""
     if n < 1 or m < 1:
         raise ValueError("basis_mul() requires positive indices")
-    if n > m:
-        n, m = m, n
-    return WittElement(dict(_basis_mul_items(n, m)))
+    g = math.gcd(n, m)
+    return WittElement._of({n * m: 1} if g == 1 else _gcd_mul(n, m, g))
 
 
 def mul(a: WittElement, b: WittElement) -> WittElement:
     """Bilinear extension of basis_mul."""
     acc: dict[int, int] = {}
-    for n, cn in a.items():
-        for m, cm in b.items():
+    get = acc.get
+    gcd = math.gcd
+    for n, cn in a._c.items():
+        for m, cm in b._c.items():
             c = cn * cm
-            for d, cd in _basis_mul_items(*((n, m) if n <= m else (m, n))):
-                acc[d] = acc.get(d, 0) + c * cd
-    return WittElement(acc)
+            g = gcd(n, m)
+            if g == 1:
+                k = n * m
+                acc[k] = get(k, 0) + c
+            else:
+                for k, ck in _gcd_mul(n, m, g).items():
+                    acc[k] = get(k, 0) + c * ck
+    return WittElement._of(acc)
 
 
+# Unbounded on purpose: one entry of two small ints per distinct (m, n)
+# asked for, and F_m of an element only asks for the indices it holds.
 @lru_cache(maxsize=None)
 def _frobenius_basis(m: int, n: int) -> tuple[int, int]:
     """F_m on phi(n): returns (target index, integer coefficient)."""

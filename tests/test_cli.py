@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import cycwitt
 from cycwitt import spectra
+from cycwitt.arith import euler_phi
 from cycwitt.cli import (
     ParseError,
     format_series,
@@ -237,9 +238,20 @@ def run_cli_process(*argv, block_numpy=False):
             ["sections", "--rows", "3", "--cols", "3", "--bound", "3"],
             "budget exceeded: 40353607 candidate matrices > 150000",
         ),
+        (None, ["sections", "--rows", "-1", "--cols", "2"], "rows must be >= 0, got -1"),
+        (None, ["sections", "--rows", "2", "--cols", "-3"], "cols must be >= 0, got -3"),
+        (None, ["lambda", "100000"], "budget exceeded: euler_phi(100000) > 1000 coefficients"),
+        (
+            None,
+            ["lambda", "1000000000000000003"],
+            "budget exceeded: euler_phi(1000000000000000003) > 1000 coefficients",
+        ),
+        (None, ["lambda-table", "100000"], "budget exceeded: euler_phi(1009) > 1000 coefficients"),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
-         "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget"],
+         "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
+         "sections-negative-rows", "sections-negative-cols", "lambda-over-budget",
+         "lambda-huge-prime", "lambda-table-over-budget"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -252,6 +264,34 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert message is None or lines[0] == f"error: {message}"
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_lambda_budget_boundary(monkeypatch, capsys):
+    from cycwitt import cli
+
+    assert cli.LAMBDA_BUDGET >= euler_phi(60)  # the largest lambda level the benchmark runs
+    monkeypatch.setattr(cli, "LAMBDA_BUDGET", 4)
+    assert run_cli(capsys, "lambda", "5")[0] == 0  # euler_phi(5) = 4
+    assert run_cli(capsys, "lambda-table", "6")[0] == 0
+    code, out, err = run_cli(capsys, "lambda", "7")
+    assert code == 2 and out == "" and err == "error: budget exceeded: euler_phi(7) > 4 coefficients\n"
+    code, out, err = run_cli(capsys, "lambda-table", "7")
+    assert code == 2 and out == "" and "euler_phi(7)" in err
+
+
+def test_cli_inexact_trace_inversion_exits_3(monkeypatch, capsys):
+    from cycwitt import lambda_ops
+
+    exact = lambda_ops._trace_lambda
+
+    def corrupted(*args):
+        cols = exact(*args)
+        cols[0][1] += 1
+        return cols
+
+    monkeypatch.setattr(lambda_ops, "_trace_lambda", corrupted)
+    code, out, err = run_cli(capsys, "lambda", "6")
+    assert code == 3 and out == "" and err.startswith("internal error: trace vector")
 
 
 def test_cli_internal_error_exit_3(monkeypatch, capsys):

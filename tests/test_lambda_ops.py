@@ -4,11 +4,12 @@ import random
 import pytest
 
 from cycwitt import roots
-from cycwitt.arith import cyclotomic_poly, divisors, euler_phi
+from cycwitt.arith import IntPolynomial, cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
     GammaFiltration,
     WittSeries,
-    _lambda_row,
+    _trace_coords,
+    _trace_lambda,
     gamma_basis,
     gamma_filtration,
     gamma_positive_check,
@@ -18,7 +19,7 @@ from cycwitt.lambda_ops import (
     lambda_series,
 )
 from cycwitt.linalg import hnf
-from cycwitt.witt import ONE, WittElement, f0, mul, phi, trace
+from cycwitt.witt import ONE, WittElement, f0, frobenius, mul, phi, t_m, trace
 
 # the ten classical expansions, frozen as coefficient data
 # (index -> list of lambda_t coefficients as (basis index, value) pairs)
@@ -103,10 +104,26 @@ def test_lambda_f0_gives_binomial_expansion(n):
     assert [f0(series[k]) for k in range(series.degree + 1)] == expected
 
 
+def _newton_row(n, top):
+    """Reference row (e_0, ..., e_top) for the roots of phi(n), by Newton's
+    identities over Witt elements from the power sums F_i phi(n); every
+    division by k must be exact."""
+    powers = [None] + [frobenius(i, phi(n)) for i in range(1, top + 1)]
+    es = [ONE]
+    for k in range(1, top + 1):
+        acc = WittElement()
+        for i in range(1, k + 1):
+            term = mul(es[k - i], powers[i])
+            acc = acc + (term if i % 2 else -term)
+        es.append(acc.divexact(k))
+    return es
+
+
 def test_newton_divisions_exact_up_to_60():
     for n in range(1, 61):
         top = euler_phi(n)
-        lambda_basis(n, top)  # computing the row exercises every division
+        series = lambda_series(phi(n), top)
+        assert _newton_row(n, top) == [series.lam(k) for k in range(top + 1)], n
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -272,7 +289,7 @@ def _walk_gamma_filtration(N, depth, monomial_bound=None):
     "args",
     [(n, 2) for n in range(1, 61)]
     + [(n, 3) for n in (12, 24, 30, 36, 48, 60)]
-    + [(8, 3, 7), (12, 2, 6), (30, 3, 5)],
+    + [(8, 3, 7), (12, 2, 6), (30, 3, 5), (997, 2)],
 )
 def test_gamma_filtration_matches_monomial_walk(args):
     assert gamma_filtration(*args) == _walk_gamma_filtration(*args)
@@ -296,9 +313,62 @@ def test_gamma_series_matches_shift_identity():
 @pytest.mark.parametrize("n", range(1, 61))
 def test_truncated_lambda_row_is_prefix(n):
     top = euler_phi(n)
-    full = _lambda_row(n, top)
+    full = lambda_series(phi(n), top + 2).coeffs
+    assert full[top + 1:] == (WittElement(), WittElement())
     for k in sorted({0, 1, 2, top // 2, top - 1} & set(range(top + 1))):
-        assert _lambda_row(n, k) == full[: k + 1]
+        assert lambda_series(phi(n), k).coeffs == full[: k + 1]
+
+
+def _mixed_sign_elements():
+    rng = random.Random(19)
+    out = [phi(12) - 3 * ONE + phi(5), 2 * phi(9) - phi(3) - 4 * ONE, -phi(8) - phi(4)]
+    for _ in range(30):
+        out.append(WittElement({rng.randint(1, 30): rng.choice((-3, -2, -1, 1, 2, 3))
+                                for _ in range(rng.randint(2, 4))}))
+    return out
+
+
+def test_series_ring_operations_match_trace_coordinates():
+    # WittSeries products, inverses and powers work on Witt coefficients
+    # through witt.mul; lambda_series works pointwise in trace coordinates
+    for x in _mixed_sign_elements():
+        expected = WittSeries.one(6)
+        for n, c in x.items():
+            expected = expected * lambda_series(phi(n), 6).pow(c)
+        assert lambda_series(x, 6) == expected, x
+        assert lambda_series(-x, 6) == lambda_series(x, 6).inverse(), x
+        assert lambda_series(3 * x, 6) == lambda_series(x, 6).pow(3), x
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_trace_coordinate_is_cyclotomic_power(n):
+    # coordinate d of lambda_t(phi(n)) is the reversed Phi_m to the power
+    # euler_phi(n)/euler_phi(m), m = n/gcd(n, d)
+    top = euler_phi(n)
+    ds = divisors(n)
+    for d, col in zip(ds, _trace_lambda(phi(n), top, ds)):
+        m = n // math.gcd(n, d)
+        expected = IntPolynomial((1,))
+        for _ in range(top // euler_phi(m)):
+            expected = expected * cyclotomic_poly(m, reversed=True)
+        assert col == [expected[k] for k in range(top + 1)], (n, d)
+
+
+@pytest.mark.parametrize("level", (1, 2, 12, 30, 60, 97, 360, 30030))
+def test_trace_coordinates_invert_exactly(level):
+    coords = _trace_coords(level)
+    rng = random.Random(level)
+    for _ in range(20):
+        w = WittElement({d: rng.randint(-9, 9) for d in rng.sample(coords.ds, min(3, len(coords.ds)))})
+        assert coords.element([t_m(d, w) for d in coords.ds]) == w
+
+
+def test_corrupted_trace_vector_raises():
+    coords = _trace_coords(12)
+    g = [t_m(d, phi(4) - 2 * ONE) for d in coords.ds]
+    g[2] += 1
+    with pytest.raises(ArithmeticError, match="implementation bug"):
+        coords.coeffs(g)
 
 
 def test_series_pow_is_repeated_product():

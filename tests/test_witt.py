@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycwitt import roots
-from cycwitt.arith import euler_phi, mobius, ramanujan_sum
+from cycwitt.arith import euler_phi, mobius, prime_factors, ramanujan_sum
 from cycwitt.witt import (
     ONE,
     ZERO,
@@ -55,6 +55,42 @@ def test_basis_mul_examples():
     assert basis_mul(8, 4) == 2 * phi(8)
     assert basis_mul(6, 4) == phi(12)
     assert basis_mul(5, 5) == 3 * phi(5) + 4 * ONE
+
+
+def _local_basis_mul(p, a, b):
+    """phi(p^a) * phi(p^b) within the single-prime tower, as {p^j: coeff}."""
+    if a < b:
+        a, b = b, a
+    if b == 0:
+        return {p**a: 1}
+    if a > b:
+        return {p**a: euler_phi(p**b)}
+    tot = euler_phi(p**a)
+    out = {p**j: tot for j in range(a + 1)}
+    out[p**a] = tot - p ** (a - 1)
+    if out[p**a] == 0:
+        del out[p**a]
+    return out
+
+
+def _prime_fold_basis_mul(n, m):
+    """Reference product: the local products folded over every prime of n*m."""
+    acc = {1: 1}
+    for p in sorted(set(prime_factors(n)) | set(prime_factors(m))):
+        a = b = 0
+        while n % p**(a + 1) == 0:
+            a += 1
+        while m % p**(b + 1) == 0:
+            b += 1
+        local = _local_basis_mul(p, a, b)
+        acc = {u * q: cu * cq for u, cu in acc.items() for q, cq in local.items()}
+    return WittElement(acc)
+
+
+def test_gcd_first_basis_mul_matches_prime_fold():
+    for n in range(1, 201):
+        for m in range(n, 201):
+            assert basis_mul(n, m) == basis_mul(m, n) == _prime_fold_basis_mul(n, m), (n, m)
 
 
 def test_mul_examples():
