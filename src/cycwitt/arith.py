@@ -273,12 +273,6 @@ class IntPolynomial:
         """Coefficient reversal: x**degree * p(1/x) for p with nonzero constant."""
         return IntPolynomial(tuple(reversed(self.coeffs)))
 
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def pretty(self, var: str = "t") -> str:
         """Human form, terms ascending: e.g. '1 - t + t^2'."""
 
@@ -308,14 +302,12 @@ def _cyclotomic_plain(n: int) -> IntPolynomial:
     return num
 
 
-def cyclotomic_poly(n: int, reversed: bool = False) -> IntPolynomial:
+def cyclotomic_poly(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial (degree euler_phi(n)).
 
-    With reversed=True returns the coefficient reversal, i.e. the
-    product of (1 - z*t) over the primitive n-th roots z, whose
-    constant term is 1.
+    Its ``reversed_coeffs()`` is the product of (1 - z*t) over the
+    primitive n-th roots z, whose constant term is 1.
     """
     if n < 1:
         raise ValueError(f"cyclotomic_poly() requires n >= 1, got {n}")
-    p = _cyclotomic_plain(n)
-    return p.reversed_coeffs() if reversed else p
+    return _cyclotomic_plain(n)

@@ -126,13 +126,13 @@ def format_witt(w: WittElement) -> str:
     return join_signed(_signed_terms(w.items()))
 
 
-def format_series(s: lambda_ops.WittSeries, var: str = "t") -> str:
+def format_series(s: lambda_ops.WittSeries) -> str:
     """Series display with explicit signs, powers of t ascending."""
 
     def body(k: int, shown: WittElement) -> str:
         if k == 0:
             return format_witt(shown)
-        power = var if k == 1 else f"{var}^{k}"
+        power = "t" if k == 1 else f"t^{k}"
         items = shown.items()
         if items == ((1, 1),):
             return power
@@ -177,40 +177,28 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _cmd_binop(args):
-    a, b = parse_witt(args.a), parse_witt(args.b)
-    if args.op == "mul":
-        out = witt.mul(a, b)
+# The element commands: name, help, operand names ("m" is an integer index,
+# every other operand an element), and the witt function they call, looked
+# up by name at call time so that a wrapper installed on the module is seen.
+_WITT_COMMANDS = (
+    ("mul", "product of two elements", ("a", "b"), "mul"),
+    ("inner", "inner product of two elements", ("a", "b"), "inner"),
+    ("trace", "trace projection", ("a",), "trace"),
+    ("f0", "root-count projection", ("a",), "f0"),
+    ("integral", "coefficient of phi(1)", ("a",), "integral"),
+    ("frob", "power operator F_m", ("m", "a"), "frobenius"),
+    ("versch", "index multiplication V_m", ("m", "a"), "verschiebung"),
+    ("tm", "trace of F_m (Ramanujan sums on the basis)", ("m", "a"), "t_m"),
+)
+
+
+def _cmd_witt(args):
+    operands = [args.m if key == "m" else parse_witt(getattr(args, key)) for key in args.operands]
+    out = getattr(witt, args.op)(*operands)
+    if isinstance(out, WittElement):
         _emit(args, [format_witt(out)], {"result": out.to_pairs()})
     else:
-        val = witt.inner(a, b)
-        _emit(args, [str(val)], {"value": val})
-    return 0
-
-
-def _cmd_unop(args):
-    a = parse_witt(args.a)
-    if args.op == "trace":
-        val = witt.trace(a)
-    elif args.op == "f0":
-        val = witt.f0(a)
-    else:
-        val = witt.integral(a)
-    _emit(args, [str(val)], {"value": val})
-    return 0
-
-
-def _cmd_indexed(args):
-    a = parse_witt(args.a)
-    if args.op == "frob":
-        out = witt.frobenius(args.m, a)
-        _emit(args, [format_witt(out)], {"result": out.to_pairs()})
-    elif args.op == "versch":
-        out = witt.verschiebung(args.m, a)
-        _emit(args, [format_witt(out)], {"result": out.to_pairs()})
-    else:
-        val = witt.t_m(args.m, a)
-        _emit(args, [str(val)], {"value": val})
+        _emit(args, [str(out)], {"value": out})
     return 0
 
 
@@ -243,8 +231,14 @@ def _cmd_lambda(args):
 def _cmd_lambda_table(args):
     if args.max < 1:
         raise ValueError("lambda-table needs max >= 1")
-    for n in range(1, args.max + 1):  # by Bertrand's postulate, ends by n = 2 * LAMBDA_BUDGET + 2
-        _check_lambda_budget(n)
+    # row n costs about euler_phi(n)**2: the table is held to the cost of the
+    # largest lambda call, and a huge max stops at the first n over it
+    total = 0
+    for n in range(1, args.max + 1):
+        total += euler_phi(n) ** 2
+        if total > LAMBDA_BUDGET**2:
+            msg = f"sum of euler_phi(k)^2 for k <= {n} is {total} > {LAMBDA_BUDGET}^2"
+            raise ValueError(f"budget exceeded: {msg}")
     table = [(n, _lambda_series(n)) for n in range(1, args.max + 1)]
     lines = [f"lambda_t(phi({n})) = {format_series(series)}" for n, series in table]
     obj = {"table": [{"n": n, "coefficients": _series_pairs(series)} for n, series in table]}
@@ -398,36 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="stable machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mul", help="product of two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_binop, op="mul")
-
-    p = sub.add_parser("inner", help="inner product of two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_binop, op="inner")
-
-    for name, hl in (("trace", "trace projection"), ("f0", "root-count projection"),
-                     ("integral", "coefficient of phi(1)")):
+    for name, hl, operands, op in _WITT_COMMANDS:
         p = sub.add_parser(name, help=hl)
-        p.add_argument("a")
-        p.set_defaults(fn=_cmd_unop, op=name)
-
-    p = sub.add_parser("frob", help="power operator F_m")
-    p.add_argument("m", type=int)
-    p.add_argument("a")
-    p.set_defaults(fn=_cmd_indexed, op="frob")
-
-    p = sub.add_parser("versch", help="index multiplication V_m")
-    p.add_argument("m", type=int)
-    p.add_argument("a")
-    p.set_defaults(fn=_cmd_indexed, op="versch")
-
-    p = sub.add_parser("tm", help="trace of F_m (Ramanujan sums on the basis)")
-    p.add_argument("m", type=int)
-    p.add_argument("a")
-    p.set_defaults(fn=_cmd_indexed, op="tm")
+        for operand in operands:
+            p.add_argument(operand, type=int if operand == "m" else None)
+        p.set_defaults(fn=_cmd_witt, op=op, operands=operands)
 
     p = sub.add_parser("lambda", help="lambda_t series of phi(n)")
     p.add_argument("n", type=int)

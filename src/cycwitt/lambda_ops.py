@@ -308,16 +308,14 @@ def lambda_series(a: WittElement, degree: int) -> WittSeries:
     return _series(_trace_lambda(a, degree, coords.ds), coords, degree)
 
 
-def gamma_basis(a: WittElement, k: int, degree: int | None = None) -> WittElement:
+def gamma_basis(a: WittElement, k: int) -> WittElement:
     """gamma^k(a), via the shift identity: the t**k coefficient of
     lambda_t(a + (k-1)*phi(1))."""
     if k < 0:
         raise ValueError(f"gamma index must be >= 0, got {k}")
     if k == 0:
         return ONE
-    deg = max(k, degree or k)
-    shifted = a + ONE * (k - 1)
-    return lambda_series(shifted, deg)[k]
+    return lambda_series(a + ONE * (k - 1), k)[k]
 
 
 def gamma_series(a: WittElement, degree: int) -> WittSeries:
@@ -348,7 +346,7 @@ class GammaUnitsReport:
         return f"gamma units n={self.n} (degree {self.degree}): {verdict}"
 
 
-def gamma_positive_check(n: int, extra_degrees: int = 2) -> GammaUnitsReport:
+def gamma_positive_check(n: int) -> GammaUnitsReport:
     """Check gamma_t(phi(n) - euler_phi(n)) against the root-multiset oracle.
 
     The oracle expands the k-th elementary symmetric function of the
@@ -359,7 +357,7 @@ def gamma_positive_check(n: int, extra_degrees: int = 2) -> GammaUnitsReport:
     if n <= 1:
         raise ValueError(f"requires n > 1, got {n}")
     big_n = euler_phi(n)
-    degree = big_n + extra_degrees
+    degree = big_n + 2  # two degrees past the last nonzero one must vanish
     lhs = gamma_series(phi(n) - ONE * big_n, degree)
     orb = orbit(n)
     e_of_roots = [elementary_symmetric(orb, j) for j in range(big_n + 1)]

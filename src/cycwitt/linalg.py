@@ -515,12 +515,12 @@ class NotUnitSpectrum(ValueError):
     """Matrix spectrum is not contained in {0} union roots of unity."""
 
 
-def witt_class(a: IntMatrix, allow_nilpotent: bool = True) -> WittElement:
+def witt_class(a: IntMatrix) -> WittElement:
     """Orbit-class decomposition of a unit-spectrum matrix.
 
-    Zero eigenvalues are stabilization padding and are dropped by
-    default; pass allow_nilpotent=False to insist on an invertible
-    spectrum.
+    Zero eigenvalues are stabilization padding and are dropped, so a
+    nilpotent matrix has class 0.  Raises NotUnitSpectrum, with the
+    trace witness, when an eigenvalue lies outside the unit disc.
     """
     verdict = spectrum_in_unit_disc(a)
     if not verdict.ok:
@@ -529,8 +529,6 @@ def witt_class(a: IntMatrix, allow_nilpotent: bool = True) -> WittElement:
             f"an eigenvalue lies outside the unit disc "
             f"(tr(A^{k}) = {tr} exceeds dim A = {a.rows} in modulus)"
         )
-    if verdict.nilpotent and not allow_nilpotent:
-        raise NotUnitSpectrum(f"nilpotent part of dimension {verdict.nilpotent}")
     return WittElement(dict(verdict.factors))
 
 

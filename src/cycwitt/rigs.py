@@ -426,10 +426,8 @@ class SquareMatrixRig(Rig):
         return self.base.compose(x, y, self.size)
 
     def elements(self):
-        base = list(self.base.elements())
-        n = self.size
-        for flat in itertools.product(base, repeat=n * n):
-            yield tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        for m in all_matrices(self.base, self.size, self.size):
+            yield m.entries
 
 
 _RIGS = {
@@ -775,17 +773,17 @@ def _scalar(r: Rig, a, n: int) -> RigMatrix:
     return RigMatrix._of(r, rows, n)
 
 
-def gl_enumerate(r: Rig, n: int, max_matrices: int = 8192) -> list[RigMatrix]:
+def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     """All two-sided invertible n-by-n matrices over a finite rig.
 
-    Raises if the carrier is too large for the budget; the returned
-    group is verified closed under composition.
+    Raises ValueError when the |r|^(n*n) candidates exceed GL_BUDGET;
+    the returned group is verified closed under composition.
     """
     if not r.finite:
         raise ValueError("gl_enumerate() needs a finite rig")
     count = len(list(r.elements())) ** (n * n)
-    if count > max_matrices:
-        raise ValueError(f"budget exceeded: {count} matrices > {max_matrices}")
+    if count > GL_BUDGET:
+        raise ValueError(f"budget exceeded: {count} matrices > {GL_BUDGET}")
     mats = list(all_matrices(r, n, n))
     one = identity(r, n)
     units = []
@@ -816,6 +814,8 @@ def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
     return sorted(out, key=lambda a: a.entries)
 
 
+# gl_enumerate's candidate limit (it compares candidates pairwise)
+GL_BUDGET = 8192
 # global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
 SECTIONS_BUDGET = 150_000
 
@@ -879,13 +879,8 @@ def signed_perm_group(n: int) -> list[IntMatrix]:
     Verified closed under products; every member is an exact isometry
     (its transpose times itself is the identity).
     """
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            e = [[0] * n for _ in range(n)]
-            for i, (j, s) in enumerate(zip(perm, signs)):
-                e[i][j] = s
-            out.append(IntMatrix(e))
+    # the full-rank signed sub-permutations: no row is zero
+    out = [a for a in signed_subperm_matrices(n, n) if all(any(row) for row in a.entries)]
     group = set(out)
     ident = IntMatrix.identity(n)
     for a in out:
@@ -894,4 +889,4 @@ def signed_perm_group(n: int) -> list[IntMatrix]:
     for a, b in itertools.product(out[: min(len(out), 48)], repeat=2):
         if a * b not in group:
             raise AssertionError("signed permutations not closed under product")
-    return sorted(out, key=lambda a: a.entries)
+    return out

@@ -45,9 +45,6 @@ class Ideal:
     def __contains__(self, x: int) -> bool:
         return x in self.elements
 
-    def is_proper(self) -> bool:
-        return self.rig.one not in self.elements
-
     def __repr__(self):
         return f"Ideal({self.rig.describe(self.elements)})"
 
@@ -145,12 +142,12 @@ class RadicalMismatch(RuntimeError):
     """The power test and the prime-intersection radical disagree (a bug)."""
 
 
-def radical(r: FiniteCRig, a: Ideal, space: SpecSpace | None = None) -> Ideal:
+def radical(r: FiniteCRig, a: Ideal) -> Ideal:
     """Elements with some power inside the ideal.
 
     Computed twice -- by chasing powers and as the intersection of the
-    primes containing the ideal -- and cross-checked; a mismatch raises
-    RadicalMismatch loudly.
+    primes of the cached spec(r) containing the ideal -- and
+    cross-checked; a mismatch raises RadicalMismatch loudly.
     """
     by_powers = set()
     for x in r.elements():
@@ -162,8 +159,7 @@ def radical(r: FiniteCRig, a: Ideal, space: SpecSpace | None = None) -> Ideal:
                 break
             seen.add(y)
             y = r.mul(y, x)
-    space = space or spec(r)
-    containing = [p for p in space.primes if p >= a.elements]
+    containing = [p for p in spec(r).primes if p >= a.elements]
     if containing:
         by_primes = frozenset.intersection(*containing)
     else:

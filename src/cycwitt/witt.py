@@ -57,7 +57,6 @@ from .arith import (
     is_prime,
     mobius,
     phi_mu_tables,
-    prime_factors,
     ramanujan_sum,
 )
 
@@ -256,17 +255,13 @@ def mul(a: WittElement, b: WittElement) -> WittElement:
 # asked for, and F_m of an element only asks for the indices it holds.
 @lru_cache(maxsize=None)
 def _frobenius_basis(m: int, n: int) -> tuple[int, int]:
-    """F_m on phi(n): returns (target index, integer coefficient)."""
+    """F_m on phi(n): (n/g, euler_phi(g)*d/euler_phi(d)) with g = gcd(m, n) and
+    d = gcd(g, n/g), which is euler_phi(n)/euler_phi(n/g) but factors only g and d."""
     g = math.gcd(m, n)
-    tgt = n // g
-    num, den = g, 1
-    for p in prime_factors(g):
-        if tgt % p:
-            num *= p - 1
-            den *= p
-    q, r = divmod(num, den)
+    d = math.gcd(g, n // g)
+    q, r = divmod(euler_phi(g) * d, euler_phi(d))
     assert r == 0
-    return tgt, q
+    return n // g, q
 
 
 def frobenius(m: int, a: WittElement) -> WittElement:
@@ -301,8 +296,6 @@ def f0(a: WittElement) -> int:
 
 def t_m(m: int, a: WittElement) -> int:
     """trace of F_m(a); on the basis this is the Ramanujan sum C_n^m."""
-    if m == 0:
-        return f0(a)
     return trace(frobenius(m, a))
 
 
@@ -358,13 +351,14 @@ def parseval_check(N: int) -> ParsevalReport:
     return report
 
 
-def _zeta_value(t: int, terms: int = 100_000) -> float:
-    """Riemann zeta at integer t >= 2 by direct series.
+def _zeta_value(t: int) -> float:
+    """Riemann zeta at integer t >= 2 by direct series over M = 1e5 terms.
 
     Tail corrected by M^(1-t)/(t-1) - M^(-t)/2 + t*M^(-t-1)/12; the
     remaining error is O(t^3 * M^(-t-3)), far below float resolution
     for M = 1e5.
     """
+    terms = 100_000
     m = float(terms)
     s = sum(k ** -float(t) for k in range(terms, 0, -1))
     return s + m ** (1 - t) / (t - 1) - m ** (-t) / 2 + t * m ** (-t - 1) / 12
@@ -430,21 +424,10 @@ def zeta_partial_check(m: int, t: int, cutoff: int, tol: float) -> ZetaReport:
 def _expected_homs(p: int, k: int) -> set[tuple[int, ...]]:
     """Value tables (on phi(p^0)..phi(p^k)) of the k+1 ring maps to the integers:
 
-    the trace of F_{p^i} for 0 <= i < k, plus the root-count map f0.
+    the trace of F_{p^i}, phi(n) -> c_n(p^i), for 0 <= i <= k; at i = k
+    every c_{p^m}(p^k) is euler_phi(p^m), so that map is the root count f0.
     """
-    out = set()
-    for i in range(k):
-        vals = [1]
-        for m in range(1, k + 1):
-            if m <= i:
-                vals.append(p**m - p ** (m - 1))
-            elif m == i + 1:
-                vals.append(-(p**i))
-            else:
-                vals.append(0)
-        out.add(tuple(vals))
-    out.add(tuple(euler_phi(p**m) for m in range(k + 1)))
-    return out
+    return {tuple(ramanujan_sum(p**m, p**i) for m in range(k + 1)) for i in range(k + 1)}
 
 
 def hom_classify(p: int, k: int) -> list[dict[int, int]]:

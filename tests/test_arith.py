@@ -107,7 +107,7 @@ def test_ramanujan_depends_only_on_gcd_class():
 
 
 def test_cyclotomic_examples():
-    assert cyclotomic_poly(2, reversed=True) == IntPolynomial((1, 1))
+    assert cyclotomic_poly(2).reversed_coeffs() == IntPolynomial((1, 1))
     assert cyclotomic_poly(4) == IntPolynomial((1, 0, 1))
     assert cyclotomic_poly(6) == IntPolynomial((1, -1, 1))
     assert cyclotomic_poly(1) == IntPolynomial((-1, 1))
@@ -124,7 +124,7 @@ def test_cyclotomic_product_over_divisors(n):
 @pytest.mark.parametrize("n", range(1, 40))
 def test_cyclotomic_reversal(n):
     plain = cyclotomic_poly(n)
-    rev = cyclotomic_poly(n, reversed=True)
+    rev = cyclotomic_poly(n).reversed_coeffs()
     assert plain.degree == rev.degree == euler_phi(n)
     assert rev.coeffs == tuple(reversed(plain.coeffs))
     assert rev[0] == 1

@@ -1,18 +1,23 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cycwitt
 from cycwitt import spectra
 from cycwitt.arith import euler_phi
 from cycwitt.cli import (
     ParseError,
+    build_parser,
     format_series,
     format_witt,
     main,
@@ -246,12 +251,21 @@ def run_cli_process(*argv, block_numpy=False):
             ["lambda", "1000000000000000003"],
             "budget exceeded: euler_phi(1000000000000000003) > 1000 coefficients",
         ),
-        (None, ["lambda-table", "100000"], "budget exceeded: euler_phi(1009) > 1000 coefficients"),
+        (
+            None,
+            ["lambda-table", "100000"],
+            "budget exceeded: sum of euler_phi(k)^2 for k <= 191 is 1006810 > 1000^2",
+        ),
+        (
+            None,
+            ["lambda-table", "1000"],
+            "budget exceeded: sum of euler_phi(k)^2 for k <= 191 is 1006810 > 1000^2",
+        ),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
          "sections-negative-rows", "sections-negative-cols", "lambda-over-budget",
-         "lambda-huge-prime", "lambda-table-over-budget"],
+         "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -266,17 +280,93 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["frob", "2", "phi(1000000000000000003)"], "phi(1000000000000000003)"),
+        (["frob", "6", "phi(2000000000000000006)"], "phi(1000000000000000003)"),
+        (["frob", "2", "phi(4000000000000000012)"], "2*phi(2000000000000000006)"),
+    ],
+    ids=["coprime", "gcd-2", "gcd-2-repeated"],
+)
+def test_cli_frobenius_of_a_huge_index_answers_at_once(argv, out):
+    # F_m factors only divisors of gcd(m, n): trial division of the prime
+    # 1000000000000000003 itself would take minutes and hit the timeout
+    start = time.perf_counter()
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == out + "\n"
+    assert time.perf_counter() - start < 10
+
+
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+_INTS = st.integers(-2, 12).map(str)
+_ELEMENTS = st.sampled_from(["phi(4)", "2*phi(6) - 3", "-phi(3)", "phi(0)", "phi(", "x"])
+_MATRICES = st.sampled_from(["1,0;0,1", "0,1;0,0", "2", "1,2", "1,2;3,x", "-1,0;0,1"])
+_RIGS = st.sampled_from(["boolean", "zmod:6", "zmod:0", "tropical4", "int", "file:/nonexistent"])
+# one kind of token is drawn first, so each kind is equally likely
+_FUZZ_TOKENS = st.one_of(_INTS, st.sampled_from(["--json", "--"]), _ELEMENTS, _MATRICES, _RIGS)
+# the kind of token an operand or option expects, by its name
+_SLOT_KINDS = {"a": _ELEMENTS, "b": _ELEMENTS, "matrix": _MATRICES, "rig": _RIGS}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its operands, its required options and some other
+    options filled from the pool, then maybe one more token from the pool
+    or its option names.  Each slot gets a token of its own kind half the
+    time, so that most draws get past the parser."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = ["--json"] * draw(st.booleans()) + [name]
+    operands, options = [], []
+    for action in _SUBCOMMANDS[name]._actions:
+        kind = _INTS if action.type is int else _SLOT_KINDS.get(action.dest, _FUZZ_TOKENS)
+        value = kind if draw(st.booleans()) else _FUZZ_TOKENS
+        if not action.option_strings:
+            operands.append(draw(value))
+        elif action.option_strings[0] != "-h":
+            options.append(action.option_strings[0])
+            if action.required or draw(st.booleans()):
+                argv += [action.option_strings[0], draw(value)]
+    argv += ["--"] * draw(st.booleans()) + operands
+    extra = _FUZZ_TOKENS | st.sampled_from(options) if options else _FUZZ_TOKENS
+    return argv + draw(st.lists(extra, max_size=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_argv_fuzz_ends_with_a_message(argv):
+    # an exception escaping main fails the test with its traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage line and one error line
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
 def test_cli_lambda_budget_boundary(monkeypatch, capsys):
     from cycwitt import cli
 
     assert cli.LAMBDA_BUDGET >= euler_phi(60)  # the largest lambda level the benchmark runs
     monkeypatch.setattr(cli, "LAMBDA_BUDGET", 4)
     assert run_cli(capsys, "lambda", "5")[0] == 0  # euler_phi(5) = 4
-    assert run_cli(capsys, "lambda-table", "6")[0] == 0
     code, out, err = run_cli(capsys, "lambda", "7")
     assert code == 2 and out == "" and err == "error: budget exceeded: euler_phi(7) > 4 coefficients\n"
-    code, out, err = run_cli(capsys, "lambda-table", "7")
-    assert code == 2 and out == "" and "euler_phi(7)" in err
+    # the table as a whole: 1 + 1 + 4 + 4 = 10 <= 4^2, and row 5 adds 16
+    code, out, err = run_cli(capsys, "lambda-table", "4")
+    assert code == 0 and len(out.splitlines()) == 4
+    for top in ("5", "7"):
+        code, out, err = run_cli(capsys, "lambda-table", top)
+        assert code == 2 and out == ""
+        assert err == "error: budget exceeded: sum of euler_phi(k)^2 for k <= 5 is 26 > 4^2\n"
 
 
 def test_cli_inexact_trace_inversion_exits_3(monkeypatch, capsys):

@@ -92,7 +92,7 @@ def test_lambda_palindrome(n):
 @pytest.mark.parametrize("n", range(1, 31))
 def test_lambda_trace_gives_reversed_cyclotomic(n):
     series = lambda_series(phi(n), euler_phi(n))
-    rev = cyclotomic_poly(n, reversed=True)
+    rev = cyclotomic_poly(n).reversed_coeffs()
     assert [trace(series[k]) for k in range(series.degree + 1)] == list(rev.coeffs)
 
 
@@ -350,7 +350,7 @@ def test_trace_coordinate_is_cyclotomic_power(n):
         m = n // math.gcd(n, d)
         expected = IntPolynomial((1,))
         for _ in range(top // euler_phi(m)):
-            expected = expected * cyclotomic_poly(m, reversed=True)
+            expected = expected * cyclotomic_poly(m).reversed_coeffs()
         assert col == [expected[k] for k in range(top + 1)], (n, d)
 
 

@@ -211,9 +211,7 @@ def test_witt_class_examples():
     with pytest.raises(NotUnitSpectrum):
         witt_class(IntMatrix([[2]]))
     nil = IntMatrix([[0, 1], [0, 0]])
-    assert witt_class(nil) == witt_class(nil, allow_nilpotent=True) == phi(1) * 0
-    with pytest.raises(NotUnitSpectrum):
-        witt_class(nil, allow_nilpotent=False)
+    assert witt_class(nil) == phi(1) * 0
 
 
 def test_bridge_small_sample():

@@ -240,8 +240,8 @@ def test_gl_enumeration_examples():
     ]
     assert sorted(m[0][0] for m in gl_enumerate(FiniteCRig.zmod(4), 1)) == [1, 3]
     assert [m.entries for m in gl_enumerate(b, 1)] == [((1,),)]
-    with pytest.raises(ValueError):
-        gl_enumerate(FiniteCRig.zmod(4), 3, max_matrices=100)
+    with pytest.raises(ValueError, match="budget exceeded: 262144 matrices > 8192"):
+        gl_enumerate(FiniteCRig.zmod(4), 3)
 
 
 def test_global_sections_examples():
@@ -281,6 +281,30 @@ def test_signed_perm_group(n, order):
     for a in group:
         assert contraction_le_one(a)
         assert a.transpose() * a == IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_signed_perm_group_matches_perm_times_sign_enumeration(n):
+    expected = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            e = [[0] * n for _ in range(n)]
+            for i, (j, s) in enumerate(zip(perm, signs)):
+                e[i][j] = s
+            expected.append(IntMatrix(e))
+    assert signed_perm_group(n) == sorted(expected, key=lambda a: a.entries)
+
+
+@pytest.mark.parametrize("name", ["boolean", "zmod:3"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_square_matrix_rig_elements_in_product_order(name, n):
+    # check_rig_laws' witnesses depend on this order
+    base = rig_by_name(name)
+    expected = [
+        tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        for flat in itertools.product(list(base.elements()), repeat=n * n)
+    ]
+    assert list(SquareMatrixRig(base, n).elements()) == expected
 
 
 def test_signed_perms_bridge_to_power_operators():

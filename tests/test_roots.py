@@ -86,7 +86,7 @@ def test_elementary_symmetric_bounds():
 def test_symmetric_functions_give_reversed_cyclotomic(n):
     # the alternating trace of the elementary symmetric classes recovers
     # the coefficient list of prod(1 - z*t) over the primitive roots
-    rev = cyclotomic_poly(n, reversed=True)
+    rev = cyclotomic_poly(n).reversed_coeffs()
     o = orbit(n)
     coeffs = [
         (-1) ** k * trace(elementary_symmetric(o, k))

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycwitt import roots
+from cycwitt import roots, witt
 from cycwitt.arith import euler_phi, mobius, prime_factors, ramanujan_sum
 from cycwitt.witt import (
     ONE,
@@ -158,6 +158,15 @@ def test_frobenius_is_ring_map(a, b, m):
     assert frobenius(m, a + b) == frobenius(m, a) + frobenius(m, b)
 
 
+def test_frobenius_coefficient_against_totient_quotient():
+    # F_m phi(n) = euler_phi(n)/euler_phi(n/g) * phi(n/g), g = gcd(m, n)
+    for n in range(1, 121):
+        for m in range(0, 61):
+            g = math.gcd(m, n)
+            expected = WittElement({n // g: euler_phi(n) // euler_phi(n // g)})
+            assert frobenius(m, phi(n)) == expected, (m, n)
+
+
 def test_frobenius_on_multiples_of_index():
     for n in range(1, 49):
         for k in range(1, 5):
@@ -292,6 +301,32 @@ def test_hom_classify_values_match_trace_family():
             fam.add(tuple(t_m(p**i, phi(p**j)) for j in range(k + 1)))
         fam.add(tuple(f0(phi(p**j)) for j in range(k + 1)))
         assert homs == fam
+
+
+def _hand_hom_table(p, k):
+    """Value tables of the k+1 maps on phi(p^0)..phi(p^k), derived by hand:
+    trace of F_{p^i} for i < k, then f0.  Independent of ramanujan_sum."""
+    out = set()
+    for i in range(k):
+        vals = [1]
+        for m in range(1, k + 1):
+            if m <= i:
+                vals.append(p**m - p ** (m - 1))
+            elif m == i + 1:
+                vals.append(-(p**i))
+            else:
+                vals.append(0)
+        out.add(tuple(vals))
+    out.add(tuple(euler_phi(p**m) for m in range(k + 1)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hom_classify_matches_hand_table(p):
+    for k in range(1, 6):
+        assert witt._expected_homs(p, k) == _hand_hom_table(p, k)
+        homs = {tuple(h[p**i] for i in range(k + 1)) for h in hom_classify(p, k)}
+        assert homs == _hand_hom_table(p, k)
 
 
 def test_hom_classify_rejects_bad_input():
