@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 __all__ = [
+    "BudgetExceeded",
     "factor",
     "prime_factors",
     "divisors",
@@ -25,6 +26,13 @@ __all__ = [
     "cyclotomic_poly",
     "join_signed",
 ]
+
+
+class BudgetExceeded(ValueError):
+    """Work over an explicit limit, refused before it starts."""
+
+    def __init__(self, what: str, limit):
+        super().__init__(f"budget exceeded: {what} > {limit}")
 
 
 # The three unbounded caches in this module hold one entry per distinct

@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
+from functools import partial
 
 from . import lambda_ops, linalg, rigs, spectra, witt
-from .arith import euler_phi, join_signed, ramanujan_sum
+from .arith import BudgetExceeded, divisors, euler_phi, join_signed, ramanujan_sum
 from .witt import WittElement
 
 class ParseError(ValueError):
@@ -169,48 +171,55 @@ def ramanujan_table(rows: list[list[int]]) -> list[str]:
     return lines
 
 
-def _emit(args, text_lines, json_obj) -> None:
-    if args.json:
-        print(json.dumps(json_obj, sort_keys=True, separators=(", ", ": ")))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-# The element commands: name, help, operand names ("m" is an integer index,
-# every other operand an element), and the witt function they call, looked
-# up by name at call time so that a wrapper installed on the module is seen.
-_WITT_COMMANDS = (
-    ("mul", "product of two elements", ("a", "b"), "mul"),
-    ("inner", "inner product of two elements", ("a", "b"), "inner"),
-    ("trace", "trace projection", ("a",), "trace"),
-    ("f0", "root-count projection", ("a",), "f0"),
-    ("integral", "coefficient of phi(1)", ("a",), "integral"),
-    ("frob", "power operator F_m", ("m", "a"), "frobenius"),
-    ("versch", "index multiplication V_m", ("m", "a"), "verschiebung"),
-    ("tm", "trace of F_m (Ramanujan sums on the basis)", ("m", "a"), "t_m"),
-)
-
-
-def _cmd_witt(args):
-    operands = [args.m if key == "m" else parse_witt(getattr(args, key)) for key in args.operands]
-    out = getattr(witt, args.op)(*operands)
+def _cmd_witt(op: str, args):
+    # op is looked up on witt at call time, so that a wrapper installed on the
+    # module is seen; the index m is an int, every other operand an element
+    keys = args.cmd.arguments
+    operands = [args.m if key == "m:int" else parse_witt(getattr(args, key)) for key in keys]
+    out = getattr(witt, op)(*operands)
     if isinstance(out, WittElement):
-        _emit(args, [format_witt(out)], {"result": out.to_pairs()})
-    else:
-        _emit(args, [str(out)], {"value": out})
-    return 0
+        return [format_witt(out)], {"result": out.to_pairs()}
+    return [str(out)], {"value": out}
 
 
 # The largest euler_phi(n) whose lambda series the lambda commands expand;
 # lambda 1009, just above it, prints 0.5 MB of digits.
 LAMBDA_BUDGET = 1000
+# The most Ramanujan sums a ramanujan table holds (1000 x 1000 takes about 2.5 s).
+RAMANUJAN_BUDGET = 1_000_000
+# The most products tau(N)^2 * N that parseval multiplies (parseval 5040 has
+# 18144000 and takes about 2 s).
+PARSEVAL_BUDGET = 20_000_000
 
 
-def _check_lambda_budget(n: int) -> None:
+def _lambda_cost(args) -> None:
     # euler_phi(n) >= sqrt(n/2), so larger n are refused without factoring
+    n = args.n
     if n > 2 * LAMBDA_BUDGET**2 or (n >= 1 and euler_phi(n) > LAMBDA_BUDGET):
-        raise ValueError(f"budget exceeded: euler_phi({n}) > {LAMBDA_BUDGET} coefficients")
+        raise BudgetExceeded(f"euler_phi({n})", f"{LAMBDA_BUDGET} coefficients")
+
+
+def _lambda_table_cost(args) -> None:
+    # row n costs about euler_phi(n)**2: the table is held to the cost of the
+    # largest lambda call, and a huge max stops at the first n over it
+    total = 0
+    for n in range(1, args.max + 1):
+        total += euler_phi(n) ** 2
+        if total > LAMBDA_BUDGET**2:
+            what = f"sum of euler_phi(k)^2 for k <= {n} is {total}"
+            raise BudgetExceeded(what, f"{LAMBDA_BUDGET}^2")
+
+
+def _ramanujan_cost(args) -> None:
+    if args.n > 0 and args.n * args.m_max > RAMANUJAN_BUDGET:
+        raise BudgetExceeded(f"{args.n}*{args.m_max} Ramanujan sums", RAMANUJAN_BUDGET)
+
+
+def _parseval_cost(args) -> None:
+    # the cost is at least N, so a larger N is refused before it is factored
+    n = args.N
+    if n > PARSEVAL_BUDGET or (n >= 1 and len(divisors(n)) ** 2 * n > PARSEVAL_BUDGET):
+        raise BudgetExceeded(f"tau({n})^2*{n} products", PARSEVAL_BUDGET)
 
 
 def _lambda_series(n: int) -> lambda_ops.WittSeries:
@@ -222,28 +231,17 @@ def _series_pairs(series: lambda_ops.WittSeries) -> list:
 
 
 def _cmd_lambda(args):
-    _check_lambda_budget(args.n)
     series = _lambda_series(args.n)
-    _emit(args, [format_series(series)], {"n": args.n, "coefficients": _series_pairs(series)})
-    return 0
+    return [format_series(series)], {"n": args.n, "coefficients": _series_pairs(series)}
 
 
 def _cmd_lambda_table(args):
     if args.max < 1:
         raise ValueError("lambda-table needs max >= 1")
-    # row n costs about euler_phi(n)**2: the table is held to the cost of the
-    # largest lambda call, and a huge max stops at the first n over it
-    total = 0
-    for n in range(1, args.max + 1):
-        total += euler_phi(n) ** 2
-        if total > LAMBDA_BUDGET**2:
-            msg = f"sum of euler_phi(k)^2 for k <= {n} is {total} > {LAMBDA_BUDGET}^2"
-            raise ValueError(f"budget exceeded: {msg}")
     table = [(n, _lambda_series(n)) for n in range(1, args.max + 1)]
     lines = [f"lambda_t(phi({n})) = {format_series(series)}" for n, series in table]
     obj = {"table": [{"n": n, "coefficients": _series_pairs(series)} for n, series in table]}
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
 def _cmd_gamma_filtration(args):
@@ -265,8 +263,7 @@ def _cmd_gamma_filtration(args):
             for k, lat in enumerate(filt.lattices)
         ],
     }
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
 def _cmd_ramanujan(args):
@@ -274,8 +271,7 @@ def _cmd_ramanujan(args):
         raise ValueError("ramanujan needs --n >= 1 and --m-max >= 1")
     rows = [[ramanujan_sum(n, m) for m in range(1, args.m_max + 1)] for n in range(1, args.n + 1)]
     obj = {"n_max": args.n, "m_max": args.m_max, "rows": rows}
-    _emit(args, ramanujan_table(rows), obj)
-    return 0
+    return ramanujan_table(rows), obj
 
 
 def _cmd_parseval(args):
@@ -286,30 +282,19 @@ def _cmd_parseval(args):
         "pairs_checked": report.pairs_checked,
         "failures": [[n, m, str(l), str(r)] for n, m, l, r in report.failures],
     }
-    _emit(args, [report.summary()], obj)
-    return 0 if report.ok else 1
+    return [report.summary()], obj, report.ok
 
 
 def _cmd_charpoly(args):
     a = linalg.parse_matrix(args.matrix)
-    if a.rows != a.cols:
-        raise ValueError("matrix must be square")
     p = linalg.charpoly_rev(a)
-    _emit(args, [p.pretty("x")], {"coefficients": list(p.coeffs)})
-    return 0
+    return [p.pretty("x")], {"coefficients": list(p.coeffs)}
 
 
 def _cmd_wittclass(args):
     a = linalg.parse_matrix(args.matrix)
-    if a.rows != a.cols:
-        raise ValueError("matrix must be square")
-    try:
-        w = linalg.witt_class(a)
-    except linalg.NotUnitSpectrum as exc:
-        print(f"not a unit-spectrum matrix: {exc}", file=sys.stderr)
-        return 1
-    _emit(args, [format_witt(w)], {"result": w.to_pairs()})
-    return 0
+    w = linalg.witt_class(a)
+    return [format_witt(w)], {"result": w.to_pairs()}
 
 
 def _cmd_sections(args):
@@ -322,8 +307,7 @@ def _cmd_sections(args):
         "ok": report.ok,
         "matrices": [[list(r) for r in m.entries] for m in report.matrices],
     }
-    _emit(args, [report.summary()], obj)
-    return 0 if report.ok else 1
+    return [report.summary()], obj, report.ok
 
 
 def _load_finite_rig(name: str) -> rigs.FiniteCRig:
@@ -345,8 +329,7 @@ def _cmd_spec(args):
     lines = [f"spec {r.name}: {len(sp.primes)} prime(s)"]
     lines += ["  " + r.describe(p) for p in sp.primes]
     obj = {"rig": r.name, "primes": [sorted(p) for p in sp.primes]}
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
 def _cmd_radical(args):
@@ -364,8 +347,7 @@ def _cmd_radical(args):
         "radical": sorted(rad.elements),
         "agrees": True,
     }
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
 def _cmd_theorem1(args):
@@ -380,8 +362,45 @@ def _cmd_theorem1(args):
         "fractions": report.loc_size,
         "local_families": report.local_families,
     }
-    _emit(args, [report.summary()], obj)
-    return 0 if report.ok else 1
+    return [report.summary()], obj, report.ok
+
+
+# A subcommand.  An argument is written NAME[:int][=DEFAULT]: a --NAME option
+# is required unless it has a default, any other NAME is positional.  main
+# runs the cost check, which raises BudgetExceeded, before the handler; the
+# handler returns its text lines, its JSON object and, for a check, whether
+# it passed.
+_Command = namedtuple("_Command", "name help arguments run cost", defaults=(None,))
+
+
+_COMMANDS = (
+    _Command("mul", "product of two elements", ("a", "b"), partial(_cmd_witt, "mul")),
+    _Command("inner", "inner product of two elements", ("a", "b"), partial(_cmd_witt, "inner")),
+    _Command("trace", "trace projection", ("a",), partial(_cmd_witt, "trace")),
+    _Command("f0", "root-count projection", ("a",), partial(_cmd_witt, "f0")),
+    _Command("integral", "coefficient of phi(1)", ("a",), partial(_cmd_witt, "integral")),
+    _Command("frob", "power operator F_m", ("m:int", "a"), partial(_cmd_witt, "frobenius")),
+    _Command("versch", "index multiplication V_m", ("m:int", "a"),
+             partial(_cmd_witt, "verschiebung")),
+    _Command("tm", "trace of F_m (Ramanujan sums on the basis)", ("m:int", "a"),
+             partial(_cmd_witt, "t_m")),
+    _Command("lambda", "lambda_t series of phi(n)", ("n:int",), _cmd_lambda, _lambda_cost),
+    _Command("lambda-table", "lambda_t table for n = 1..max", ("max:int",), _cmd_lambda_table,
+             _lambda_table_cost),
+    _Command("gamma-filtration", "gamma filtration lattices", ("--level:int", "--depth:int"),
+             _cmd_gamma_filtration),
+    _Command("ramanujan", "table of Ramanujan sums", ("--n:int", "--m-max:int"), _cmd_ramanujan,
+             _ramanujan_cost),
+    _Command("parseval", "finite Fourier orthogonality check", ("N:int",), _cmd_parseval,
+             _parseval_cost),
+    _Command("charpoly", "det(1 - x*A) of an integer matrix", ("matrix",), _cmd_charpoly),
+    _Command("wittclass", "orbit classes of a unit-spectrum matrix", ("matrix",), _cmd_wittclass),
+    _Command("sections", "integer norm-contractions of a shape",
+             ("--rows:int", "--cols:int", "--bound:int=1"), _cmd_sections),
+    _Command("spec", "primes of a finite rig", ("--rig",), _cmd_spec),
+    _Command("radical", "radical of an ideal in a finite rig", ("--rig", "--ideal="), _cmd_radical),
+    _Command("theorem1", "structure sheaf check on a basic open", ("--rig", "--s"), _cmd_theorem1),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,63 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="stable machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, hl, operands, op in _WITT_COMMANDS:
-        p = sub.add_parser(name, help=hl)
-        for operand in operands:
-            p.add_argument(operand, type=int if operand == "m" else None)
-        p.set_defaults(fn=_cmd_witt, op=op, operands=operands)
-
-    p = sub.add_parser("lambda", help="lambda_t series of phi(n)")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_lambda)
-
-    p = sub.add_parser("lambda-table", help="lambda_t table for n = 1..max")
-    p.add_argument("max", type=int)
-    p.set_defaults(fn=_cmd_lambda_table)
-
-    p = sub.add_parser("gamma-filtration", help="gamma filtration lattices")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=_cmd_gamma_filtration)
-
-    p = sub.add_parser("ramanujan", help="table of Ramanujan sums")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.set_defaults(fn=_cmd_ramanujan)
-
-    p = sub.add_parser("parseval", help="finite Fourier orthogonality check")
-    p.add_argument("N", type=int)
-    p.set_defaults(fn=_cmd_parseval)
-
-    p = sub.add_parser("charpoly", help="det(1 - x*A) of an integer matrix")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_charpoly)
-
-    p = sub.add_parser("wittclass", help="orbit classes of a unit-spectrum matrix")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_wittclass)
-
-    p = sub.add_parser("sections", help="integer norm-contractions of a shape")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--bound", type=int, default=1)
-    p.set_defaults(fn=_cmd_sections)
-
-    p = sub.add_parser("spec", help="primes of a finite rig")
-    p.add_argument("--rig", required=True)
-    p.set_defaults(fn=_cmd_spec)
-
-    p = sub.add_parser("radical", help="radical of an ideal in a finite rig")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--ideal", default="")
-    p.set_defaults(fn=_cmd_radical)
-
-    p = sub.add_parser("theorem1", help="structure sheaf check on a basic open")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--s", required=True)
-    p.set_defaults(fn=_cmd_theorem1)
-
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for spec in cmd.arguments:
+            spec, has_default, default = spec.partition("=")
+            name, _, kind = spec.partition(":")
+            kwargs = {"type": int} if kind == "int" else {}
+            if name.startswith("--"):
+                kwargs |= {"default": default} if has_default else {"required": True}
+            p.add_argument(name, **kwargs)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
@@ -455,7 +427,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        if args.cmd.cost:
+            args.cmd.cost(args)
+        lines, obj, *passed = args.cmd.run(args)
+        if args.json:
+            print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
+        else:
+            for line in lines:
+                print(line)
+        return 0 if all(passed) else 1
+    except linalg.NotUnitSpectrum as exc:  # a verdict, kept apart from the ValueError it is
+        print(f"not a unit-spectrum matrix: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

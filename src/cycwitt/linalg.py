@@ -389,7 +389,7 @@ def charpoly_rev(a: IntMatrix) -> IntPolynomial:
     coefficients of det(1 - x*A).
     """
     if a.rows != a.cols:
-        raise ValueError("characteristic polynomial needs a square matrix")
+        raise ValueError("matrix must be square")
     m = a.entries
     poly = [1]
     for k in range(a.rows):

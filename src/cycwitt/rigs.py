@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
+from .arith import BudgetExceeded
 from .linalg import (
     IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, kronecker,
     mat_compose,
@@ -443,12 +444,17 @@ _RIGS = {
 def rig_by_name(name: str) -> Rig:
     """The rig of a name: ``boolean``, ``zmod:N`` and ``tropical4`` are
     tables (``FiniteCRig``); ``int``, ``rational``, ``tropical-unit`` and
-    ``tropical-nonneg`` are carriers with callable operations."""
+    ``tropical-nonneg`` are carriers with callable operations.  A
+    ``zmod:N`` whose 2*N^2 table entries exceed ZMOD_BUDGET is refused
+    before anything is built."""
     if name.startswith("zmod:"):
         modulus = name[5:]
         if not modulus.isdecimal():
             raise ValueError(f"zmod:N needs a positive integer N, got {modulus!r}")
-        return FiniteCRig.zmod(int(modulus))
+        n = int(modulus)
+        if 2 * n * n > ZMOD_BUDGET:
+            raise BudgetExceeded(f"zmod:{n} has {2 * n * n} table entries", ZMOD_BUDGET)
+        return FiniteCRig.zmod(n)
     if name not in _RIGS:
         raise ValueError(f"unknown rig name {name!r} (use {' | '.join([*_RIGS, 'zmod:N'])})")
     return _RIGS[name]()
@@ -776,14 +782,14 @@ def _scalar(r: Rig, a, n: int) -> RigMatrix:
 def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     """All two-sided invertible n-by-n matrices over a finite rig.
 
-    Raises ValueError when the |r|^(n*n) candidates exceed GL_BUDGET;
+    Raises BudgetExceeded when the |r|^(n*n) candidates exceed GL_BUDGET;
     the returned group is verified closed under composition.
     """
     if not r.finite:
         raise ValueError("gl_enumerate() needs a finite rig")
     count = len(list(r.elements())) ** (n * n)
     if count > GL_BUDGET:
-        raise ValueError(f"budget exceeded: {count} matrices > {GL_BUDGET}")
+        raise BudgetExceeded(f"{count} matrices", GL_BUDGET)
     mats = list(all_matrices(r, n, n))
     one = identity(r, n)
     units = []
@@ -818,6 +824,8 @@ def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
 GL_BUDGET = 8192
 # global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
 SECTIONS_BUDGET = 150_000
+# rig_by_name's limit on the entries of a zmod:N table (zmod:1000 has 2*10^6)
+ZMOD_BUDGET = 2_000_000
 
 
 @dataclass
@@ -846,8 +854,8 @@ class SectionsReport:
 def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
     """Enumerate integer matrices with bounded entries passing the exact
     norm-contraction test and compare against the signed sub-permutation
-    matrices of the same shape.  Raises if the (2*entry_bound + 1)^(n*m)
-    candidates exceed SECTIONS_BUDGET."""
+    matrices of the same shape.  Raises BudgetExceeded if the
+    (2*entry_bound + 1)^(n*m) candidates exceed SECTIONS_BUDGET."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
     for name, size in (("rows", n), ("cols", m)):
@@ -855,7 +863,7 @@ def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
             raise ValueError(f"{name} must be >= 0, got {size}")
     count = (2 * entry_bound + 1) ** (n * m)
     if count > SECTIONS_BUDGET:
-        raise ValueError(f"budget exceeded: {count} candidate matrices > {SECTIONS_BUDGET}")
+        raise BudgetExceeded(f"{count} candidate matrices", SECTIONS_BUDGET)
     report = SectionsReport(n, m, entry_bound)
     rng = range(-entry_bound, entry_bound + 1)
     passed = []

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import cycwitt
 from cycwitt import spectra
-from cycwitt.arith import euler_phi
+from cycwitt.arith import BudgetExceeded, divisors, euler_phi
 from cycwitt.cli import (
     ParseError,
     build_parser,
@@ -261,18 +261,45 @@ def run_cli_process(*argv, block_numpy=False):
             ["lambda-table", "1000"],
             "budget exceeded: sum of euler_phi(k)^2 for k <= 191 is 1006810 > 1000^2",
         ),
+        (
+            None,
+            ["ramanujan", "--n", "10", "--m-max", "1000000"],
+            "budget exceeded: 10*1000000 Ramanujan sums > 1000000",
+        ),
+        (None, ["parseval", "100000"], "budget exceeded: tau(100000)^2*100000 products > 20000000"),
+        (None, ["parseval", "50400"], "budget exceeded: tau(50400)^2*50400 products > 20000000"),
+        (
+            None,
+            ["parseval", "1000000000000000003"],
+            "budget exceeded: tau(1000000000000000003)^2*1000000000000000003 products > 20000000",
+        ),
+        (
+            None,
+            ["spec", "--rig", "zmod:5000"],
+            "budget exceeded: zmod:5000 has 50000000 table entries > 2000000",
+        ),
+        (
+            None,
+            ["radical", "--rig", "zmod:3000"],
+            "budget exceeded: zmod:3000 has 18000000 table entries > 2000000",
+        ),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
          "sections-negative-rows", "sections-negative-cols", "lambda-over-budget",
-         "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000"],
+         "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000",
+         "ramanujan-over-budget", "parseval-100000", "parseval-50400", "parseval-huge-prime",
+         "spec-zmod5000", "radical-zmod3000"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
         path = tmp_path / "rig.txt"
         path.write_text(table)
         argv = ["spec", "--rig", f"file:{path}"]
+    start = time.perf_counter()
     proc = run_cli_process(*argv)
+    # a refusal comes before the work: factoring 10^18 + 3 alone takes minutes
+    assert time.perf_counter() - start < 2
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -367,6 +394,37 @@ def test_cli_lambda_budget_boundary(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "lambda-table", top)
         assert code == 2 and out == ""
         assert err == "error: budget exceeded: sum of euler_phi(k)^2 for k <= 5 is 26 > 4^2\n"
+    for argv in (["lambda", "7"], ["lambda-table", "5"]):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(BudgetExceeded):
+            args.cmd.cost(args)
+
+
+def test_cli_cost_check_boundaries(monkeypatch, capsys):
+    from cycwitt import cli, rigs
+
+    # the largest accepted sizes, at or above every golden and benchmark size
+    assert 1000 * 1000 <= cli.RAMANUJAN_BUDGET
+    assert max(len(divisors(n)) ** 2 * n for n in (5040, 20000)) <= cli.PARSEVAL_BUDGET
+    assert 2 * 1000**2 <= rigs.ZMOD_BUDGET
+    monkeypatch.setattr(cli, "RAMANUJAN_BUDGET", 12)
+    assert run_cli(capsys, "ramanujan", "--n", "3", "--m-max", "4")[0] == 0
+    for n, m in (("13", "1"), ("1", "13")):
+        code, out, err = run_cli(capsys, "ramanujan", "--n", n, "--m-max", m)
+        assert code == 2 and out == ""
+        assert err == f"error: budget exceeded: {n}*{m} Ramanujan sums > 12\n"
+    # tau(12)^2 * 12 = 432 and tau(18)^2 * 18 = 648; 433 is refused unfactored
+    monkeypatch.setattr(cli, "PARSEVAL_BUDGET", 432)
+    assert run_cli(capsys, "parseval", "12")[0] == 0
+    for n in ("18", "433"):
+        code, out, err = run_cli(capsys, "parseval", n)
+        assert code == 2 and out == ""
+        assert err == f"error: budget exceeded: tau({n})^2*{n} products > 432\n"
+    monkeypatch.setattr(rigs, "ZMOD_BUDGET", 72)  # zmod:6 has 2 * 6^2 entries
+    assert run_cli(capsys, "spec", "--rig", "zmod:6")[0] == 0
+    code, out, err = run_cli(capsys, "theorem1", "--rig", "zmod:7", "--s", "2")
+    assert code == 2 and out == ""
+    assert err == "error: budget exceeded: zmod:7 has 98 table entries > 72\n"
 
 
 def test_cli_inexact_trace_inversion_exits_3(monkeypatch, capsys):
@@ -440,3 +498,14 @@ def test_golden_files(golden, argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_help_matches_golden(monkeypatch, capsys):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    chunks = []
+    for argv in ([], *([name] for name in _SUBCOMMANDS)):
+        with pytest.raises(SystemExit):
+            main([*argv, "-h"])
+        chunks.append(f"$ cycwitt {' '.join([*argv, '-h'])}\n{capsys.readouterr().out}")
+    assert "\n".join(chunks) == (GOLDEN / "help.txt").read_text()

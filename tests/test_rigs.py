@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cycwitt.arith import BudgetExceeded
 from cycwitt.linalg import IntMatrix, contraction_le_one
 from cycwitt.rigs import (
     INF,
@@ -240,7 +241,7 @@ def test_gl_enumeration_examples():
     ]
     assert sorted(m[0][0] for m in gl_enumerate(FiniteCRig.zmod(4), 1)) == [1, 3]
     assert [m.entries for m in gl_enumerate(b, 1)] == [((1,),)]
-    with pytest.raises(ValueError, match="budget exceeded: 262144 matrices > 8192"):
+    with pytest.raises(BudgetExceeded, match="budget exceeded: 262144 matrices > 8192"):
         gl_enumerate(FiniteCRig.zmod(4), 3)
 
 
@@ -250,7 +251,7 @@ def test_global_sections_examples():
     rep = global_sections(2, 2, 2)
     assert rep.ok and len(rep.matrices) == 17
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="budget exceeded: 40353607 candidate"):
+    with pytest.raises(BudgetExceeded, match="budget exceeded: 40353607 candidate"):
         global_sections(3, 3, 3)
     assert time.perf_counter() - start < 1
 
