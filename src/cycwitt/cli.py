@@ -185,11 +185,15 @@ def _cmd_witt(op: str, args):
 # The largest euler_phi(n) whose lambda series the lambda commands expand;
 # lambda 1009, just above it, prints 0.5 MB of digits.
 LAMBDA_BUDGET = 1000
-# The most Ramanujan sums a ramanujan table holds (1000 x 1000 takes about 2.5 s).
-RAMANUJAN_BUDGET = 1_000_000
-# The most products tau(N)^2 * N that parseval multiplies (parseval 5040 has
-# 18144000 and takes about 2 s).
-PARSEVAL_BUDGET = 20_000_000
+# The most Ramanujan sums a ramanujan table computes, a row's factoring counted
+# as 10 (1000 x 1000 has 1010000 and takes about 2.5 s).
+RAMANUJAN_BUDGET = 1_010_000
+# The most products, a Ramanujan sum counted as 12, that parseval does
+# (parseval 20000 has 25200000 and takes about 2.3 s).
+PARSEVAL_BUDGET = 30_000_000
+# The most rows of a charpoly or wittclass matrix: Berkowitz is O(n^4), and a
+# dense 100 x 100 matrix takes about 3 s.
+MATRIX_BUDGET = 100
 
 
 def _lambda_cost(args) -> None:
@@ -211,15 +215,26 @@ def _lambda_table_cost(args) -> None:
 
 
 def _ramanujan_cost(args) -> None:
-    if args.n > 0 and args.n * args.m_max > RAMANUJAN_BUDGET:
-        raise BudgetExceeded(f"{args.n}*{args.m_max} Ramanujan sums", RAMANUJAN_BUDGET)
+    # each row also factors a new index, which costs about 10 sums
+    if args.n > 0 and args.n * (args.m_max + 10) > RAMANUJAN_BUDGET:
+        what = f"{args.n}*({args.m_max} + 10) Ramanujan sums"
+        raise BudgetExceeded(what, RAMANUJAN_BUDGET)
 
 
 def _parseval_cost(args) -> None:
-    # the cost is at least N, so a larger N is refused before it is factored
+    # tau(N) columns of N Ramanujan sums, then tau(N)^2 inner products of
+    # length N; tau(N) >= 1, so an N over the budget is refused unfactored
     n = args.N
-    if n > PARSEVAL_BUDGET or (n >= 1 and len(divisors(n)) ** 2 * n > PARSEVAL_BUDGET):
-        raise BudgetExceeded(f"tau({n})^2*{n} products", PARSEVAL_BUDGET)
+    tau = len(divisors(n)) if 1 <= n <= PARSEVAL_BUDGET else 1
+    if (tau + 12) * tau * n > PARSEVAL_BUDGET:
+        raise BudgetExceeded(f"(tau({n}) + 12)*tau({n})*{n} products", PARSEVAL_BUDGET)
+
+
+def _matrix_cost(args) -> None:
+    # rows are counted in the text, before any entry is parsed
+    rows = args.matrix.count(";") + 1
+    if rows > MATRIX_BUDGET:
+        raise BudgetExceeded(f"{rows} matrix rows", MATRIX_BUDGET)
 
 
 def _lambda_series(n: int) -> lambda_ops.WittSeries:
@@ -393,8 +408,10 @@ _COMMANDS = (
              _ramanujan_cost),
     _Command("parseval", "finite Fourier orthogonality check", ("N:int",), _cmd_parseval,
              _parseval_cost),
-    _Command("charpoly", "det(1 - x*A) of an integer matrix", ("matrix",), _cmd_charpoly),
-    _Command("wittclass", "orbit classes of a unit-spectrum matrix", ("matrix",), _cmd_wittclass),
+    _Command("charpoly", "det(1 - x*A) of an integer matrix", ("matrix",), _cmd_charpoly,
+             _matrix_cost),
+    _Command("wittclass", "orbit classes of a unit-spectrum matrix", ("matrix",), _cmd_wittclass,
+             _matrix_cost),
     _Command("sections", "integer norm-contractions of a shape",
              ("--rows:int", "--cols:int", "--bound:int=1"), _cmd_sections),
     _Command("spec", "primes of a finite rig", ("--rig",), _cmd_spec),

@@ -378,34 +378,68 @@ def hnf(generators, ambient: int | None = None) -> HnfLattice:
 
 # -- characteristic polynomial -----------------------------------------------
 
+def _direct_sum_blocks(m) -> list[list[int]]:
+    # connected components of the graph with an edge i-j where m[i][j] or
+    # m[j][i] is nonzero: no entry links two components, so a simultaneous
+    # permutation makes m block diagonal with these index sets as blocks
+    n = len(m)
+    seen = [False] * n
+    blocks = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        block = [s]
+        for i in block:  # block grows while it is read: a breadth-first search
+            row = m[i]
+            for j in range(n):
+                if not seen[j] and (row[j] or m[j][i]):
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(block)
+    return blocks
+
+
+def _berkowitz(m) -> list[int]:
+    # det(1 - x*M) as ascending coefficients, trailing zeros kept
+    mul = operator.mul
+    poly = [1]
+    for k in range(len(m)):
+        # map stops at the shorter operand, so the full rows m[i] act as
+        # their leading k entries against a k-vector
+        rows, r = m[:k], m[k]
+        v = [row[k] for row in rows]
+        t = [1, -r[k]]
+        for j in range(k):
+            if j:
+                v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, r, v)))
+        t.reverse()
+        # poly has k + 1 coefficients: entry i of the product pairs poly[j]
+        # with t[i - j], which the reversed t holds at k + 1 - i + j
+        poly = [sum(map(mul, t[k + 1 - i:], poly)) for i in range(k + 2)]
+    return poly
+
+
 def charpoly_rev(a: IntMatrix) -> IntPolynomial:
-    """det(1 - x*A) by Berkowitz's division-free algorithm.
+    """det(1 - x*A) by Berkowitz's division-free algorithm, block by block.
 
     Constant term 1; degree equals the number of nonzero eigenvalues.
-    Grows det(x*I - A_k) over the leading k x k blocks A_k: bordering
-    A_k by a column c, a row r and a corner d multiplies by the Toeplitz
-    matrix with first column (1, -d, -r c, -r A_k c, -r A_k^2 c, ...).
-    The descending coefficients of det(x*I - A) are the ascending
-    coefficients of det(1 - x*A).
+    The determinant is multiplicative over direct sums, so the matrix is
+    split into the blocks that no nonzero entry links and the results
+    multiplied.  Berkowitz grows det(x*I - A_k) over the leading k x k
+    blocks A_k: bordering A_k by a column c, a row r and a corner d
+    multiplies by the Toeplitz matrix with first column (1, -d, -r c,
+    -r A_k c, -r A_k^2 c, ...).  The descending coefficients of
+    det(x*I - A) are the ascending coefficients of det(1 - x*A).
     """
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     m = a.entries
-    poly = [1]
-    for k in range(a.rows):
-        block = [row[:k] for row in m[:k]]
-        r = m[k][:k]
-        v = [row[k] for row in m[:k]]
-        t = [1, -m[k][k]]
-        for j in range(k):
-            if j:
-                v = [sum(x * y for x, y in zip(row, v)) for row in block]
-            t.append(-sum(x * y for x, y in zip(r, v)))
-        poly = [
-            sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return IntPolynomial(poly)
+    out = IntPolynomial((1,))
+    for block in _direct_sum_blocks(m):
+        out = out * IntPolynomial(_berkowitz([[m[i][j] for j in block] for i in block]))
+    return out
 
 
 def contraction_le_one(a: IntMatrix) -> bool:

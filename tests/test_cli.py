@@ -215,6 +215,10 @@ def run_cli_process(*argv, block_numpy=False):
     )
 
 
+# a 101 x 101 matrix: its rows are counted before an entry is parsed
+_ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
+
+
 @pytest.mark.parametrize(
     "table,argv,message",
     [
@@ -264,15 +268,36 @@ def run_cli_process(*argv, block_numpy=False):
         (
             None,
             ["ramanujan", "--n", "10", "--m-max", "1000000"],
-            "budget exceeded: 10*1000000 Ramanujan sums > 1000000",
+            "budget exceeded: 10*(1000000 + 10) Ramanujan sums > 1010000",
         ),
-        (None, ["parseval", "100000"], "budget exceeded: tau(100000)^2*100000 products > 20000000"),
-        (None, ["parseval", "50400"], "budget exceeded: tau(50400)^2*50400 products > 20000000"),
+        (
+            None,
+            ["ramanujan", "--n", "1000000", "--m-max", "1"],
+            "budget exceeded: 1000000*(1 + 10) Ramanujan sums > 1010000",
+        ),
+        (
+            None,
+            ["parseval", "100000"],
+            "budget exceeded: (tau(100000) + 12)*tau(100000)*100000 products > 30000000",
+        ),
+        (
+            None,
+            ["parseval", "50400"],
+            "budget exceeded: (tau(50400) + 12)*tau(50400)*50400 products > 30000000",
+        ),
+        (
+            None,
+            ["parseval", "4999999"],
+            "budget exceeded: (tau(4999999) + 12)*tau(4999999)*4999999 products > 30000000",
+        ),
         (
             None,
             ["parseval", "1000000000000000003"],
-            "budget exceeded: tau(1000000000000000003)^2*1000000000000000003 products > 20000000",
+            "budget exceeded: (tau(1000000000000000003) + 12)*tau(1000000000000000003)"
+            "*1000000000000000003 products > 30000000",
         ),
+        (None, ["charpoly", "--", _ZEROS_101], "budget exceeded: 101 matrix rows > 100"),
+        (None, ["wittclass", "--", _ZEROS_101], "budget exceeded: 101 matrix rows > 100"),
         (
             None,
             ["spec", "--rig", "zmod:5000"],
@@ -288,8 +313,9 @@ def run_cli_process(*argv, block_numpy=False):
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
          "sections-negative-rows", "sections-negative-cols", "lambda-over-budget",
          "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000",
-         "ramanujan-over-budget", "parseval-100000", "parseval-50400", "parseval-huge-prime",
-         "spec-zmod5000", "radical-zmod3000"],
+         "ramanujan-over-budget", "ramanujan-million-rows", "parseval-100000", "parseval-50400",
+         "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
+         "wittclass-101-rows", "spec-zmod5000", "radical-zmod3000"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -404,22 +430,37 @@ def test_cli_cost_check_boundaries(monkeypatch, capsys):
     from cycwitt import cli, rigs
 
     # the largest accepted sizes, at or above every golden and benchmark size
-    assert 1000 * 1000 <= cli.RAMANUJAN_BUDGET
-    assert max(len(divisors(n)) ** 2 * n for n in (5040, 20000)) <= cli.PARSEVAL_BUDGET
+    assert 1000 * (1000 + 10) <= cli.RAMANUJAN_BUDGET
+    taus = {n: len(divisors(n)) for n in (5040, 20000)}
+    assert max((t + 12) * t * n for n, t in taus.items()) <= cli.PARSEVAL_BUDGET
     assert 2 * 1000**2 <= rigs.ZMOD_BUDGET
-    monkeypatch.setattr(cli, "RAMANUJAN_BUDGET", 12)
-    assert run_cli(capsys, "ramanujan", "--n", "3", "--m-max", "4")[0] == 0
-    for n, m in (("13", "1"), ("1", "13")):
+    assert cli.MATRIX_BUDGET >= 20  # the largest matrix-bridge dimension
+    # a row is priced as its sums plus 10 for factoring its index
+    monkeypatch.setattr(cli, "RAMANUJAN_BUDGET", 39)
+    assert run_cli(capsys, "ramanujan", "--n", "3", "--m-max", "3")[0] == 0
+    for n, m in (("4", "1"), ("1", "30")):
         code, out, err = run_cli(capsys, "ramanujan", "--n", n, "--m-max", m)
         assert code == 2 and out == ""
-        assert err == f"error: budget exceeded: {n}*{m} Ramanujan sums > 12\n"
-    # tau(12)^2 * 12 = 432 and tau(18)^2 * 18 = 648; 433 is refused unfactored
-    monkeypatch.setattr(cli, "PARSEVAL_BUDGET", 432)
-    assert run_cli(capsys, "parseval", "12")[0] == 0
-    for n in ("18", "433"):
+        assert err == f"error: budget exceeded: {n}*({m} + 10) Ramanujan sums > 39\n"
+    # (tau + 12)*tau*N is 1296 for 12, 1204 for the prime 43 and 1944 for 18; the
+    # prime 47 (1316) is refused for its sums alone, 1297 is refused unfactored
+    monkeypatch.setattr(cli, "PARSEVAL_BUDGET", 1296)
+    for n in ("12", "43"):
+        assert run_cli(capsys, "parseval", n)[0] == 0
+    for n in ("18", "47", "1297"):
         code, out, err = run_cli(capsys, "parseval", n)
         assert code == 2 and out == ""
-        assert err == f"error: budget exceeded: tau({n})^2*{n} products > 432\n"
+        assert err == f"error: budget exceeded: (tau({n}) + 12)*tau({n})*{n} products > 1296\n"
+    monkeypatch.setattr(cli, "MATRIX_BUDGET", 2)
+    assert run_cli(capsys, "charpoly", "0,-1;1,1")[0] == 0
+    assert run_cli(capsys, "wittclass", "0,-1;1,1")[0] == 0
+    for cmd in ("charpoly", "wittclass"):
+        code, out, err = run_cli(capsys, cmd, "1,0,0;0,1,0;0,0,1")
+        assert code == 2 and out == ""
+        assert err == "error: budget exceeded: 3 matrix rows > 2\n"
+        args = build_parser().parse_args([cmd, "1;2;3"])
+        with pytest.raises(BudgetExceeded):
+            args.cmd.cost(args)
     monkeypatch.setattr(rigs, "ZMOD_BUDGET", 72)  # zmod:6 has 2 * 6^2 entries
     assert run_cli(capsys, "spec", "--rig", "zmod:6")[0] == 0
     code, out, err = run_cli(capsys, "theorem1", "--rig", "zmod:7", "--s", "2")

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import cycwitt
-from cycwitt.arith import IntPolynomial, cyclotomic_poly
+from cycwitt.arith import IntPolynomial, cyclotomic_poly, euler_phi
 from cycwitt.linalg import (
     IntMatrix,
     IntRig,
@@ -125,12 +126,119 @@ def test_charpoly_against_laplace_expansion():
     assert any(charpoly_rev(a).degree < a.rows for a in mats)
 
 
+def _permuted(rng, a):
+    # P A P^-1 for a random permutation P: same determinant, blocks scattered
+    p = list(range(a.rows))
+    rng.shuffle(p)
+    return IntMatrix([[a[i][j] for j in p] for i in p])
+
+
+def _conjugated(rng, a):
+    # E A E^-1 over 5n/2 random transvections E = 1 + c*e_ij: dense, small entries
+    m = [list(row) for row in a.entries]
+    for _ in range(5 * len(m) // 2):
+        i, j = rng.sample(range(len(m)), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return IntMatrix(m)
+
+
+def _unit(rng, n):
+    indices, total = [], 0
+    while total < n:
+        d = rng.choice([d for d in range(1, 31) if euler_phi(d) <= n - total])
+        indices.append(d)
+        total += euler_phi(d)
+    return _conjugated(rng, companion_blocks(indices))
+
+
+def _dense(rng, n):
+    return IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+def _nilpotent(rng, n):
+    strict = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _conjugated(rng, IntMatrix(strict))
+
+
+def _block_triangular(rng):
+    x, z = _dense(rng, 7), _unit(rng, 8)
+    top = [list(row) + [rng.randint(-2, 2) for _ in range(8)] for row in x.entries]
+    return _permuted(rng, IntMatrix(top + [[0] * 7 + list(row) for row in z.entries]))
+
+
+def _zero_lines(rng):
+    m = [list(row) for row in _dense(rng, 14).entries]
+    for i in rng.sample(range(14), 3):
+        m[i] = [0] * 14
+    for j in rng.sample(range(14), 3):
+        for row in m:
+            row[j] = 0
+    return IntMatrix(m)
+
+
+# Inputs of the benchmark's dimensions (12 to 20), each built from a seed.
+_BENCHMARK_SIZES = {
+    "conjugated": lambda rng: _unit(rng, 16),
+    "dense": lambda rng: _dense(rng, 20),
+    "hidden-sum": lambda rng: _permuted(
+        rng, reduce(direct_sum, [_unit(rng, 5), _dense(rng, 4), _unit(rng, 7), _nilpotent(rng, 3)])
+    ),
+    "block-triangular": _block_triangular,
+    "zero-rows-and-columns": _zero_lines,
+    "nilpotent-blocks": lambda rng: _permuted(
+        rng, reduce(direct_sum, [_nilpotent(rng, 6), _unit(rng, 6), _nilpotent(rng, 4)])
+    ),
+    "sixth-power": lambda rng: _dense(rng, 12) ** 6,
+}
+
+
+def _fraction_det(rows):
+    # independent reference: Gaussian elimination over the rationals
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@pytest.mark.parametrize("kind", list(_BENCHMARK_SIZES))
+def test_charpoly_against_fraction_elimination_at_benchmark_sizes(kind):
+    a = _BENCHMARK_SIZES[kind](random.Random(list(_BENCHMARK_SIZES).index(kind)))
+    n = a.rows
+    assert 12 <= n <= 20
+    p = charpoly_rev(a)
+    assert p.degree <= n
+    # n + 1 points pin a polynomial of degree <= n
+    for k in range(n + 1):
+        one_minus_ka = [
+            [int(i == j) - k * x for j, x in enumerate(row)] for i, row in enumerate(a.entries)
+        ]
+        assert p(k) == _fraction_det(one_minus_ka), (kind, k)
+
+
 def test_charpoly_multiplicative_on_blocks():
+    # the blocks are scattered by a permutation, so the split has to find them
     rng = random.Random(8)
     for _ in range(15):
-        a = IntMatrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-        b = IntMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        assert charpoly_rev(a.direct_sum(b)) == charpoly_rev(a) * charpoly_rev(b)
+        a = _dense(rng, 2)
+        b = _dense(rng, 3)
+        c = _nilpotent(rng, 3)
+        hidden = _permuted(rng, a.direct_sum(b).direct_sum(c))
+        assert charpoly_rev(hidden) == charpoly_rev(a) * charpoly_rev(b)
+        assert charpoly_rev(_permuted(rng, b.direct_sum(a))) == charpoly_rev(a) * charpoly_rev(b)
 
 
 def test_contraction_examples():
