@@ -29,10 +29,15 @@ __all__ = [
 
 
 class BudgetExceeded(ValueError):
-    """Work over an explicit limit, refused before it starts."""
+    """Work over an explicit limit, refused before it starts or, for
+    factoring, as soon as the trial divisor passes FACTOR_BUDGET."""
 
     def __init__(self, what: str, limit):
         super().__init__(f"budget exceeded: {what} > {limit}")
+
+
+# The largest trial divisor: every n below FACTOR_BUDGET**2 still factors.
+FACTOR_BUDGET = 4_000_000
 
 
 # The three unbounded caches in this module hold one entry per distinct
@@ -43,20 +48,25 @@ class BudgetExceeded(ValueError):
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.
 
-    factor(1) is the empty tuple.
+    factor(1) is the empty tuple.  Trial divisors stop at FACTOR_BUDGET; a
+    cofactor they leave that could still be composite raises BudgetExceeded.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     out = []
-    d = 2
-    while d * d <= n:
+    d, whole = 2, n
+    stop = min(math.isqrt(n), FACTOR_BUDGET)
+    while d <= stop:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
+            stop = min(math.isqrt(n), FACTOR_BUDGET)
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        raise BudgetExceeded(f"trial divisors for factor({whole})", FACTOR_BUDGET)
     if n > 1:
         out.append((n, 1))
     return tuple(out)

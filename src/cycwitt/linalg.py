@@ -7,7 +7,7 @@ Matrices live here: ``RigMatrix`` over any ``Rig``, with ``mat_compose``,
 
 Hermite-normal-form lattices with decidable membership, reversed
 characteristic polynomials det(1 - x*A) by Berkowitz's division-free
-algorithm, an exact rational test for operator norm <= 1, and
+algorithm, an exact integer test for operator norm <= 1, and
 conversion of unit-spectrum integer matrices to Witt classes. By
 Kronecker's theorem an integer matrix whose eigenvalues all lie in the
 closed unit disc has characteristic polynomial x**a times a product of
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
 
@@ -217,21 +216,10 @@ class IntMatrix(RigMatrix):
     def zeros(cls, n: int, m: int) -> "IntMatrix":
         return cls([[0] * m for _ in range(n)])
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix([[x * other for x in row] for row in self.entries])
         if not isinstance(other, IntMatrix):
             return NotImplemented
         return mat_compose(self, other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -443,35 +431,22 @@ def charpoly_rev(a: IntMatrix) -> IntPolynomial:
 
 
 def contraction_le_one(a: IntMatrix) -> bool:
-    """Exact test for operator norm <= 1: is 1 - A^T A positive semidefinite?
+    """Exact test for operator norm <= 1: is G = 1 - A^T A positive semidefinite?
 
-    Decided over the rationals by symmetric pivoting; a negative pivot,
-    or a zero pivot with a nonzero residual row, certifies failure.  A column
-    of squared norm above 1 makes a diagonal entry negative: rejected in integers.
+    A column of squared norm above 1 makes a diagonal entry of G negative:
+    rejected.  Every other column is 0 or a signed unit vector, so a pivot
+    G[i][i] is 1 for a zero column, whose row and column of G are otherwise
+    zero, and 0 for a unit column: symmetric pivoting never eliminates.  G
+    is positive semidefinite exactly when no zero pivot has a nonzero
+    residual entry G[i][j] = -<a_i, a_j>, that is, when distinct columns
+    are orthogonal.
     """
     at = a.transpose()
     if any(sum(x * x for x in col) > 1 for col in at):
         return False
-    n = a.cols
-    g = [
-        [Fraction((1 if i == j else 0) - sum(x * y for x, y in zip(at[i], at[j])))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        d = g[i][i]
-        if d < 0:
-            return False
-        if d == 0:
-            if any(g[i][j] for j in range(i + 1, n)):
-                return False
-            continue
-        for r in range(i + 1, n):
-            f = g[r][i] / d
-            if f:
-                for c in range(i + 1, n):
-                    g[r][c] -= f * g[i][c]
-    return True
+    return not any(
+        sum(map(operator.mul, at[i], at[j])) for i in range(a.cols) for j in range(i + 1, a.cols)
+    )
 
 
 @dataclass(frozen=True)

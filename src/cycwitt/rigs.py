@@ -601,176 +601,96 @@ def check_prop_laws(
     samples: int = 6,
     seed: int = 0,
 ) -> PropLawReport:
-    """Verify the matrix-category laws over a rig.
-
-    Unary and pairwise laws (units, strict block sums, the block-swap
-    symmetry, both Kronecker orders) run over every matrix of the given
-    shapes for small finite carriers, up to pair_cap; the three- and
-    four-matrix laws (composition associativity, block-sum
-    functoriality) are capped at quad_cap combinations.  Infinite
-    carriers are sampled with the seeded generator.  The centrality,
-    interchange and Kronecker laws require a commutative carrier and
-    are expected to fail on noncommutative control inputs.
-    """
+    """Verify the matrix-category laws over a rig: one table of equations
+    between two composites, each checked over cases from a pool of every
+    matrix shape up to max_rows by max_cols (all matrices for small finite
+    carriers, else `samples` per shape from the seeded generator).  Pairwise
+    laws stop at pair_cap cases, three- and four-matrix laws at quad_cap; a
+    failure is (law, case).  The centrality, interchange and Kronecker laws
+    need a commutative carrier and fail on noncommutative control inputs."""
     rng = random.Random(seed)
-    report = PropLawReport(r.name)
     exhaustive = r.finite and len(list(r.elements())) ** (max_rows * max_cols) <= 4096
 
-    shapes = [
-        (n, m) for n in range(1, max_rows + 1) for m in range(1, max_cols + 1)
-    ]
-
     def mats(n, m):
-        if exhaustive:
-            return list(all_matrices(r, n, m))
-        return [_random_matrix(r, rng, n, m) for _ in range(samples)]
+        return (list(all_matrices(r, n, m)) if exhaustive
+                else [_random_matrix(r, rng, n, m) for _ in range(samples)])
 
-    pool = {shape: mats(*shape) for shape in shapes}
+    pool = {(n, m): mats(n, m) for n in range(1, max_rows + 1) for m in range(1, max_cols + 1)}
     scalars = list(r.elements()) if r.finite else r.sample(rng, 4)
-
-    def fail(law, *witness):
-        report.failures.append((law, witness))
-
-    # units and strict empty block
+    every = [f for ms in pool.values() for f in ms]
+    # after[k]: the pooled matrices with k rows, which compose after any k-column one
+    after = {k: [f for f in every if f.rows == k] for k in range(1, max_cols + 1)}
     empty = RigMatrix(r, [])
-    for (n, m), ms in pool.items():
-        for f in ms:
+
+    def interchange_cases():
+        # rows and columns missing from the pool are drawn here, after every other case
+        for (n, m), ms in pool.items():
+            for k in range(1, max_rows + 1):
+                rows_pool = pool.get((1, k)) or mats(1, k)
+                cols_pool = pool.get((k, 1)) or mats(k, 1)
+                for p in ms[: max(2, samples)]:
+                    for b, d in itertools.islice(itertools.product(rows_pool, cols_pool), 16):
+                        yield p, b, d
+
+    def interchange(p, b, d):
+        # a scalar made as a row-times-column composite acts on p through block
+        # sums conjugated by interleavings (row-selector matrix convention)
+        a, (n, m, k) = mat_compose(b, d)[0][0], (p.rows, p.cols, b.cols)
+        lhs = RigMatrix(r, [[r.mul(a, x) for x in row] for row in p.entries])
+        return lhs == mat_compose(
+            mat_compose(mat_compose(oplus(b, n), perm_matrix(r, sigma(k, n))), oplus(p, k)),
+            mat_compose(perm_matrix(r, sigma(m, k)), oplus(d, m)))
+
+    def kron_by_blocks(p, q):
+        # the block-sum composite orders rows by q-copy first; the
+        # sigma(q.rows, p.rows) row fix aligns it with the Kronecker order
+        mixed = mat_compose(mat_compose(oplus(p, q.rows), perm_matrix(r, sigma(p.cols, q.rows))),
+                            oplus(q, p.cols))
+        return mat_compose(perm_matrix(r, sigma(q.rows, p.rows)), mixed)
+
+    laws = [  # (cap or None, cases, [(law, equation over a case)])
+        (None, ((f,) for f in every), [
+            ("identity unit", lambda f: mat_compose(identity(r, f.rows), f) == f
+             and mat_compose(f, identity(r, f.cols)) == f),
+            ("strict empty block", lambda f: direct_sum(f, empty) == f
+             and direct_sum(empty, f) == f),
+        ]),
+        (quad_cap, ((f, g, h) for f in every for g in after[f.cols] for h in after[g.cols]), [
+            ("composition associativity", lambda f, g, h:
+             mat_compose(mat_compose(f, g), h) == mat_compose(f, mat_compose(g, h))),
+        ]),
+        (quad_cap, itertools.product(every, repeat=3), [
+            ("block sum associativity", lambda f, g, h:
+             direct_sum(direct_sum(f, g), h) == direct_sum(f, direct_sum(g, h))),
+        ]),
+        (pair_cap, itertools.product(every, repeat=2), [
+            ("block swap symmetry", lambda f, g: direct_sum(g, f) == mat_compose(
+                mat_compose(perm_matrix(r, tau(f.rows, g.rows)), direct_sum(f, g)),
+                perm_matrix(r, tau(g.cols, f.cols)))),
+        ]),
+        (quad_cap, ((f1, g1, f2, g2) for f1 in every for g1 in after[f1.cols]
+                    for f2 in every for g2 in after[f2.cols]), [
+            ("block sum functoriality", lambda f1, g1, f2, g2:
+             mat_compose(direct_sum(f1, f2), direct_sum(g1, g2))
+             == direct_sum(mat_compose(f1, g1), mat_compose(f2, g2))),
+        ]),
+        (None, ((a, p) for p in every for a in scalars), [
+            ("scalar centrality", lambda a, p:
+             mat_compose(_scalar(r, a, p.rows), p) == mat_compose(p, _scalar(r, a, p.cols))),
+        ]),
+        (None, interchange_cases(), [("scalar interchange", interchange)]),
+        (pair_cap, ((p, q, kronecker(p, q)) for p, q in itertools.product(every, repeat=2)), [
+            ("kronecker composition order", lambda p, q, pq: pq == kron_by_blocks(p, q)),
+            ("kronecker swapped order", lambda p, q, pq: pq == mat_compose(
+                mat_compose(perm_matrix(r, sigma(q.rows, p.rows)), kronecker(q, p)),
+                perm_matrix(r, sigma(p.cols, q.cols)))),
+        ]),
+    ]
+    report = PropLawReport(r.name)
+    for cap, cases, equations in laws:
+        for case in itertools.islice(cases, cap):
             report.cases += 1
-            if mat_compose(identity(r, n), f) != f or mat_compose(f, identity(r, m)) != f:
-                fail("identity unit", f)
-            if direct_sum(f, empty) != f or direct_sum(empty, f) != f:
-                fail("strict empty block", f)
-
-    # composition associativity (triples, capped)
-    chains = (
-        (f, g, h)
-        for (a, b) in shapes
-        for f in pool[(a, b)]
-        for (b2, c) in shapes
-        if b2 == b
-        for g in pool[(b2, c)]
-        for (c2, d) in shapes
-        if c2 == c
-        for h in pool[(c2, d)]
-    )
-    for f, g, h in itertools.islice(chains, quad_cap):
-        report.cases += 1
-        if mat_compose(mat_compose(f, g), h) != mat_compose(f, mat_compose(g, h)):
-            fail("composition associativity", f, g, h)
-
-    # block-sum associativity (triples, capped)
-    triples = (
-        (f1, f2, f3)
-        for s1 in shapes
-        for f1 in pool[s1]
-        for s2 in shapes
-        for f2 in pool[s2]
-        for s3 in shapes
-        for f3 in pool[s3]
-    )
-    for f1, f2, f3 in itertools.islice(triples, quad_cap):
-        report.cases += 1
-        if direct_sum(direct_sum(f1, f2), f3) != direct_sum(f1, direct_sum(f2, f3)):
-            fail("block sum associativity", f1, f2, f3)
-
-    # block-swap symmetry (pairs, capped)
-    pairs = (
-        (s1, f1, s2, f2)
-        for s1 in shapes
-        for f1 in pool[s1]
-        for s2 in shapes
-        for f2 in pool[s2]
-    )
-    for (n1, m1), f1, (n2, m2), f2 in itertools.islice(pairs, pair_cap):
-        report.cases += 1
-        lhs = direct_sum(f2, f1)
-        rhs = mat_compose(
-            mat_compose(perm_matrix(r, tau(n1, n2)), direct_sum(f1, f2)),
-            perm_matrix(r, tau(m2, m1)),
-        )
-        if lhs != rhs:
-            fail("block swap symmetry", f1, f2)
-
-    # block-sum functoriality (quadruples, capped)
-    quads = (
-        (f1, g1, f2, g2)
-        for (n1, m1) in shapes
-        for f1 in pool[(n1, m1)]
-        for (m1b, l1) in shapes
-        if m1b == m1
-        for g1 in pool[(m1b, l1)]
-        for (n2, m2) in shapes
-        for f2 in pool[(n2, m2)]
-        for (m2b, l2) in shapes
-        if m2b == m2
-        for g2 in pool[(m2b, l2)]
-    )
-    for f1, g1, f2, g2 in itertools.islice(quads, quad_cap):
-        report.cases += 1
-        lhs = mat_compose(direct_sum(f1, f2), direct_sum(g1, g2))
-        rhs = direct_sum(mat_compose(f1, g1), mat_compose(f2, g2))
-        if lhs != rhs:
-            fail("block sum functoriality", f1, g1, f2, g2)
-
-    # scalar centrality
-    for (n, m), ms in pool.items():
-        for p in ms:
-            for a in scalars:
-                report.cases += 1
-                if mat_compose(_scalar(r, a, n), p) != mat_compose(p, _scalar(r, a, m)):
-                    fail("scalar centrality", a, p)
-
-    # scalar interchange through interleavings: a scalar produced as a
-    # row-times-column composite acts on p through block sums conjugated
-    # by the interleaving permutations (row-selector matrix convention)
-    for (n, m), ms in pool.items():
-        for k in range(1, max_rows + 1):
-            rows_pool = pool.get((1, k)) or mats(1, k)
-            cols_pool = pool.get((k, 1)) or mats(k, 1)
-            for p in ms[: max(2, samples)]:
-                for b, d in itertools.islice(
-                    itertools.product(rows_pool, cols_pool), 16
-                ):
-                    report.cases += 1
-                    scalar = mat_compose(b, d)[0][0]
-                    lhs = RigMatrix(
-                        r, [[r.mul(scalar, x) for x in row] for row in p.entries]
-                    )
-                    rhs = mat_compose(
-                        mat_compose(
-                            mat_compose(oplus(b, n), perm_matrix(r, sigma(k, n))),
-                            oplus(p, k),
-                        ),
-                        mat_compose(perm_matrix(r, sigma(m, k)), oplus(d, m)),
-                    )
-                    if lhs != rhs:
-                        fail("scalar interchange", scalar, p)
-
-    # the two Kronecker orders agree up to interleavings
-    for ((p0, p1), p), ((q0, q1), q) in itertools.islice(
-        itertools.product(
-            ((s, f) for s in shapes for f in pool[s]),
-            repeat=2,
-        ),
-        pair_cap,
-    ):
-        report.cases += 1
-        direct = kronecker(p, q)
-        # block-sum composite produces rows ordered by q-copy first; the
-        # sigma(q0, p0) row fix aligns it with the Kronecker order
-        mixed = mat_compose(
-            mat_compose(oplus(p, q0), perm_matrix(r, sigma(p1, q0))),
-            oplus(q, p1),
-        )
-        composed = mat_compose(perm_matrix(r, sigma(q0, p0)), mixed)
-        swapped = mat_compose(
-            mat_compose(perm_matrix(r, sigma(q0, p0)), kronecker(q, p)),
-            perm_matrix(r, sigma(p1, q1)),
-        )
-        if direct != composed:
-            fail("kronecker composition order", p, q)
-        if direct != swapped:
-            fail("kronecker swapped order", p, q)
+            report.failures += [(law, case) for law, holds in equations if not holds(*case)]
     return report
 
 

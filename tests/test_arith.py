@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycwitt.arith import (
+    FACTOR_BUDGET,
+    BudgetExceeded,
     IntPolynomial,
     cyclotomic_poly,
     divisors,
@@ -39,6 +41,14 @@ def test_factor_examples():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)
+
+
+def test_factor_refuses_past_its_trial_budget():
+    p, q = 3999971, 4000037  # the primes either side of FACTOR_BUDGET
+    assert p < FACTOR_BUDGET < q
+    assert factor(p * q) == ((p, 1), (q, 1))  # the cofactor q is below the budget squared
+    with pytest.raises(BudgetExceeded, match=f"factor\\({q * q}\\) > {FACTOR_BUDGET}"):
+        factor(q * q)
 
 
 @pytest.mark.parametrize("n", list(range(1, 200)) + [720720, 999983])

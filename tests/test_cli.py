@@ -217,6 +217,8 @@ def run_cli_process(*argv, block_numpy=False):
 
 # a 101 x 101 matrix: its rows are counted before an entry is parsed
 _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
+# trial division of 10^18 + 3 stops at arith.FACTOR_BUDGET, mid-work
+_HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) > 4000000"
 
 
 @pytest.mark.parametrize(
@@ -308,6 +310,14 @@ _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
             ["radical", "--rig", "zmod:3000"],
             "budget exceeded: zmod:3000 has 18000000 table entries > 2000000",
         ),
+        (None, ["trace", "phi(1000000000000000003)"], _HUGE_FACTOR),
+        (None, ["f0", "phi(1000000000000000003)"], _HUGE_FACTOR),
+        (None, ["tm", "4", "phi(1000000000000000003)"], _HUGE_FACTOR),
+        (
+            None,
+            ["gamma-filtration", "--level", "1000000000000000003", "--depth", "2"],
+            _HUGE_FACTOR,
+        ),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
@@ -315,7 +325,8 @@ _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
          "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000",
          "ramanujan-over-budget", "ramanujan-million-rows", "parseval-100000", "parseval-50400",
          "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
-         "wittclass-101-rows", "spec-zmod5000", "radical-zmod3000"],
+         "wittclass-101-rows", "spec-zmod5000", "radical-zmod3000", "trace-huge-prime",
+         "f0-huge-prime", "tm-huge-prime", "gamma-filtration-huge-level"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -324,7 +335,8 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
         argv = ["spec", "--rig", f"file:{path}"]
     start = time.perf_counter()
     proc = run_cli_process(*argv)
-    # a refusal comes before the work: factoring 10^18 + 3 alone takes minutes
+    # a refusal comes before the work or, for factoring, within FACTOR_BUDGET
+    # trial divisors: all of 10^18 + 3 would take minutes
     assert time.perf_counter() - start < 2
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 2 and proc.stdout == ""

@@ -1,6 +1,8 @@
+import collections
 import importlib
 import importlib.util
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cycwitt import rigs
 from cycwitt.arith import BudgetExceeded
 from cycwitt.linalg import IntMatrix, contraction_le_one
 from cycwitt.rigs import (
@@ -141,6 +144,55 @@ def test_broken_rig_fails_with_witness():
     assert "commutative addition" in laws
 
 
+class _Carrier(Rig):
+    """range(size) with the given operations, 0 and 1 as its zero and one,
+    and the commutativity it claims."""
+
+    finite = True
+    zero, one = 0, 1
+
+    def __init__(self, size, add, mul, commutative=True):
+        self.size, self.add, self.mul, self.commutative = size, add, mul, commutative
+
+    def elements(self):
+        return range(self.size)
+
+
+def _ef_product(x, y):
+    """Bilinear product on GF(2)^3 with basis 1, e, f (bits 1, 2, 4), where
+    ef = e and ee = fe = ff = 0: unital and distributive, but neither
+    commutative nor associative, since (ef)f = e and e(ff) = 0."""
+    out = 0
+    for (i, j), b in {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 1): 2, (4, 1): 4, (2, 4): 2}.items():
+        if x & i and y & j:
+            out ^= b
+    return out
+
+
+# max as addition on 0..3 with this product: 3*(1 + 2) = 3*2 = 0, but 3*1 + 3*2 = 3
+_ONE_SIDED = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 0, 0))
+
+# one deliberately broken finite carrier per law, each failing that law alone
+# (over {0, 1}, min is "and" and max is "or")
+_BROKEN_RIGS = {
+    "additive unit": (2, lambda x, y: 0, min),
+    "multiplicative unit": (2, operator.xor, lambda x, y: 0),
+    "absorbing zero": (2, max, lambda x, y: int(x == y)),
+    "commutative addition": (2, lambda x, y: int(x > y), min),
+    "commutative multiplication": (8, operator.xor, _ef_product),
+    "associative addition": (3, lambda x, y: abs(x - y), lambda x, y: x * y % 4),
+    "associative multiplication": (8, operator.xor, _ef_product, False),
+    "right distributivity": (4, max, lambda x, y: _ONE_SIDED[y][x], False),
+    "left distributivity": (4, max, lambda x, y: _ONE_SIDED[x][y], False),
+}
+
+
+@pytest.mark.parametrize("law", list(_BROKEN_RIGS))
+def test_rig_laws_name_each_broken_law(law):
+    report = check_rig_laws(_Carrier(*_BROKEN_RIGS[law]))
+    assert {failed for failed, _ in report.failures} == {law}
+
+
 def test_tropical_nonneg_infinity_conventions():
     r = TropicalNonNegRig()
     assert r.add(INF, Fraction(3)) is INF
@@ -200,6 +252,7 @@ def test_perm_matrix_row_selector():
 def test_prop_laws_boolean_exhaustive():
     report = check_prop_laws(FiniteCRig.boolean(), max_rows=2, max_cols=3, quad_cap=4000)
     assert report.ok, report.failures[:2]
+    assert report.cases == 32062
 
 
 @pytest.mark.parametrize("name", ["zmod:3", "tropical-unit"])
@@ -207,6 +260,7 @@ def test_prop_laws_sampled(name):
     report = check_prop_laws(rig_by_name(name), max_rows=3, max_cols=3, samples=4)
     assert report.ok, report.failures[:2]
     assert report.cases >= 500
+    assert report.cases == {"zmod:3": 11964, "tropical-unit": 12000}[name]
 
 
 def test_prop_laws_noncommutative_control_fails():
@@ -218,6 +272,50 @@ def test_prop_laws_noncommutative_control_fails():
     laws = {law for law, _ in report.failures}
     assert laws <= {"scalar centrality", "scalar interchange",
                     "kronecker composition order", "kronecker swapped order"}
+    assert report.cases == 1448
+    assert collections.Counter(law for law, _ in report.failures) == {
+        "scalar centrality": 156, "kronecker swapped order": 156}
+
+
+def _one_at(m, i, j):
+    """m with its (i, j) entry replaced by the rig's one."""
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = m.rig.one
+    return RigMatrix(m.rig, rows)
+
+
+# law -> (the rigs function to replace, a shape-preserving mutant of it); the
+# mutants call the unpatched functions imported above
+_PROP_MUTANTS = {
+    "identity unit": ("identity", lambda r, n: RigMatrix(r, [[r.zero] * n] * n)),
+    "strict empty block": (
+        "direct_sum",
+        lambda f, g: direct_sum(f, g) if f.rows and g.rows else _one_at(direct_sum(f, g), 0, 0),
+    ),
+    "composition associativity": ("mat_compose", lambda f, g: _one_at(mat_compose(f, g), 0, 0)),
+    "block sum associativity": ("direct_sum", lambda f, g: _one_at(direct_sum(f, g), 0, -1)),
+    "block swap symmetry": ("direct_sum", lambda f, g: direct_sum(g, f)),
+    "block sum functoriality": (
+        "direct_sum", lambda f, g: direct_sum(f, _one_at(g, 0, 0) if g.rows else g)
+    ),
+    "scalar centrality": (
+        "mat_compose",
+        lambda f, g: _one_at(mat_compose(f, g), 0, 0) if f.rows == f.cols else mat_compose(f, g),
+    ),
+    "scalar interchange": ("oplus", lambda f, k: _one_at(oplus(f, k), 0, 0)),
+    "kronecker composition order": ("kronecker", lambda p, q: _one_at(kronecker(p, q), 0, 0)),
+    "kronecker swapped order": (
+        "kronecker",
+        lambda p, q: _one_at(kronecker(p, q), 0, 0) if p.rows > q.rows else kronecker(p, q),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(_PROP_MUTANTS))
+def test_prop_laws_name_each_broken_law(law, monkeypatch):
+    monkeypatch.setattr(rigs, *_PROP_MUTANTS[law])
+    report = check_prop_laws(FiniteCRig.boolean(), pair_cap=200, quad_cap=200)
+    assert law in {failed for failed, _ in report.failures}
 
 
 def test_kron_orders_related_by_interleaving():
