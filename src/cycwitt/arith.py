@@ -13,6 +13,7 @@ from functools import lru_cache
 
 __all__ = [
     "BudgetExceeded",
+    "NotUnitSpectrum",
     "factor",
     "prime_factors",
     "divisors",
@@ -34,6 +35,12 @@ class BudgetExceeded(ValueError):
 
     def __init__(self, what: str, limit):
         super().__init__(f"budget exceeded: {what} > {limit}")
+
+
+# Raised by linalg.witt_class, and defined here beside BudgetExceeded so that
+# the CLI maps both to their exit codes without importing linalg.
+class NotUnitSpectrum(ValueError):
+    """Matrix spectrum is not contained in {0} union roots of unity."""
 
 
 # The largest trial divisor: every n below FACTOR_BUDGET**2 still factors.

@@ -17,14 +17,20 @@ or invariant inside the library failed: a bug, not a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 from functools import partial
+from typing import TYPE_CHECKING
 
-from . import lambda_ops, linalg, rigs, spectra, witt
-from .arith import BudgetExceeded, divisors, euler_phi, join_signed, ramanujan_sum
+# witt and arith are loaded with the package; every other module is imported
+# by the handler that needs it, so a call loads (and, without cached
+# bytecode, compiles) only what its subcommand runs
+from . import witt
+from .arith import BudgetExceeded, NotUnitSpectrum, divisors, euler_phi, join_signed, ramanujan_sum
 from .witt import WittElement
+
+if TYPE_CHECKING:
+    from . import lambda_ops, rigs
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -191,8 +197,11 @@ RAMANUJAN_BUDGET = 1_010_000
 # The most products, a Ramanujan sum counted as 12, that parseval does
 # (parseval 20000 has 25200000 and takes about 2.3 s).
 PARSEVAL_BUDGET = 30_000_000
-# The most rows of a charpoly or wittclass matrix: Berkowitz is O(n^4), and a
-# dense 100 x 100 matrix takes about 3 s.
+# The most rows of a charpoly or wittclass matrix.  Berkowitz forms about n^4
+# products, each costlier as the entries grow, so rows^4 times the digits of
+# the longest entry is held to MATRIX_BUDGET^4: a dense 100 x 100 with
+# one-digit entries and a 12 x 12 with 4300-digit ones (the most int() parses)
+# each take about 3 s, and a 100 x 100 with 10-digit entries about 7 s.
 MATRIX_BUDGET = 100
 
 
@@ -231,13 +240,20 @@ def _parseval_cost(args) -> None:
 
 
 def _matrix_cost(args) -> None:
-    # rows are counted in the text, before any entry is parsed
-    rows = args.matrix.count(";") + 1
+    # rows and entry lengths are read from the text, before any entry is parsed
+    text = args.matrix
+    rows = text.count(";") + 1
     if rows > MATRIX_BUDGET:
         raise BudgetExceeded(f"{rows} matrix rows", MATRIX_BUDGET)
+    digits = max(len(e.strip().lstrip("+-")) for e in text.replace(";", ",").split(","))
+    if rows**4 * digits > MATRIX_BUDGET**4:
+        what = f"rows^4 * entry digits = {rows}^4 * {digits}"
+        raise BudgetExceeded(what, f"{MATRIX_BUDGET}^4")
 
 
 def _lambda_series(n: int) -> lambda_ops.WittSeries:
+    from . import lambda_ops
+
     return lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
 
 
@@ -260,6 +276,8 @@ def _cmd_lambda_table(args):
 
 
 def _cmd_gamma_filtration(args):
+    from . import lambda_ops
+
     filt = lambda_ops.gamma_filtration(args.level, args.depth)
     lines = [
         f"gamma filtration on the divisor span of {args.level} "
@@ -301,18 +319,24 @@ def _cmd_parseval(args):
 
 
 def _cmd_charpoly(args):
+    from . import linalg
+
     a = linalg.parse_matrix(args.matrix)
     p = linalg.charpoly_rev(a)
     return [p.pretty("x")], {"coefficients": list(p.coeffs)}
 
 
 def _cmd_wittclass(args):
+    from . import linalg
+
     a = linalg.parse_matrix(args.matrix)
     w = linalg.witt_class(a)
     return [format_witt(w)], {"result": w.to_pairs()}
 
 
 def _cmd_sections(args):
+    from . import rigs
+
     report = rigs.global_sections(args.rows, args.cols, args.bound)
     obj = {
         "rows": args.rows,
@@ -326,6 +350,8 @@ def _cmd_sections(args):
 
 
 def _load_finite_rig(name: str) -> rigs.FiniteCRig:
+    from . import rigs
+
     if name.startswith("file:"):
         with open(name[5:], encoding="utf-8") as f:
             return rigs.FiniteCRig.from_text(f.read())
@@ -339,6 +365,8 @@ def _load_finite_rig(name: str) -> rigs.FiniteCRig:
 
 
 def _cmd_spec(args):
+    from . import spectra
+
     r = _load_finite_rig(args.rig)
     sp = spectra.spec(r)
     lines = [f"spec {r.name}: {len(sp.primes)} prime(s)"]
@@ -348,6 +376,8 @@ def _cmd_spec(args):
 
 
 def _cmd_radical(args):
+    from . import spectra
+
     r = _load_finite_rig(args.rig)
     seed = [r.element_by_name(s.strip()) for s in args.ideal.split(",")] if args.ideal else []
     ideal = spectra.ideal_generated(r, seed)
@@ -366,6 +396,8 @@ def _cmd_radical(args):
 
 
 def _cmd_theorem1(args):
+    from . import spectra
+
     r = _load_finite_rig(args.rig)
     s = r.element_by_name(args.s)
     report = spectra.theorem1_check(r, s)
@@ -448,12 +480,14 @@ def main(argv=None) -> int:
             args.cmd.cost(args)
         lines, obj, *passed = args.cmd.run(args)
         if args.json:
+            import json
+
             print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
         else:
             for line in lines:
                 print(line)
         return 0 if all(passed) else 1
-    except linalg.NotUnitSpectrum as exc:  # a verdict, kept apart from the ValueError it is
+    except NotUnitSpectrum as exc:  # a verdict, kept apart from the ValueError it is
         print(f"not a unit-spectrum matrix: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

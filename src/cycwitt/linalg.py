@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
 
-from .arith import IntPolynomial, cyclotomic_poly, euler_phi
+from .arith import IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
 from .witt import WittElement
 
 __all__ = [
@@ -518,10 +518,6 @@ def spectrum_in_unit_disc(a: IntMatrix) -> SpectrumVerdict:
     if mono == IntPolynomial((1,)):
         return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), nilpotent)
     return SpectrumVerdict("outside", witness=_growth_witness(rev, a.rows))
-
-
-class NotUnitSpectrum(ValueError):
-    """Matrix spectrum is not contained in {0} union roots of unity."""
 
 
 def witt_class(a: IntMatrix) -> WittElement:

@@ -201,6 +201,15 @@ def test_cli_rig_file_loading(tmp_path, capsys):
     assert code == 0 and "1 prime" in out
 
 
+def run_python(*args, text=True):
+    """Run `python ARGS` in a fresh interpreter that imports cycwitt from SRC."""
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=text, env=env, timeout=60
+    )
+
+
 def run_cli_process(*argv, block_numpy=False):
     """Run the CLI in a fresh interpreter, optionally with numpy unimportable."""
     code = "import runpy, sys\n"
@@ -208,15 +217,14 @@ def run_cli_process(*argv, block_numpy=False):
         code += "sys.modules['numpy'] = None\n"
     code += f"sys.argv = ['cycwitt', *{list(argv)!r}]\n"
     code += "runpy.run_module('cycwitt.cli', run_name='__main__')\n"
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    return run_python("-c", code)
 
 
 # a 101 x 101 matrix: its rows are counted before an entry is parsed
 _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
+# 100 x 100 with 10-digit entries (120 KB, within one argument's size limit):
+# Berkowitz on it takes 7-8 s
+_TEN_DIGITS_100 = ";".join([",".join(["-1234567890"] * 100)] * 100)
 # trial division of 10^18 + 3 stops at arith.FACTOR_BUDGET, mid-work
 _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) > 4000000"
 
@@ -302,6 +310,11 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
         (None, ["wittclass", "--", _ZEROS_101], "budget exceeded: 101 matrix rows > 100"),
         (
             None,
+            ["charpoly", "--", _TEN_DIGITS_100],
+            "budget exceeded: rows^4 * entry digits = 100^4 * 10 > 100^4",
+        ),
+        (
+            None,
             ["spec", "--rig", "zmod:5000"],
             "budget exceeded: zmod:5000 has 50000000 table entries > 2000000",
         ),
@@ -325,8 +338,9 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
          "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000",
          "ramanujan-over-budget", "ramanujan-million-rows", "parseval-100000", "parseval-50400",
          "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
-         "wittclass-101-rows", "spec-zmod5000", "radical-zmod3000", "trace-huge-prime",
-         "f0-huge-prime", "tm-huge-prime", "gamma-filtration-huge-level"],
+         "wittclass-101-rows", "charpoly-ten-digit-entries", "spec-zmod5000",
+         "radical-zmod3000", "trace-huge-prime", "f0-huge-prime", "tm-huge-prime",
+         "gamma-filtration-huge-level"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -463,13 +477,24 @@ def test_cli_cost_check_boundaries(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "parseval", n)
         assert code == 2 and out == ""
         assert err == f"error: budget exceeded: (tau({n}) + 12)*tau({n})*{n} products > 1296\n"
+    dense = ";".join(",".join(str(i * j % 7 - 3) for j in range(100)) for i in range(100))
+    args = build_parser().parse_args(["charpoly", "--", dense])
+    args.cmd.cost(args)  # a dense 100 x 100 in -3..3 is at the limit, accepted
     monkeypatch.setattr(cli, "MATRIX_BUDGET", 2)
-    assert run_cli(capsys, "charpoly", "0,-1;1,1")[0] == 0
+    # signs and spaces are not digits: 2^4 * 1 <= 2^4, and 1^4 * 16 too
+    for matrix in ("0,-1;1,1", " -1 , +1 ;1,1", "1234567890123456"):
+        assert run_cli(capsys, "charpoly", "--", matrix)[0] == 0
     assert run_cli(capsys, "wittclass", "0,-1;1,1")[0] == 0
     for cmd in ("charpoly", "wittclass"):
         code, out, err = run_cli(capsys, cmd, "1,0,0;0,1,0;0,0,1")
         assert code == 2 and out == ""
         assert err == "error: budget exceeded: 3 matrix rows > 2\n"
+        for matrix, rows, digits in (("0,-10;1,1", 2, 2), ("12345678901234567", 1, 17)):
+            code, out, err = run_cli(capsys, cmd, "--", matrix)
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: budget exceeded: rows^4 * entry digits = {rows}^4 * {digits} > 2^4\n"
+            )
         args = build_parser().parse_args([cmd, "1;2;3"])
         with pytest.raises(BudgetExceeded):
             args.cmd.cost(args)
@@ -532,25 +557,80 @@ def test_cli_wittclass_outside_disc_without_numpy():
     assert proc.returncode == 1 and "not a unit-spectrum" in proc.stderr
 
 
+def test_cli_wittclass_outside_disc_in_a_fresh_interpreter():
+    # main catches NotUnitSpectrum before it has imported linalg
+    proc = run_python("-m", "cycwitt.cli", "wittclass", "0,-1;1,3")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "not a unit-spectrum matrix: an eigenvalue lies outside the unit disc "
+        "(tr(A^1) = 3 exceeds dim A = 2 in modulus)"
+    ]
+
+
+_BASE = {"cycwitt", "cycwitt.arith", "cycwitt.witt", "cycwitt.cli"}
+_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg", "cycwitt.roots"}
+_SPECTRA = {"cycwitt.linalg", "cycwitt.rigs", "cycwitt.spectra"}
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ([], _BASE),
+        (["mul", "phi(4)", "phi(6)"], _BASE),
+        (["--json", "trace", "2*phi(12) - 1"], _BASE),
+        (["ramanujan", "--n", "3", "--m-max", "3"], _BASE),
+        (["parseval", "12"], _BASE),
+        (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg"}),
+        (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg"}),
+        (["lambda", "6"], _BASE | _LAMBDA),
+        (["gamma-filtration", "--level", "6", "--depth", "2"], _BASE | _LAMBDA),
+        (["sections", "--rows", "1", "--cols", "1"], _BASE | {"cycwitt.linalg", "cycwitt.rigs"}),
+        (["spec", "--rig", "zmod:6"], _BASE | _SPECTRA),
+        (["radical", "--rig", "zmod:8", "--ideal", "4"], _BASE | _SPECTRA),
+        (["theorem1", "--rig", "zmod:6", "--s", "2"], _BASE | _SPECTRA),
+    ],
+    ids=["import", "mul", "trace-json", "ramanujan", "parseval", "charpoly", "wittclass",
+         "lambda", "gamma-filtration", "sections", "spec", "radical", "theorem1"],
+)
+def test_cli_call_loads_only_the_modules_its_subcommand_runs(argv, loaded):
+    # a fresh interpreter, since pytest has imported every module here
+    code = "import contextlib, io, sys\nimport cycwitt.cli\n"
+    if argv:
+        code += "with contextlib.redirect_stdout(io.StringIO()):\n"
+        code += f"    cycwitt.cli.main({argv!r})\n"
+    code += "print(*sorted(m for m in sys.modules if m.startswith('cycwitt')))\n"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded
+
+
 def test_cli_unknown_rig(capsys):
     code, _, err = run_cli(capsys, "spec", "--rig", "nope")
     assert code == 2 and "unknown" in err
 
 
-@pytest.mark.parametrize(
-    "golden,argv",
-    [
-        ("lambda_table_10.txt", ["lambda-table", "10"]),
-        ("ramanujan_12x12.txt", ["ramanujan", "--n", "12", "--m-max", "12"]),
-        ("parseval_12.txt", ["parseval", "12"]),
-        ("sections_2x2_bound2.txt", ["sections", "--rows", "2", "--cols", "2", "--bound", "2"]),
-        ("theorem1_zmod6_s2.txt", ["theorem1", "--rig", "zmod:6", "--s", "2"]),
-    ],
-)
+_GOLDEN_CALLS = [
+    ("lambda_table_10.txt", ["lambda-table", "10"]),
+    ("ramanujan_12x12.txt", ["ramanujan", "--n", "12", "--m-max", "12"]),
+    ("parseval_12.txt", ["parseval", "12"]),
+    ("sections_2x2_bound2.txt", ["sections", "--rows", "2", "--cols", "2", "--bound", "2"]),
+    ("theorem1_zmod6_s2.txt", ["theorem1", "--rig", "zmod:6", "--s", "2"]),
+]
+
+
+@pytest.mark.parametrize("golden,argv", _GOLDEN_CALLS)
 def test_golden_files(golden, argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden,argv", _GOLDEN_CALLS)
+def test_golden_files_in_a_fresh_interpreter(golden, argv):
+    # each handler imports its own modules, which pytest has loaded already
+    proc = run_python("-m", "cycwitt.cli", *argv, text=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 def test_cli_help_matches_golden(monkeypatch, capsys):
