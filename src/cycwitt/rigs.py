@@ -520,7 +520,7 @@ class LawReport:
     def summary(self) -> str:
         mode = "exhaustive" if self.exhaustive else "sampled"
         verdict = "PASS" if self.ok else f"FAIL {self.failures[:3]}"
-        return f"rig laws for {self.rig} ({mode}, {self.cases} triples): {verdict}"
+        return f"rig laws for {self.rig} ({mode}, {self.cases} cases): {verdict}"
 
 
 def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:

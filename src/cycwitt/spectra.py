@@ -183,8 +183,8 @@ def multiplicative_closure(r: FiniteCRig, seed) -> frozenset:
 
 @dataclass(frozen=True)
 class Localization:
-    """Finite localization: the class rig, the canonical map, and the
-    class lookup for arbitrary admissible fractions."""
+    """Finite localization: the class rig and the class lookup for
+    admissible fractions; class_of(x) is the canonical map."""
 
     source: FiniteCRig
     denominators: frozenset
@@ -196,9 +196,6 @@ class Localization:
         if s not in self.denominators:
             raise ValueError(f"{s} is not an admissible denominator")
         return self._pair_class[(x, s)]
-
-    def canonical(self, x: int) -> int:
-        return self.class_of(x)
 
 
 def localize(r: FiniteCRig, s_set) -> Localization:
@@ -313,104 +310,67 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
 
     Families are enumerated exhaustively over the product of the finite
     stalks; the locally-a-fraction condition quantifies over basic-open
-    neighborhoods and global numerator/denominator pairs, all finite.
+    neighborhoods and global numerator/denominator pairs, all finite.  An
+    empty D(s) needs no branch of its own: the product of no stalks has one
+    family, the empty tuple, which is vacuously locally a fraction, so the
+    check passes exactly when the fractions form one class.
     """
     sp = spec(r)
     opens = sp.basic_open(s)
-    powers = multiplicative_closure(r, {s})
-    loc = localize(r, powers)
-    report = Theorem1Report(r.name, s, opens, loc.rig.size)
+    loc = localize(r, multiplicative_closure(r, {s}))
+    k = loc.rig.size
+    report = Theorem1Report(r.name, s, opens, k, empty_case=not opens)
+    stalks = [localize(r, frozenset(x for x in r.elements() if x not in p)) for p in opens]
+    everywhere = range(len(opens))
 
-    if not opens:
-        # empty basic open: the sheaf value is the one-point rig, so the
-        # fraction rig must collapse (s is nilpotent-like, 0 in powers)
-        report.empty_case = True
-        report.families = report.local_families = 1
-        report.bijective = loc.rig.size == 1
-        report.preserves_ops = True
-        if not report.bijective:
-            report.failures.append(("nonempty localization over empty open", loc.rig.size))
-        return report
+    def family(x, w, points):  # w is admissible at every point asked for
+        return tuple([stalks[i]._pair_class[x, w] for i in points])
 
-    stalks = {
-        p: localize(r, frozenset(x for x in r.elements() if x not in p))
-        for p in opens
-    }
-
-    def family_of_fraction(x, s_pow):
-        return tuple(stalks[p].class_of(x, s_pow) for p in opens)
-
-    # image of the fraction rig
-    image = {}
-    for x in r.elements():
-        for s_pow in powers:
-            cls = loc.class_of(x, s_pow)
-            fam = family_of_fraction(x, s_pow)
-            if cls in image and image[cls] != fam:
-                report.failures.append(("fraction maps to two families", x, s_pow))
+    image = {}  # fraction class -> its family
+    for x, w in itertools.product(r.elements(), loc.denominators):
+        cls, fam = loc.class_of(x, w), family(x, w, everywhere)
+        if image.setdefault(cls, fam) != fam:
+            report.failures.append(("fraction maps to two families", x, w))
             image[cls] = fam
 
-    # all locally-fraction families: each point needs a basic-open
-    # neighborhood inside D(s) on which the family is one global fraction
-    prime_list = list(opens)
-    pos = {p: i for i, p in enumerate(prime_list)}
-    neighborhoods = {}  # basic open -> its admissible (num, w) fractions
-    for t in r.elements():
-        nbhd = sp.basic_open(t)
-        if not nbhd or nbhd in neighborhoods or not set(nbhd) <= set(prime_list):
-            continue
-        denoms = [w for w in r.elements() if all(w not in q for q in nbhd)]
-        neighborhoods[nbhd] = [(num, w) for w in denoms for num in r.elements()]
+    # a family is locally a fraction when each point has a basic-open
+    # neighborhood inside D(s) on which it is one global fraction
+    neighborhoods = {  # points of the neighborhood -> its admissible denominators
+        tuple(map(opens.index, nbhd)): [w for w in r.elements() if all(w not in q for q in nbhd)]
+        for nbhd in map(sp.basic_open, r.elements())
+        if nbhd and set(nbhd) <= set(opens)
+    }
 
-    all_fams = []
-    total = 0
-    for fam in itertools.product(*(range(stalks[p].rig.size) for p in prime_list)):
-        total += 1
-        good = True
-        for p in prime_list:
-            witnessed = any(
-                p in nbhd
-                and all(stalks[q].class_of(num, w) == fam[pos[q]] for q in nbhd)
-                for nbhd, fracs in neighborhoods.items()
-                for num, w in fracs
-            )
-            if not witnessed:
-                good = False
-                break
-        if good:
-            all_fams.append(fam)
+    def fits_near(fam, i):
+        return any(
+            family(num, w, points) == near
+            for points, denoms in neighborhoods.items() if i in points
+            for near in [tuple(fam[j] for j in points)]
+            for w, num in itertools.product(denoms, r.elements())
+        )
 
-    report.families = total
-    report.local_families = len(all_fams)
+    # every fraction's family is local, witnessed on D(s) itself
     image_fams = set(image.values())
-    report.bijective = (
-        len(image) == loc.rig.size
-        and len(image_fams) == loc.rig.size
-        and image_fams == set(all_fams)
-    )
-    if not report.bijective:
-        missing = set(all_fams) - image_fams
-        extra = image_fams - set(all_fams)
-        if missing:
-            report.failures.append(("families not hit by fractions", sorted(missing)))
-        if extra:
-            report.failures.append(("fractions outside local families", sorted(extra)))
+    missing = []
+    for fam in itertools.product(*(range(st.rig.size) for st in stalks)):
+        report.families += 1
+        if all(fits_near(fam, i) for i in everywhere):
+            report.local_families += 1
+            if fam not in image_fams:
+                missing.append(fam)
+    report.bijective = len(image_fams) == k and not missing
+    if missing:
+        report.failures.append(("families not hit by fractions", missing))
+    if len(image_fams) < k:
+        pair = next(c for c in itertools.combinations(range(k), 2) if image[c[0]] == image[c[1]])
+        report.failures.append(("two fraction classes with one family", *pair))
 
     # operation preservation, checked through representatives
-    ok_ops = True
-    rev = {v: k for k, v in image.items()}
-    for c1 in range(loc.rig.size):
-        for c2 in range(loc.rig.size):
-            fam_sum = tuple(
-                stalks[p].rig.add(image[c1][i], image[c2][i])
-                for i, p in enumerate(prime_list)
-            )
-            fam_prod = tuple(
-                stalks[p].rig.mul(image[c1][i], image[c2][i])
-                for i, p in enumerate(prime_list)
-            )
-            if image[loc.rig.add(c1, c2)] != fam_sum or image[loc.rig.mul(c1, c2)] != fam_prod:
-                ok_ops = False
-                report.failures.append(("operations disagree", c1, c2))
-    report.preserves_ops = ok_ops
+    for c1, c2 in itertools.product(range(k), repeat=2):
+        at = list(zip(stalks, image[c1], image[c2]))
+        fam_sum = tuple(st.rig.add(a, b) for st, a, b in at)
+        fam_prod = tuple(st.rig.mul(a, b) for st, a, b in at)
+        if image[loc.rig.add(c1, c2)] != fam_sum or image[loc.rig.mul(c1, c2)] != fam_prod:
+            report.failures.append(("operations disagree", c1, c2))
+    report.preserves_ops = not any(f[0] == "operations disagree" for f in report.failures)
     return report

@@ -434,9 +434,10 @@ def hom_classify(p: int, k: int) -> list[dict[int, int]]:
     """All ring homomorphisms from the span of phi(p^0)..phi(p^k) to the integers.
 
     Solves the multiplicative constraints of the basis products directly
-    (a quadratic per level plus cross relations), then checks the
-    solution set equals the k+1 known maps; a mismatch would be an
-    internal error.  Returns one {p**i: value} assignment per map.
+    (a quadratic per level plus cross relations), then checks every
+    solution against every basis product and the solution set against the
+    k+1 known maps; a failure of either is an internal error and raises
+    ArithmeticError.  Returns one {p**i: value} assignment per map.
     """
     if not is_prime(p):
         raise ValueError(f"hom_classify() requires a prime, got {p}")
@@ -472,31 +473,24 @@ def hom_classify(p: int, k: int) -> list[dict[int, int]]:
     extend([1], 1)
 
     # belt and braces: every solution must respect every basis product
-    verified = []
     for vals in solutions:
-        def ev(w) -> int:
-            return sum(
-                c * vals[0 if d == 1 else factor(d)[0][1]] for d, c in w.items()
-            )
-        good = True
         for i in range(k + 1):
             for j in range(k + 1):
                 prod = basis_mul(p**i, p**j)
-                if ev(prod) != vals[i] * vals[j]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            verified.append(vals)
+                value = sum(c * vals[0 if d == 1 else factor(d)[0][1]] for d, c in prod.items())
+                if value != vals[i] * vals[j]:
+                    raise ArithmeticError(
+                        f"hom solver fault at p={p}, k={k}: solution {vals} "
+                        f"breaks phi({p**i})*phi({p**j})"
+                    )
 
     expected = _expected_homs(p, k)
-    if set(verified) != expected:
+    if set(solutions) != expected:
         raise ArithmeticError(
             f"hom classification mismatch at p={p}, k={k}: "
-            f"found {sorted(verified)}, expected {sorted(expected)}"
+            f"found {sorted(solutions)}, expected {sorted(expected)}"
         )
     return [
         {p**i: v for i, v in enumerate(vals)}
-        for vals in sorted(verified, reverse=True)
+        for vals in sorted(solutions, reverse=True)
     ]

@@ -255,7 +255,7 @@ def test_criterion_10_spectrum_suite():
             s_set = frozenset(x for x in r.elements() if x not in p)
             loc = spectra.localize(r, s_set)
             pulled = sorted(
-                frozenset(x for x in r.elements() if loc.canonical(x) in q)
+                frozenset(x for x in r.elements() if loc.class_of(x) in q)
                 for q in spectra.spec(loc.rig).primes
             )
             missing = sorted(q for q in sp.primes if not (q & s_set))

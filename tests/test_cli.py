@@ -615,6 +615,11 @@ _GOLDEN_CALLS = [
     ("parseval_12.txt", ["parseval", "12"]),
     ("sections_2x2_bound2.txt", ["sections", "--rows", "2", "--cols", "2", "--bound", "2"]),
     ("theorem1_zmod6_s2.txt", ["theorem1", "--rig", "zmod:6", "--s", "2"]),
+    # an empty basic open D(0), in text and in --json form
+    ("theorem1_zmod6_s0.txt", ["theorem1", "--rig", "zmod:6", "--s", "0"]),
+    ("theorem1_zmod6_s0.json", ["--json", "theorem1", "--rig", "zmod:6", "--s", "0"]),
+    ("theorem1_boolean_s0.txt", ["theorem1", "--rig", "boolean", "--s", "0"]),
+    ("theorem1_boolean_s0.json", ["--json", "theorem1", "--rig", "boolean", "--s", "0"]),
 ]
 
 

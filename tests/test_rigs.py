@@ -564,3 +564,14 @@ def test_rig_laws_sample_above_exhaustive_size():
     assert report.ok and not report.exhaustive
     assert report.cases == 64**2 + 64**3
     assert elapsed < 5, elapsed
+
+
+def test_rig_law_summary_counts_pairs_and_triples_as_cases():
+    # 4^2 pairs and 4^3 triples over zmod:4
+    assert check_rig_laws(rig_by_name("zmod:4")).summary() == (
+        "rig laws for zmod:4 (exhaustive, 80 cases): PASS"
+    )
+    assert check_rig_laws(_Mod4Minus()).summary() == (
+        "rig laws for mod4-minus (exhaustive, 17 cases): FAIL [('commutative addition', (0, 1)), "
+        "('commutative addition', (0, 3)), ('commutative addition', (1, 0))]"
+    )

@@ -11,6 +11,7 @@ from cycwitt.spectra import (
     Ideal,
     RadicalMismatch,
     SpecSpace,
+    Theorem1Report,
     all_ideals,
     ideal_generated,
     localize,
@@ -230,24 +231,28 @@ def _ideal_generated_fixpoint(r, seed):
         cur = nxt
 
 
-def _boolean_times_zmod3():
-    pairs = list(itertools.product(range(2), range(3)))
-    b = FiniteCRig.boolean()
+def _product_rig(a, b):
+    """The product rig a x b, as operation tables on the pairs."""
+    pairs = list(itertools.product(a.elements(), b.elements()))
     idx = {p: i for i, p in enumerate(pairs)}
 
-    def table(op_b, op_z):
+    def table(op_a, op_b):
         return [
-            [idx[(op_b(a, c), op_z(x, y))] for c, y in pairs] for a, x in pairs
+            [idx[(op_a(x, u), op_b(y, v))] for u, v in pairs] for x, y in pairs
         ]
 
     return FiniteCRig(
-        table(b.add, lambda x, y: (x + y) % 3),
-        table(b.mul, lambda x, y: x * y % 3),
-        zero=idx[(0, 0)],
-        one=idx[(1, 1)],
-        names=[f"({a},{x})" for a, x in pairs],
-        name="boolean x zmod:3",
+        table(a.add, b.add),
+        table(a.mul, b.mul),
+        zero=idx[(a.zero, b.zero)],
+        one=idx[(a.one, b.one)],
+        names=[f"({a.names[x]},{b.names[y]})" for x, y in pairs],
+        name=f"{a.name} x {b.name}",
     )
+
+
+def _boolean_times_zmod3():
+    return _product_rig(FiniteCRig.boolean(), FiniteCRig.zmod(3))
 
 
 def test_ideal_generated_matches_pairwise_fixpoint():
@@ -404,11 +409,11 @@ def test_localize_at_units_is_isomorphic_copy():
     loc = localize(z7, units)
     assert loc.rig.size == 7
     # canonical map is bijective and operation-preserving here
-    img = [loc.canonical(x) for x in z7.elements()]
+    img = [loc.class_of(x) for x in z7.elements()]
     assert len(set(img)) == 7
     for x, y in itertools.product(z7.elements(), repeat=2):
-        assert loc.canonical(z7.add(x, y)) == loc.rig.add(img[x], img[y])
-        assert loc.canonical(z7.mul(x, y)) == loc.rig.mul(img[x], img[y])
+        assert loc.class_of(z7.add(x, y)) == loc.rig.add(img[x], img[y])
+        assert loc.class_of(z7.mul(x, y)) == loc.rig.mul(img[x], img[y])
 
 
 def _iso_to_zmod(r: FiniteCRig, n: int) -> bool:
@@ -533,7 +538,7 @@ def test_localization_homeomorphism():
             loc = localize(r, s_set)
             loc_primes = spec(loc.rig).primes
             pulled = sorted(
-                frozenset(x for x in r.elements() if loc.canonical(x) in q)
+                frozenset(x for x in r.elements() if loc.class_of(x) in q)
                 for q in loc_primes
             )
             missing = sorted(q for q in sp.primes if not (q & s_set))
@@ -570,6 +575,138 @@ def test_theorem1_examples():
     assert rep.ok and rep.loc_size == 3
     rep = theorem1_check(z6, 0)
     assert rep.ok and rep.empty_case
+
+
+def test_theorem1_reports_a_fraction_map_that_is_not_injective(monkeypatch):
+    # with no denominators but 1, the six fractions of zmod:6 land in the
+    # three-element stalk at (3), so two classes share one family
+    monkeypatch.setattr(spectra, "multiplicative_closure", lambda r, seed: frozenset({r.one}))
+    rep = theorem1_check(FiniteCRig.zmod(6), 2)
+    assert not rep.ok and not rep.bijective
+    assert rep.failures == [("two fraction classes with one family", 0, 3)]
+    rep = theorem1_check(FiniteCRig.zmod(6), 0)
+    assert rep.empty_case and rep.failures == [("two fraction classes with one family", 0, 1)]
+
+
+def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
+    """Reference oracle: the two-path structure-sheaf check, kept as written.
+
+    Compare the localization of r at the powers of s with the families
+    of stalk elements over the basic open D(s) that are locally fractions.
+
+    Families are enumerated exhaustively over the product of the finite
+    stalks; the locally-a-fraction condition quantifies over basic-open
+    neighborhoods and global numerator/denominator pairs, all finite.
+    """
+    sp = spec(r)
+    opens = sp.basic_open(s)
+    powers = multiplicative_closure(r, {s})
+    loc = localize(r, powers)
+    report = Theorem1Report(r.name, s, opens, loc.rig.size)
+
+    if not opens:
+        # empty basic open: the sheaf value is the one-point rig, so the
+        # fraction rig must collapse (s is nilpotent-like, 0 in powers)
+        report.empty_case = True
+        report.families = report.local_families = 1
+        report.bijective = loc.rig.size == 1
+        report.preserves_ops = True
+        if not report.bijective:
+            report.failures.append(("nonempty localization over empty open", loc.rig.size))
+        return report
+
+    stalks = {
+        p: localize(r, frozenset(x for x in r.elements() if x not in p))
+        for p in opens
+    }
+
+    def family_of_fraction(x, s_pow):
+        return tuple(stalks[p].class_of(x, s_pow) for p in opens)
+
+    # image of the fraction rig
+    image = {}
+    for x in r.elements():
+        for s_pow in powers:
+            cls = loc.class_of(x, s_pow)
+            fam = family_of_fraction(x, s_pow)
+            if cls in image and image[cls] != fam:
+                report.failures.append(("fraction maps to two families", x, s_pow))
+            image[cls] = fam
+
+    # all locally-fraction families: each point needs a basic-open
+    # neighborhood inside D(s) on which the family is one global fraction
+    prime_list = list(opens)
+    pos = {p: i for i, p in enumerate(prime_list)}
+    neighborhoods = {}  # basic open -> its admissible (num, w) fractions
+    for t in r.elements():
+        nbhd = sp.basic_open(t)
+        if not nbhd or nbhd in neighborhoods or not set(nbhd) <= set(prime_list):
+            continue
+        denoms = [w for w in r.elements() if all(w not in q for q in nbhd)]
+        neighborhoods[nbhd] = [(num, w) for w in denoms for num in r.elements()]
+
+    all_fams = []
+    total = 0
+    for fam in itertools.product(*(range(stalks[p].rig.size) for p in prime_list)):
+        total += 1
+        good = True
+        for p in prime_list:
+            witnessed = any(
+                p in nbhd
+                and all(stalks[q].class_of(num, w) == fam[pos[q]] for q in nbhd)
+                for nbhd, fracs in neighborhoods.items()
+                for num, w in fracs
+            )
+            if not witnessed:
+                good = False
+                break
+        if good:
+            all_fams.append(fam)
+
+    report.families = total
+    report.local_families = len(all_fams)
+    image_fams = set(image.values())
+    report.bijective = (
+        len(image) == loc.rig.size
+        and len(image_fams) == loc.rig.size
+        and image_fams == set(all_fams)
+    )
+    if not report.bijective:
+        missing = set(all_fams) - image_fams
+        extra = image_fams - set(all_fams)
+        if missing:
+            report.failures.append(("families not hit by fractions", sorted(missing)))
+        if extra:
+            report.failures.append(("fractions outside local families", sorted(extra)))
+
+    # operation preservation, checked through representatives
+    ok_ops = True
+    rev = {v: k for k, v in image.items()}
+    for c1 in range(loc.rig.size):
+        for c2 in range(loc.rig.size):
+            fam_sum = tuple(
+                stalks[p].rig.add(image[c1][i], image[c2][i])
+                for i, p in enumerate(prime_list)
+            )
+            fam_prod = tuple(
+                stalks[p].rig.mul(image[c1][i], image[c2][i])
+                for i, p in enumerate(prime_list)
+            )
+            if image[loc.rig.add(c1, c2)] != fam_sum or image[loc.rig.mul(c1, c2)] != fam_prod:
+                ok_ops = False
+                report.failures.append(("operations disagree", c1, c2))
+    report.preserves_ops = ok_ops
+    return report
+
+
+def test_theorem1_matches_literal_oracle():
+    rigs = [FiniteCRig.zmod(n) for n in range(1, 25)]
+    rigs += [FiniteCRig.boolean(), FiniteCRig.tropical4()]
+    rigs += [_product_rig(FiniteCRig.zmod(2), FiniteCRig.tropical4())]
+    rigs += [localize(FiniteCRig.zmod(12), {1, 5, 7, 11}).rig]
+    for r in rigs:
+        for s in r.elements():
+            assert theorem1_check(r, s) == _literal_theorem1_check(r, s), (r.name, s)
 
 
 def test_theorem1_full_sweep_small():

@@ -329,6 +329,17 @@ def test_hom_classify_matches_hand_table(p):
         assert homs == _hand_hom_table(p, k)
 
 
+def test_hom_classify_raises_on_a_solution_that_breaks_a_product(monkeypatch):
+    # a wrong phi(9)*phi(9) makes every solution a non-homomorphism, as a
+    # solver fault would make one; the check names it instead of dropping it
+    real = witt.basis_mul
+    monkeypatch.setattr(
+        witt, "basis_mul", lambda n, m: real(n, m) + ONE if n == m == 9 else real(n, m)
+    )
+    with pytest.raises(ArithmeticError, match=r"solver fault at p=3, k=2: solution \(1, "):
+        hom_classify(3, 2)
+
+
 def test_hom_classify_rejects_bad_input():
     with pytest.raises(ValueError):
         hom_classify(4, 1)
