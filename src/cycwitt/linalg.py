@@ -73,7 +73,12 @@ class Rig:
     def compose(self, f_rows, g_rows, ncols: int) -> tuple:
         """Rows of the product of an n-by-k and a k-by-ncols matrix.  No law
         is assumed (the law checkers must expose a bad zero or one): each
-        entry is the literal fold of its products, starting at zero."""
+        entry is the literal fold of its products, starting at zero.
+        ``rigs.FiniteCRig`` and the two tropical carriers of ``rigs``
+        override it with the same fold minus the zero entries of f, exact
+        for them because a zero term cannot change their sums: the tables
+        are proved to have an absorbing zero that is the additive unit, and
+        max never lowers a sum that starts at zero."""
         add, mul, zero = self.add, self.mul, self.zero
         g_cols = tuple(zip(*g_rows))
         return tuple(
@@ -133,25 +138,29 @@ class RigMatrix:
     __slots__ = ("rig", "entries", "rows", "cols")
 
     def __init__(self, rig: Rig, entries):
-        object.__setattr__(self, "rig", rig)
         rows = tuple(tuple(row) for row in entries)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        _set_rig(self, rig)
+        _set_entries(self, rows)
+        _set_rows(self, len(rows))
+        _set_cols(self, ncols)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _of(cls, rig: Rig, rows: tuple, ncols: int) -> "RigMatrix":
         """Trusted: rows is a tuple of tuples of length ncols (0 if empty)."""
         m = object.__new__(cls)
-        # a subclass declares no slots of its own, so name RigMatrix's
-        for name, value in zip(RigMatrix.__slots__, (rig, rows, len(rows), ncols)):
-            object.__setattr__(m, name, value)
+        _set_rig(m, rig)
+        _set_entries(m, rows)
+        _set_rows(m, len(rows))
+        _set_cols(m, ncols)
         return m
 
     def __getitem__(self, i):
@@ -167,6 +176,13 @@ class RigMatrix:
 
     def __repr__(self):
         return f"RigMatrix({self.rig.name}, {self.entries!r})"
+
+
+# RigMatrix's own slot setters, bound once: __setattr__ refuses every
+# assignment, and a subclass declares no slots of its own
+_set_rig, _set_entries, _set_rows, _set_cols = (
+    RigMatrix.__dict__[name].__set__ for name in RigMatrix.__slots__
+)
 
 
 def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:

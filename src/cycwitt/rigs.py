@@ -9,8 +9,13 @@ carriers [0,1] and [0,inf] with max as addition and ordinary product.
 ``rig_by_name`` is the one registry of rig names.  ``Rig``, ``IntRig``,
 ``RigMatrix`` and the matrix operations ``mat_compose``, ``direct_sum``
 and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
-has one product kernel, ``compose``, and the kernel of ``FiniteCRig``
-reads its tables and skips zeros.  The law checkers verify the rig axioms and
+has one product kernel, ``compose``.  Three kernels skip the zero entries
+of the left factor: ``FiniteCRig``'s reads its tables, which construction
+proved to have an absorbing zero that is the additive unit, and the one
+shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` folds with max,
+under which a zero term never changes a sum that starts at zero.  Every
+other kernel folds every term, so a bad zero or one still shows in the
+law checks.  The law checkers verify the rig axioms and
 the matrix-category laws (symmetry under block swap, centrality of
 scalars, the interleaving permutation that exchanges the two Kronecker
 orders) either exhaustively or by seeded sampling.  The module also
@@ -342,12 +347,32 @@ class RationalRig(Rig):
         return [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k)]
 
 
-class TropicalUnitRig(Rig):
+class _TropicalRig(Rig):
+    """Exact rationals with max as addition and ordinary product."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def compose(self, f_rows, g_rows, ncols):
+        """The literal fold with zero entries of f skipped, exactly for any
+        ``Fraction`` or ``INF`` entries, in the carrier or not: mul(0, b) is
+        zero for every b, and the accumulator starts at zero and only grows
+        under max, so a skipped term would add zero to a value >= zero."""
+        add, mul = self.add, self.mul
+        out = []
+        for f_row in f_rows:
+            acc = (self.zero,) * ncols
+            for a, g_row in zip(f_row, g_rows):
+                if a:  # INF is truthy
+                    acc = tuple([add(s, mul(a, b)) for s, b in zip(acc, g_row)])
+            out.append(acc)
+        return tuple(out)
+
+
+class TropicalUnitRig(_TropicalRig):
     """Rationals in [0, 1] with max as addition and ordinary product."""
 
     name = "tropical-unit"
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def add(self, x, y):
         return x if x >= y else y
@@ -363,13 +388,11 @@ class TropicalUnitRig(Rig):
         return out
 
 
-class TropicalNonNegRig(Rig):
+class TropicalNonNegRig(_TropicalRig):
     """Rationals in [0, inf] with max as addition; 0 * inf = 0 keeps the
     absorbing law."""
 
     name = "tropical-nonneg"
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def add(self, x, y):
         if x is INF or y is INF:
@@ -470,7 +493,7 @@ def oplus(f: RigMatrix, k: int) -> RigMatrix:
     rows = tuple(
         (z,) * (b * c) + row + (z,) * ((k - 1 - b) * c) for b in range(k) for row in f.entries
     )
-    return RigMatrix._of(f.rig, rows, k * c)
+    return type(f)._of(f.rig, rows, k * c)
 
 
 def tau(n: int, m: int) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import pytest
 
 from cycwitt import rigs
 from cycwitt.arith import BudgetExceeded
-from cycwitt.linalg import IntMatrix, contraction_le_one
+from cycwitt.linalg import INT, IntMatrix, contraction_le_one
 from cycwitt.rigs import (
     INF,
     FiniteCRig,
@@ -22,6 +22,7 @@ from cycwitt.rigs import (
     RigMatrix,
     SquareMatrixRig,
     TropicalNonNegRig,
+    TropicalUnitRig,
     check_prop_laws,
     check_rig_laws,
     direct_sum,
@@ -486,6 +487,110 @@ def test_mat_compose_matches_literal_fold(rig):
         rig, [list(f[0]) + [rig.zero] * 2, list(f[1]) + [rig.zero] * 2,
               [rig.zero] * 3 + list(g[0])]
     )
+    # factors where a wrong zero skip would show: mostly zeros, mostly ones,
+    # and over the tropical carriers rows of INF and entries outside the
+    # carrier (negative, or above one), which the literal fold lifts to zero
+    # through max; over [0, 1] a nonzero product with INF raises on both paths
+    zero, one = rig.zero, rig.one
+    some = list(rand(1, 3)[0])
+    pools = [[zero] * 6 + some[:2], [one] * 6 + [zero] + some[:1]]
+    tropical = isinstance(rig, (TropicalUnitRig, TropicalNonNegRig))
+    if tropical:
+        pools += [some + [Fraction(-1, 2), Fraction(-3), Fraction(7, 2), zero, INF],
+                  [INF] * 3 + [zero, one, Fraction(-2)]]
+    for pool in pools:
+        for n, k, m in itertools.product(shapes, repeat=3):
+            for _ in range(3):
+                f = RigMatrix(rig, [[rng.choice(pool) for _ in range(k)] for _ in range(n)])
+                g = RigMatrix(rig, [[rng.choice(pool) for _ in range(m)] for _ in range(k)])
+                assert _outcome(mat_compose, f, g) == _outcome(_literal_compose, f, g), (f, g)
+    if tropical:
+        f = RigMatrix(rig, [[INF, INF], [zero, INF]])
+        for g in (RigMatrix(rig, [[zero], [zero]]), RigMatrix(rig, [[one], [zero]])):
+            assert _outcome(mat_compose, f, g) == _outcome(_literal_compose, f, g), g
+        # a negative first term is lifted to zero by max, not kept
+        f = RigMatrix(rig, [[Fraction(-1), zero]])
+        g = RigMatrix(rig, [[Fraction(2)], [Fraction(5)]])
+        assert mat_compose(f, g) == _literal_compose(f, g) == RigMatrix(rig, [[zero]])
+
+
+def _outcome(product, f, g):
+    """The product of f and g, or the type of the TypeError it raises."""
+    try:
+        return product(f, g)
+    except TypeError as exc:
+        return type(exc)
+
+
+_MATRIX_CONSTRUCTORS = ("mat_compose", "direct_sum", "oplus", "perm_matrix", "kronecker",
+                        "identity", "_scalar")
+
+# (rig name, max_rows, max_cols, samples, pair_cap, quad_cap) of the law checks
+# a benchmark round runs at seed 1, and what each check does there: cases,
+# failing laws and calls of each matrix constructor (identity calls _scalar)
+_PROP_LAW_TRACES = [
+    (("boolean", 2, 2, 3, 150, 150), 1048, {}, (3356, 1402, 960, 1340, 300, 52, 156)),
+    (("zmod:2", 2, 2, 3, 150, 150), 1048, {}, (3356, 1402, 960, 1340, 300, 52, 156)),
+    (("tropical-unit", 2, 2, 3, 150, 150), 1014, {}, (3258, 1362, 936, 1296, 288, 24, 120)),
+    (("tropical-nonneg", 2, 2, 3, 150, 150), 1014, {}, (3258, 1362, 936, 1296, 288, 24, 120)),
+    (("int", 2, 2, 3, 150, 150), 1014, {}, (3258, 1362, 936, 1296, 288, 24, 120)),
+    (("control", 1, 1, 3, 60, 60), 620, {"scalar centrality": 156, "kronecker swapped order": 32},
+     (1624, 572, 264, 456, 120, 32, 544)),
+]
+
+
+def test_prop_law_call_sequence_is_pinned(monkeypatch):
+    # faster kernels must leave the checker's work as it is: same cases,
+    # same failures, same constructor calls
+    counts = collections.Counter()
+    for name in _MATRIX_CONSTRUCTORS:
+        def counted(*args, _name=name, _fn=getattr(rigs, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rigs, name, counted)
+    total = collections.Counter()
+    for (name, rows, cols, samples, pair_cap, quad_cap), cases, failing, calls in _PROP_LAW_TRACES:
+        r = SquareMatrixRig(FiniteCRig.boolean(), 2) if name == "control" else rig_by_name(name)
+        counts.clear()
+        report = check_prop_laws(r, max_rows=rows, max_cols=cols, samples=samples,
+                                 pair_cap=pair_cap, quad_cap=quad_cap, seed=1)
+        assert report.cases == cases, name
+        assert collections.Counter(law for law, _ in report.failures) == failing, name
+        assert counts == dict(zip(_MATRIX_CONSTRUCTORS, calls)), name
+        total += counts
+    assert [total[name] for name in ("mat_compose", "direct_sum", "oplus", "perm_matrix")] == [
+        18110, 7462, 4992, 7024]
+
+
+@pytest.mark.parametrize("kind", ["table", "int"])
+def test_matrices_are_immutable_and_keep_their_class(kind):
+    if kind == "table":
+        r, cls = FiniteCRig.zmod(6), RigMatrix
+        f, g, empty = RigMatrix(r, [[1, 2], [3, 4]]), RigMatrix(r, [[5], [1]]), RigMatrix(r, [])
+    else:
+        r, cls = INT, IntMatrix
+        f, g, empty = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[5], [-1]]), IntMatrix([])
+    # builders given matrices return their operands' class
+    from_operands = [
+        mat_compose(f, g), mat_compose(empty, empty), direct_sum(f, g), direct_sum(empty, empty),
+        kronecker(f, g), kronecker(f, empty), oplus(g, 3), oplus(f, 0),
+    ]
+    if kind == "int":
+        from_operands += [f * f, f**3, f**0, g.transpose(), IntMatrix.identity(2)]
+    # builders given a rig return RigMatrix
+    from_rig = [RigMatrix(r, f.entries), RigMatrix(r, []), perm_matrix(r, (2, 0, 1)),
+                perm_matrix(r, ()), identity(r, 3), identity(r, 0)]
+    for expected, built in ((cls, from_operands), (RigMatrix, from_rig)):
+        for m in built:
+            assert type(m) is expected and m.rig == r, m
+            assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries), m
+            assert m.rows == len(m.entries) and all(len(row) == m.cols for row in m.entries), m
+            assert m.rows or not m.cols, m
+            for slot in ("rig", "entries", "rows", "cols"):
+                with pytest.raises(AttributeError, match=f"^{expected.__name__} is immutable$"):
+                    setattr(m, slot, getattr(m, slot))
+                with pytest.raises(AttributeError, match=f"^{expected.__name__} is immutable$"):
+                    delattr(m, slot)
 
 
 def _literal_check_rig_laws(r, budget=512, seed=0):
