@@ -201,6 +201,9 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("IntPolynomial is immutable")
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

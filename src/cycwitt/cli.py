@@ -197,11 +197,17 @@ RAMANUJAN_BUDGET = 1_010_000
 # The most products, a Ramanujan sum counted as 12, that parseval does
 # (parseval 20000 has 25200000 and takes about 2.3 s).
 PARSEVAL_BUDGET = 30_000_000
+# The most gamma products, tau(N)^2 * (depth + 2)^2, that gamma-filtration
+# forms (level 5040 at depth 2 has 57600 and takes about 3.6 s; at depth 3,
+# 90000 and about 6 s).
+GAMMA_BUDGET = 60_000
 # The most rows of a charpoly or wittclass matrix.  Berkowitz forms about n^4
 # products, each costlier as the entries grow, so rows^4 times the digits of
 # the longest entry is held to MATRIX_BUDGET^4: a dense 100 x 100 with
 # one-digit entries and a 12 x 12 with 4300-digit ones (the most int() parses)
-# each take about 3 s, and a 100 x 100 with 10-digit entries about 7 s.
+# each take about 3 s (3.0 and 2.9 s, parse and charpoly_rev, medians of five
+# runs), and a 100 x 100 with 10-digit entries about 7 s (7.4 s).  Only the
+# first packs some Krylov steps; in the others no Krylov vector fits a slot.
 MATRIX_BUDGET = 100
 
 
@@ -237,6 +243,19 @@ def _parseval_cost(args) -> None:
     tau = len(divisors(n)) if 1 <= n <= PARSEVAL_BUDGET else 1
     if (tau + 12) * tau * n > PARSEVAL_BUDGET:
         raise BudgetExceeded(f"(tau({n}) + 12)*tau({n})*{n} products", PARSEVAL_BUDGET)
+
+
+def _gamma_filtration_cost(args) -> None:
+    # tau(N) >= 1, so a depth over the budget is refused before N is factored;
+    # a level or depth below 1 is left to the handler's error
+    level, depth = args.level, args.depth
+    if level < 1 or depth < 1:
+        return
+    if (depth + 2) ** 2 > GAMMA_BUDGET:
+        raise BudgetExceeded(f"({depth} + 2)^2 gamma products", GAMMA_BUDGET)
+    tau = len(divisors(level))
+    if tau**2 * (depth + 2) ** 2 > GAMMA_BUDGET:
+        raise BudgetExceeded(f"tau({level})^2*({depth} + 2)^2 gamma products", GAMMA_BUDGET)
 
 
 def _matrix_cost(args) -> None:
@@ -435,7 +454,7 @@ _COMMANDS = (
     _Command("lambda-table", "lambda_t table for n = 1..max", ("max:int",), _cmd_lambda_table,
              _lambda_table_cost),
     _Command("gamma-filtration", "gamma filtration lattices", ("--level:int", "--depth:int"),
-             _cmd_gamma_filtration),
+             _cmd_gamma_filtration, _gamma_filtration_cost),
     _Command("ramanujan", "table of Ramanujan sums", ("--n:int", "--m-max:int"), _cmd_ramanujan,
              _ramanujan_cost),
     _Command("parseval", "finite Fourier orthogonality check", ("N:int",), _cmd_parseval,

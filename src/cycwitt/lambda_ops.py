@@ -78,6 +78,9 @@ class WittSeries:
     def __setattr__(self, name, value):
         raise AttributeError("WittSeries is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("WittSeries is immutable")
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

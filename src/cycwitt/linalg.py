@@ -7,7 +7,9 @@ Matrices live here: ``RigMatrix`` over any ``Rig``, with ``mat_compose``,
 
 Hermite-normal-form lattices with decidable membership, reversed
 characteristic polynomials det(1 - x*A) by Berkowitz's division-free
-algorithm, an exact integer test for operator norm <= 1, and
+algorithm (each Krylov product packed into one big integer by Kronecker
+substitution whenever its entries provably fit 64-bit slots), an exact
+integer test for operator norm <= 1, and
 conversion of unit-spectrum integer matrices to Witt classes. By
 Kronecker's theorem an integer matrix whose eigenvalues all lie in the
 closed unit disc has characteristic polynomial x**a times a product of
@@ -18,6 +20,7 @@ failed factorization proves an eigenvalue outside the disc.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
@@ -305,6 +308,9 @@ class HnfLattice:
     def __setattr__(self, name, value):
         raise AttributeError("HnfLattice is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("HnfLattice is immutable")
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -404,19 +410,40 @@ def _direct_sum_blocks(m) -> list[list[int]]:
     return blocks
 
 
+# The largest |slot| a packed Krylov product may hold: the 'q' view reads
+# native words from little-endian bytes, so elsewhere nothing packs
+_SLOT_MAX = (1 << 63) - 1 if sys.byteorder == "little" else -1
+
+
 def _berkowitz(m) -> list[int]:
     # det(1 - x*M) as ascending coefficients, trailing zeros kept
     mul = operator.mul
+    # a slot of A_k v or r.v is at most max|v| * (the largest row sum of |m|)
+    # in absolute value: below 2^63 when max|v| <= cap
+    cap = _SLOT_MAX // max([sum(map(abs, row)) for row in m] + [1])
+    cols = [0] * len(m)  # column i of rows 0..k, row j in 64-bit slot j
+    mask = 0  # 2^63 in each of the k + 1 slots
     poly = [1]
     for k in range(len(m)):
-        # map stops at the shorter operand, so the full rows m[i] act as
-        # their leading k entries against a k-vector
+        # map stops at the shorter operand, so the full rows m[i] (and the
+        # packed columns) act as their leading k entries against a k-vector
         rows, r = m[:k], m[k]
+        cols = [c + (x << 64 * k) for c, x in zip(cols, r)]
+        mask |= 1 << 64 * k + 63
         v = [row[k] for row in rows]
         t = [1, -r[k]]
-        for j in range(k):
-            if j:
+        for _ in range(1, k):
+            if -cap <= min(v) and max(v) <= cap:
+                # one sum gives A_k v in slots 0..k-1 and r.v in slot k; each
+                # slot plus 2^63 lies in [0, 2^64), so no carry crosses a slot,
+                # and the xor leaves each slot's 64-bit two's complement
+                packed = (sum(map(mul, v, cols)) + mask) ^ mask
+                v = memoryview(packed.to_bytes(8 * k + 8, "little")).cast("q").tolist()
+                t.append(-v.pop())
+            else:
+                t.append(-sum(map(mul, r, v)))
                 v = [sum(map(mul, row, v)) for row in rows]
+        if k:  # the last r.v needs no A_k v
             t.append(-sum(map(mul, r, v)))
         t.reverse()
         # poly has k + 1 coefficients: entry i of the product pairs poly[j]
@@ -436,6 +463,17 @@ def charpoly_rev(a: IntMatrix) -> IntPolynomial:
     multiplies by the Toeplitz matrix with first column (1, -d, -r c,
     -r A_k c, -r A_k^2 c, ...).  The descending coefficients of
     det(x*I - A) are the ascending coefficients of det(1 - x*A).
+
+    Each Krylov step v -> A_k v, with the scalar r v, is one big-integer
+    sum by Kronecker substitution: column i of A_k, with r_i below it, is
+    kept packed as C_i = sum over j <= k of m[j][i] * 2^(64 j), so
+    sum_i v_i C_i holds (A_k v)_j in slot j and r v in slot k.  If
+    max|v| times the largest absolute row sum of the block is below
+    2^63, every slot lies in (-2^63, 2^63): adding 2^63 to each slot
+    leaves no carry between slots, and xor with the same mask leaves
+    each slot's 64-bit two's complement, read back by a signed 64-bit
+    view of the bytes.  A step whose vector fails that bound takes its
+    k + 1 dot products instead, so every result is exact.
     """
     if a.rows != a.cols:
         raise ValueError("matrix must be square")

@@ -109,6 +109,9 @@ class FiniteCRig(Rig):
     def __setattr__(self, name, value):
         raise AttributeError("FiniteCRig is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("FiniteCRig is immutable")
+
     def _validate(self):
         """Check the laws in O(n^2 * |G|) table reads.
 

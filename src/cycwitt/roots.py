@@ -60,6 +60,9 @@ class RootMultiset:
     def __setattr__(self, name, value):
         raise AttributeError("RootMultiset is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RootMultiset is immutable")
+
     def counts(self) -> dict[int, int]:
         return dict(self._counts)
 

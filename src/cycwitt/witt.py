@@ -100,6 +100,9 @@ class WittElement:
     def __setattr__(self, name, value):
         raise AttributeError("WittElement is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("WittElement is immutable")
+
     def items(self) -> tuple[tuple[int, int], ...]:
         """Sorted (index, coefficient) pairs; the canonical serialized form."""
         return tuple(sorted(self._c.items()))

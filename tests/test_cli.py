@@ -331,6 +331,21 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
             ["gamma-filtration", "--level", "1000000000000000003", "--depth", "2"],
             _HUGE_FACTOR,
         ),
+        (
+            None,
+            ["gamma-filtration", "--level", "12", "--depth", "100000"],
+            "budget exceeded: (100000 + 2)^2 gamma products > 60000",
+        ),
+        (
+            None,
+            ["gamma-filtration", "--level", "5040", "--depth", "6"],
+            "budget exceeded: tau(5040)^2*(6 + 2)^2 gamma products > 60000",
+        ),
+        (
+            None,
+            ["gamma-filtration", "--level", "720720", "--depth", "2"],
+            "budget exceeded: tau(720720)^2*(2 + 2)^2 gamma products > 60000",
+        ),
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
@@ -340,7 +355,8 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
          "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
          "wittclass-101-rows", "charpoly-ten-digit-entries", "spec-zmod5000",
          "radical-zmod3000", "trace-huge-prime", "f0-huge-prime", "tm-huge-prime",
-         "gamma-filtration-huge-level"],
+         "gamma-filtration-huge-level", "gamma-filtration-depth-100000",
+         "gamma-filtration-5040-depth-6", "gamma-filtration-720720"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
     if table is not None:
@@ -461,6 +477,8 @@ def test_cli_cost_check_boundaries(monkeypatch, capsys):
     assert max((t + 12) * t * n for n, t in taus.items()) <= cli.PARSEVAL_BUDGET
     assert 2 * 1000**2 <= rigs.ZMOD_BUDGET
     assert cli.MATRIX_BUDGET >= 20  # the largest matrix-bridge dimension
+    # gamma-filtration 12 3 in the benchmark, and level and depth up to 12 in the fuzz
+    assert len(divisors(12)) ** 2 * (12 + 2) ** 2 <= cli.GAMMA_BUDGET
     # a row is priced as its sums plus 10 for factoring its index
     monkeypatch.setattr(cli, "RAMANUJAN_BUDGET", 39)
     assert run_cli(capsys, "ramanujan", "--n", "3", "--m-max", "3")[0] == 0
@@ -498,6 +516,18 @@ def test_cli_cost_check_boundaries(monkeypatch, capsys):
         args = build_parser().parse_args([cmd, "1;2;3"])
         with pytest.raises(BudgetExceeded):
             args.cmd.cost(args)
+    # tau(12)^2*(3 + 2)^2 is 900; a depth of 29 is refused before the level is
+    # factored, so 10^18 + 3 never reaches the factor budget
+    monkeypatch.setattr(cli, "GAMMA_BUDGET", 900)
+    assert run_cli(capsys, "gamma-filtration", "--level", "12", "--depth", "3")[0] == 0
+    for level, depth, what in (
+        ("12", "4", "tau(12)^2*(4 + 2)^2"),
+        ("12", "29", "(29 + 2)^2"),
+        ("1000000000000000003", "29", "(29 + 2)^2"),
+    ):
+        code, out, err = run_cli(capsys, "gamma-filtration", "--level", level, "--depth", depth)
+        assert code == 2 and out == ""
+        assert err == f"error: budget exceeded: {what} gamma products > 900\n"
     monkeypatch.setattr(rigs, "ZMOD_BUDGET", 72)  # zmod:6 has 2 * 6^2 entries
     assert run_cli(capsys, "spec", "--rig", "zmod:6")[0] == 0
     code, out, err = run_cli(capsys, "theorem1", "--rig", "zmod:7", "--s", "2")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cycwitt
+from cycwitt import linalg
 from cycwitt.arith import IntPolynomial, cyclotomic_poly, euler_phi
 from cycwitt.linalg import (
     IntMatrix,
@@ -239,6 +241,99 @@ def test_charpoly_multiplicative_on_blocks():
         hidden = _permuted(rng, a.direct_sum(b).direct_sum(c))
         assert charpoly_rev(hidden) == charpoly_rev(a) * charpoly_rev(b)
         assert charpoly_rev(_permuted(rng, b.direct_sum(a))) == charpoly_rev(a) * charpoly_rev(b)
+
+
+def _parent_berkowitz(m) -> list[int]:
+    # the dot-product kernel that the packed Krylov steps replaced, kept verbatim
+    mul = operator.mul
+    poly = [1]
+    for k in range(len(m)):
+        # map stops at the shorter operand, so the full rows m[i] act as
+        # their leading k entries against a k-vector
+        rows, r = m[:k], m[k]
+        v = [row[k] for row in rows]
+        t = [1, -r[k]]
+        for j in range(k):
+            if j:
+                v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, r, v)))
+        t.reverse()
+        # poly has k + 1 coefficients: entry i of the product pairs poly[j]
+        # with t[i - j], which the reversed t holds at k + 1 - i + j
+        poly = [sum(map(mul, t[k + 1 - i:], poly)) for i in range(k + 2)]
+    return poly
+
+
+def _count_packed_steps(monkeypatch) -> list:
+    # every packed Krylov step unpacks its product through one memoryview
+    views = []
+
+    def counted(obj):
+        views.append(obj)
+        return memoryview(obj)
+
+    monkeypatch.setattr(linalg, "memoryview", counted, raising=False)
+    return views
+
+
+def _krylov_steps(n):
+    # step k of an n x n block forms k - 1 products A_k v
+    return sum(range(n - 1))
+
+
+def test_packed_berkowitz_matches_dot_products_on_dense_matrices(monkeypatch):
+    views = _count_packed_steps(monkeypatch)
+    rng = random.Random(17)
+    for n in list(range(25)) * 2:
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert linalg._berkowitz(m) == _parent_berkowitz(m), m
+    # small entries keep the early products of every step inside 64-bit slots
+    assert len(views) > 2 * _krylov_steps(12)
+
+
+def _expanding(rng, n):
+    # a conjugated companion of x^n - 40x^(n-1) - 1, whose root near 40 makes
+    # the Krylov vectors grow about 40-fold per product
+    return _conjugated(rng, companion(IntPolynomial((-1,) + (0,) * (n - 2) + (-40, 1))))
+
+
+def test_packed_berkowitz_falls_back_when_a_slot_could_overflow(monkeypatch):
+    views = _count_packed_steps(monkeypatch)
+    a = _expanding(random.Random(3), 20)
+    m = [list(row) for row in a.entries]
+    p = linalg._berkowitz(m)
+    # the guard trips midway: the early steps pack, the late products do not
+    assert 0 < len(views) < _krylov_steps(20)
+    assert p == _parent_berkowitz(m)
+    # n + 1 points pin a polynomial of degree <= n
+    p = IntPolynomial(p)
+    for k in range(21):
+        one_minus_ka = [[int(i == j) - k * x for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert p(k) == _fraction_det(one_minus_ka), k
+    assert charpoly_rev(a) == p
+
+
+def test_packed_berkowitz_never_packs_entries_of_2_to_the_62(monkeypatch):
+    views = _count_packed_steps(monkeypatch)
+    rng = random.Random(5)
+    for n in (2, 3, 6, 9):
+        m = [[rng.choice((-1, 1)) * (2**62 + rng.randint(0, 99)) for _ in range(n)]
+             for _ in range(n)]
+        assert linalg._berkowitz(m) == _parent_berkowitz(m)
+    assert views == []
+
+
+def test_packed_berkowitz_edge_shapes():
+    rng = random.Random(6)
+    cases = [[], [[5]], [[0]], [[0] * 4 for _ in range(4)]]
+    for _ in range(10):
+        blocks = [_dense(rng, 3), _unit(rng, 5), _nilpotent(rng, 4), _expanding(rng, 6)]
+        cases.append(_permuted(rng, reduce(direct_sum, blocks)).entries)
+    for m in cases:
+        m = [list(row) for row in m]
+        want = _parent_berkowitz(m)
+        assert linalg._berkowitz(m) == want
+        assert charpoly_rev(IntMatrix(m)) == IntPolynomial(want)
 
 
 def test_contraction_examples():

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from cycwitt import rigs
-from cycwitt.arith import BudgetExceeded
-from cycwitt.linalg import INT, IntMatrix, contraction_le_one
+from cycwitt.arith import BudgetExceeded, IntPolynomial
+from cycwitt.lambda_ops import lambda_series
+from cycwitt.linalg import INT, IntMatrix, contraction_le_one, hnf
 from cycwitt.rigs import (
     INF,
     FiniteCRig,
@@ -39,7 +40,8 @@ from cycwitt.rigs import (
     signed_subperm_matrices,
     tau,
 )
-from cycwitt.witt import frobenius
+from cycwitt.roots import RootMultiset
+from cycwitt.witt import frobenius, phi
 from cycwitt.linalg import witt_class
 
 SHIPPED = ["boolean", "int", "rational", "tropical-unit", "tropical-nonneg", "zmod:6"]
@@ -591,6 +593,29 @@ def test_matrices_are_immutable_and_keep_their_class(kind):
                     setattr(m, slot, getattr(m, slot))
                 with pytest.raises(AttributeError, match=f"^{expected.__name__} is immutable$"):
                     delattr(m, slot)
+
+
+_VALUES = {
+    "IntPolynomial": lambda: IntPolynomial((1, -1, 1)),
+    "WittElement": lambda: phi(4) - 2 * phi(6),
+    "WittSeries": lambda: lambda_series(phi(3), 2),
+    "RootMultiset": lambda: RootMultiset(12, {1: 2, 6: 1}),
+    "HnfLattice": lambda: hnf([[2, 4], [4, 2]]),
+    "FiniteCRig": lambda: FiniteCRig.zmod(6),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_values_refuse_assignment_and_deletion(name):
+    # a deleted slot would break hashing and equality of a value in a set
+    value = _VALUES[name]()
+    assert type(value).__name__ == name
+    for slot in type(value).__slots__:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, getattr(value, slot))
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, slot)
+    assert value == _VALUES[name]() and hash(value) == hash(_VALUES[name]())
 
 
 def _literal_check_rig_laws(r, budget=512, seed=0):
