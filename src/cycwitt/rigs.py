@@ -800,14 +800,21 @@ class SectionsReport:
 def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
     """Enumerate integer matrices with bounded entries passing the exact
     norm-contraction test and compare against the signed sub-permutation
-    matrices of the same shape.  Raises BudgetExceeded if the
-    (2*entry_bound + 1)^(n*m) candidates exceed SECTIONS_BUDGET."""
+    matrices of the same shape.  Raises BudgetExceeded if n, m or the
+    (2*entry_bound + 1)^(n*m) candidates exceed SECTIONS_BUDGET, priced
+    from bit lengths before any huge number or range is built."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
     for name, size in (("rows", n), ("cols", m)):
         if size < 0:
             raise ValueError(f"{name} must be >= 0, got {size}")
-    count = (2 * entry_bound + 1) ** (n * m)
+        if size > SECTIONS_BUDGET:
+            raise BudgetExceeded(f"{size} {name}", SECTIONS_BUDGET)
+    base = 2 * entry_bound + 1
+    bits = (base.bit_length() - 1) * n * m  # base^(n*m) >= 2^bits
+    if bits >= 2 * SECTIONS_BUDGET.bit_length():
+        raise BudgetExceeded(f"(2*bound + 1)^({n}*{m}) candidate matrices", SECTIONS_BUDGET)
+    count = base ** (n * m)  # under 2^(2*bits) < 2^72: cheap to form and print
     if count > SECTIONS_BUDGET:
         raise BudgetExceeded(f"{count} candidate matrices", SECTIONS_BUDGET)
     report = SectionsReport(n, m, entry_bound)

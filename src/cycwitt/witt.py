@@ -36,6 +36,11 @@ inner(phi(4), V_3 phi(4)) = 0, so the literal adjunction identity
 fails.  See the test suite and the verification notes for the
 counterexample.
 
+On the span of phi(d), d | N, the ring maps to Z are the tau(N) trace
+characters phi(n) -> c_n(d), d | N.  Distinct ring maps into a field are
+linearly independent (Dedekind), so there are no others, and
+``hom_classify`` certifies these instead of solving for them.
+
 Everything in this module is exact integer/rational arithmetic except
 ``zeta_partial_check``, which evaluates truncated Dirichlet series in
 floating point with explicit tail bounds.  The closed forms here are
@@ -54,7 +59,6 @@ from .arith import (
     divisors,
     euler_phi,
     factor,
-    is_prime,
     mobius,
     phi_mu_tables,
     ramanujan_sum,
@@ -424,76 +428,31 @@ def zeta_partial_check(m: int, t: int, cutoff: int, tol: float) -> ZetaReport:
     return ZetaReport(m, t, cutoff, tol, partial, reference, tail)
 
 
-def _expected_homs(p: int, k: int) -> set[tuple[int, ...]]:
-    """Value tables (on phi(p^0)..phi(p^k)) of the k+1 ring maps to the integers:
+def hom_classify(N: int) -> list[dict[int, int]]:
+    """All ring maps from the span of phi(d), d | N, to the integers.
 
-    the trace of F_{p^i}, phi(n) -> c_n(p^i), for 0 <= i <= k; at i = k
-    every c_{p^m}(p^k) is euler_phi(p^m), so that map is the root count f0.
+    They are the tau(N) trace characters t_d: phi(n) -> c_n(d), d | N:
+    distinct ring maps into a field are linearly independent (Dedekind),
+    so the rank tau(N) bounds their number.  Nothing is solved: each t_d
+    is checked against each product phi(n)*phi(m), n <= m | N, and all are
+    checked unital and distinct.  A broken product, an index outside
+    divisors(N) or two equal characters raises ArithmeticError.  Returns
+    one {d: value} dict per map, value tuples in descending order.
     """
-    return {tuple(ramanujan_sum(p**m, p**i) for m in range(k + 1)) for i in range(k + 1)}
-
-
-def hom_classify(p: int, k: int) -> list[dict[int, int]]:
-    """All ring homomorphisms from the span of phi(p^0)..phi(p^k) to the integers.
-
-    Solves the multiplicative constraints of the basis products directly
-    (a quadratic per level plus cross relations), then checks every
-    solution against every basis product and the solution set against the
-    k+1 known maps; a failure of either is an internal error and raises
-    ArithmeticError.  Returns one {p**i: value} assignment per map.
-    """
-    if not is_prime(p):
-        raise ValueError(f"hom_classify() requires a prime, got {p}")
-    if k < 1:
-        raise ValueError(f"hom_classify() requires depth k >= 1, got {k}")
-
-    solutions: list[tuple[int, ...]] = []
-
-    def extend(xs: list[int], total: int) -> None:
-        n = len(xs)
-        if n > k:
-            solutions.append(tuple(xs))
-            return
-        pn = p**n
-        tot = euler_phi(pn)
-        b = pn // p - tot
-        disc = b * b + 4 * tot * total
-        if disc < 0:
-            return
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return
-        roots = set()
-        for sgn in (s, -s):
-            num = -b + sgn
-            if num % 2 == 0:
-                roots.add(num // 2)
-        for x in sorted(roots):
-            # cross relations: phi(p^n)*phi(p^j) = euler_phi(p^j)*phi(p^n), j < n
-            if all(x * (xs[j] - euler_phi(p**j)) == 0 for j in range(1, n)):
-                extend(xs + [x], total + x)
-
-    extend([1], 1)
-
-    # belt and braces: every solution must respect every basis product
-    for vals in solutions:
-        for i in range(k + 1):
-            for j in range(k + 1):
-                prod = basis_mul(p**i, p**j)
-                value = sum(c * vals[0 if d == 1 else factor(d)[0][1]] for d, c in prod.items())
-                if value != vals[i] * vals[j]:
-                    raise ArithmeticError(
-                        f"hom solver fault at p={p}, k={k}: solution {vals} "
-                        f"breaks phi({p**i})*phi({p**j})"
-                    )
-
-    expected = _expected_homs(p, k)
-    if set(solutions) != expected:
-        raise ArithmeticError(
-            f"hom classification mismatch at p={p}, k={k}: "
-            f"found {sorted(solutions)}, expected {sorted(expected)}"
-        )
-    return [
-        {p**i: v for i, v in enumerate(vals)}
-        for vals in sorted(solutions, reverse=True)
-    ]
+    if N < 1:
+        raise ValueError(f"hom_classify() requires N >= 1, got {N}")
+    ds = divisors(N)
+    at = {d: i for i, d in enumerate(ds)}
+    chars = [tuple(ramanujan_sum(n, d) for n in ds) for d in ds]
+    fault = f"hom certificate fault at N={N}"
+    for i, n in enumerate(ds):
+        for m in ds[i:]:
+            prod = basis_mul(n, m)
+            if not all(k in at for k in prod.support):
+                raise ArithmeticError(f"{fault}: phi({n})*phi({m}) = {prod} leaves the level")
+            for vals in chars:
+                if sum(c * vals[at[k]] for k, c in prod.items()) != vals[at[n]] * vals[at[m]]:
+                    raise ArithmeticError(f"{fault}: character {vals} breaks phi({n})*phi({m})")
+    if len(set(chars)) < len(ds) or any(vals[0] != 1 for vals in chars):
+        raise ArithmeticError(f"{fault}: {chars} are not {len(ds)} distinct unital maps")
+    return [dict(zip(ds, vals)) for vals in sorted(chars, reverse=True)]

@@ -302,7 +302,7 @@ def test_criterion_12_hom_classification():
     bad = []
     for p in (2, 3, 5):
         for k in (1, 2, 3):
-            homs = witt.hom_classify(p, k)  # raises if the set mismatches
+            homs = witt.hom_classify(p**k)  # raises if a character breaks a product
             if len(homs) != k + 1:
                 bad.append((p, k, len(homs)))
             expected = set()

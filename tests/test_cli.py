@@ -227,6 +227,7 @@ _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
 _TEN_DIGITS_100 = ";".join([",".join(["-1234567890"] * 100)] * 100)
 # trial division of 10^18 + 3 stops at arith.FACTOR_BUDGET, mid-work
 _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) > 4000000"
+_MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
 
 
 @pytest.mark.parametrize(
@@ -259,6 +260,28 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
         ),
         (None, ["sections", "--rows", "-1", "--cols", "2"], "rows must be >= 0, got -1"),
         (None, ["sections", "--rows", "2", "--cols", "-3"], "cols must be >= 0, got -3"),
+        (
+            None,
+            ["sections", "--rows", "1000000000000000003", "--cols", "12"],
+            "budget exceeded: 1000000000000000003 rows > 150000",
+        ),
+        (
+            None,
+            ["sections", "--rows", "1000000000000000003", "--cols", "0"],
+            "budget exceeded: 1000000000000000003 rows > 150000",
+        ),
+        (
+            None,
+            ["sections", "--rows", "0", "--cols", "1000000000000000003"],
+            "budget exceeded: 1000000000000000003 cols > 150000",
+        ),
+        (None, ["sections", "--rows", "1000000", "--cols", "2"], _MILLION_ROWS),
+        (None, ["sections", "--rows", "1000000", "--cols", "0"], _MILLION_ROWS),
+        (
+            None,
+            ["sections", "--rows", "150000", "--cols", "150000"],
+            "budget exceeded: (2*bound + 1)^(150000*150000) candidate matrices > 150000",
+        ),
         (None, ["lambda", "100000"], "budget exceeded: euler_phi(100000) > 1000 coefficients"),
         (
             None,
@@ -349,8 +372,11 @@ _HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) 
     ],
     ids=["truncated", "nosize", "zero5", "zmod0", "zmodx", "zmod-empty", "carrier", "nope",
          "charpoly-nonsquare", "wittclass-nonsquare", "sections-over-budget",
-         "sections-negative-rows", "sections-negative-cols", "lambda-over-budget",
-         "lambda-huge-prime", "lambda-table-over-budget", "lambda-table-1000",
+         "sections-negative-rows", "sections-negative-cols",
+         "sections-huge-rows", "sections-huge-rows-no-cols", "sections-huge-cols",
+         "sections-million-rows", "sections-million-rows-no-cols", "sections-budget-square",
+         "lambda-over-budget", "lambda-huge-prime", "lambda-table-over-budget",
+         "lambda-table-1000",
          "ramanujan-over-budget", "ramanujan-million-rows", "parseval-100000", "parseval-50400",
          "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
          "wittclass-101-rows", "charpoly-ten-digit-entries", "spec-zmod5000",
@@ -397,7 +423,11 @@ def test_cli_frobenius_of_a_huge_index_answers_at_once(argv, out):
 _SUBCOMMANDS = next(
     a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
 ).choices
-_INTS = st.integers(-2, 12).map(str)
+# small values, then sizes past every budget: 10^6, the prime 10^18 + 3 and
+# the 30-digit composite (10^14 + 31)*(10^15 + 37)
+_INTS = st.one_of(
+    st.integers(-2, 12), st.sampled_from([10**6, 10**18 + 3, 100000000000034700000000001147])
+).map(str)
 _ELEMENTS = st.sampled_from(["phi(4)", "2*phi(6) - 3", "-phi(3)", "phi(0)", "phi(", "x"])
 _MATRICES = st.sampled_from(["1,0;0,1", "0,1;0,0", "2", "1,2", "1,2;3,x", "-1,0;0,1"])
 _RIGS = st.sampled_from(["boolean", "zmod:6", "zmod:0", "tropical4", "int", "file:/nonexistent"])
@@ -425,7 +455,8 @@ def _argv(draw):
             options.append(action.option_strings[0])
             if action.required or draw(st.booleans()):
                 argv += [action.option_strings[0], draw(value)]
-    argv += ["--"] * draw(st.booleans()) + operands
+    # a "--" with no operand after it would only ever reach the parser's error
+    argv += ["--"] * (bool(operands) and draw(st.booleans())) + operands
     extra = _FUZZ_TOKENS | st.sampled_from(options) if options else _FUZZ_TOKENS
     return argv + draw(st.lists(extra, max_size=1))
 

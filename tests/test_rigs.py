@@ -354,6 +354,9 @@ def test_global_sections_examples():
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="budget exceeded: 40353607 candidate"):
         global_sections(3, 3, 3)
+    # a bound of 5001 digits is priced from its bit length and never printed
+    with pytest.raises(BudgetExceeded, match=r"\(2\*bound \+ 1\)\^\(1\*1\) candidate"):
+        global_sections(1, 1, 10**5000)
     assert time.perf_counter() - start < 1
 
 

@@ -283,19 +283,19 @@ def test_zeta_report_carries_both_values_on_failure():
 
 
 def test_hom_classify_small():
-    homs = hom_classify(2, 1)
+    homs = hom_classify(2)
     assert sorted(h[2] for h in homs) == [-1, 1]
-    homs = hom_classify(3, 1)
+    homs = hom_classify(3)
     assert sorted(h[3] for h in homs) == [-1, 2]
     for p in (2, 3):
         for k in (1, 2):
-            assert len(hom_classify(p, k)) == k + 1
+            assert len(hom_classify(p**k)) == k + 1
 
 
 def test_hom_classify_values_match_trace_family():
     for p in (2, 3):
         k = 2
-        homs = {tuple(h[p**i] for i in range(k + 1)) for h in hom_classify(p, k)}
+        homs = {tuple(h[p**i] for i in range(k + 1)) for h in hom_classify(p**k)}
         fam = set()
         for i in range(k):
             fam.add(tuple(t_m(p**i, phi(p**j)) for j in range(k + 1)))
@@ -324,8 +324,7 @@ def _hand_hom_table(p, k):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_hom_classify_matches_hand_table(p):
     for k in range(1, 6):
-        assert witt._expected_homs(p, k) == _hand_hom_table(p, k)
-        homs = {tuple(h[p**i] for i in range(k + 1)) for h in hom_classify(p, k)}
+        homs = {tuple(h[p**i] for i in range(k + 1)) for h in hom_classify(p**k)}
         assert homs == _hand_hom_table(p, k)
 
 
@@ -336,12 +335,52 @@ def test_hom_classify_raises_on_a_solution_that_breaks_a_product(monkeypatch):
     monkeypatch.setattr(
         witt, "basis_mul", lambda n, m: real(n, m) + ONE if n == m == 9 else real(n, m)
     )
-    with pytest.raises(ArithmeticError, match=r"solver fault at p=3, k=2: solution \(1, "):
-        hom_classify(3, 2)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"certificate fault at N=9: character \(1, -1, 0\) breaks phi\(9\)\*phi\(9\)",
+    ):
+        hom_classify(9)
+
+
+def test_hom_classify_raises_on_a_product_outside_the_level_or_equal_characters(monkeypatch):
+    real_mul, real_sum = witt.basis_mul, witt.ramanujan_sum
+    with monkeypatch.context() as m:
+        m.setattr(witt, "basis_mul", lambda n, k: phi(5) if n == k == 2 else real_mul(n, k))
+        leaves = r"N=4: phi\(2\)\*phi\(2\) = .* leaves the level"
+        with pytest.raises(ArithmeticError, match=leaves):
+            hom_classify(4)
+    # every t_d read as t_1: each respects every product, but they coincide
+    monkeypatch.setattr(witt, "ramanujan_sum", lambda n, d: real_sum(n, 1))
+    with pytest.raises(ArithmeticError, match=r"N=4: .* are not 3 distinct unital maps"):
+        hom_classify(4)
 
 
 def test_hom_classify_rejects_bad_input():
     with pytest.raises(ValueError):
-        hom_classify(4, 1)
+        hom_classify(0)
     with pytest.raises(ValueError):
-        hom_classify(2, 0)
+        hom_classify(-3)
+
+
+@pytest.mark.parametrize("N", range(1, 61))
+def test_hom_classify_matches_the_root_model(N):
+    # the value of t_d on phi(n) is the literal sum of the d-th powers of the
+    # primitive n-th roots: independent of ramanujan_sum
+    ds = [d for d in range(1, N + 1) if N % d == 0]
+    homs = hom_classify(N)
+    assert len(homs) == len(ds)
+    model = {tuple(roots.root_sum(roots.power_map(roots.orbit(n), d)) for n in ds) for d in ds}
+    # in descending order of the value tuples, as at the prime towers
+    assert [tuple(h[n] for n in ds) for h in homs] == sorted(model, reverse=True)
+
+
+def test_hom_classify_raises_on_a_wrong_ramanujan_sum(monkeypatch):
+    # c_4(2) = -2; with 5 instead, t_2 first breaks phi(3)*phi(4) = phi(12):
+    # c_3(2)*5 = -5, but c_12(2) = 2
+    real = witt.ramanujan_sum
+    monkeypatch.setattr(
+        witt, "ramanujan_sum", lambda n, d: 5 if (n, d) == (4, 2) else real(n, d)
+    )
+    broken = r"N=12: character \(1, 1, -1, 5, -1, 2\) breaks phi\(3\)\*phi\(4\)$"
+    with pytest.raises(ArithmeticError, match=broken):
+        hom_classify(12)
