@@ -163,7 +163,7 @@ class _TraceCoords:
     L = prod p**e, not tau(L)**2.
     """
 
-    __slots__ = ("ds", "_slot", "_steps", "_dens")
+    __slots__ = ("ds", "_slot", "_steps", "_dens", "_gain")
 
     def __init__(self, L: int):
         self.ds = divisors(L)
@@ -179,32 +179,45 @@ class _TraceCoords:
         slot = {d: i for i, d in enumerate(radix)}
         self._slot = [slot[d] for d in self.ds]
         self._dens = [L * euler_phi(n) for n in self.ds]
+        self._gain = math.prod(max(sum(map(abs, row)) for row in t) for _, t in self._steps)
 
-    def coeffs(self, g) -> list[int]:
-        """The phi-coordinates over ds of the element whose trace vector is g.
+    def solve(self, gs) -> list[list[int]]:
+        """The phi-coordinates over ds of the element of each trace vector in gs.
 
-        A remainder means g is no trace vector of an integer combination,
-        which the callers never produce: it raises ArithmeticError.
+        Kronecker substitution: value k of a coordinate sits in a signed
+        w-bit slot at bit w*k of one int, the linear tables act on the packed
+        ints once, and the slots are read back and divided.  |slot| <=
+        max|value| * gain (the product of the tables' largest absolute row
+        sums), and w is that bound's bit length plus 2: exact at any size.
+        A remainder, which the callers never produce, raises ArithmeticError.
         """
-        v = [0] * len(g)
-        for i, x in zip(self._slot, g):
-            v[i] = x
+        gs = [list(g) for g in gs]
+        w = (max((max(max(g), -min(g)) for g in gs), default=0) * self._gain).bit_length() + 2
+        v = [0] * len(self.ds)
+        for i, col in zip(self._slot, zip(*gs)):
+            v[i] = sum(x << w * k for k, x in enumerate(col))
         for stride, table in self._steps:
             span = stride * len(table)
             for base in (hi + lo for hi in range(0, len(v), span) for lo in range(stride)):
                 vals = v[base:base + span:stride]
                 for a, row in enumerate(table):
                     v[base + a * stride] = sum(map(operator.mul, row, vals))
-        out = []
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        bias = half * (((1 << (w * len(gs))) - 1) // mask)  # half in every slot
+        out = [[] for _ in gs]
         for n, i, den in zip(self.ds, self._slot, self._dens):
-            q, r = divmod(v[i], den)
-            if r:
-                raise ArithmeticError(
-                    f"trace vector {list(g)} over divisors {self.ds} has no integer "
-                    f"coefficient at phi({n}): implementation bug"
-                )
-            out.append(q)
+            u = v[i] + bias
+            for g, row in zip(gs, out):
+                q, r = divmod((u & mask) - half, den)
+                if r:
+                    raise ArithmeticError(f"trace vector {g} over divisors {self.ds} has no "
+                                          f"integer coefficient at phi({n}): implementation bug")
+                row.append(q)
+                u >>= w
         return out
+
+    def coeffs(self, g) -> list[int]:
+        return self.solve([g])[0]
 
     def element(self, g) -> WittElement:
         return _unvec(self.coeffs(g), self.ds)
@@ -284,8 +297,8 @@ def _gamma_from_lambda(col: list[int], degree: int) -> list[int]:
     return out
 
 
-def _series(cols: list[list[int]], coords: _TraceCoords, degree: int) -> WittSeries:
-    return WittSeries([coords.element([col[k] for col in cols]) for k in range(degree + 1)])
+def _series(cols: list[list[int]], coords: _TraceCoords) -> WittSeries:
+    return WittSeries([_unvec(v, coords.ds) for v in coords.solve(zip(*cols))])
 
 
 def _level(a: WittElement) -> int:
@@ -308,7 +321,7 @@ def lambda_series(a: WittElement, degree: int) -> WittSeries:
     if degree < 0:
         raise ValueError("truncation degree must be >= 0")
     coords = _trace_coords(_level(a))
-    return _series(_trace_lambda(a, degree, coords.ds), coords, degree)
+    return _series(_trace_lambda(a, degree, coords.ds), coords)
 
 
 def gamma_basis(a: WittElement, k: int) -> WittElement:
@@ -328,7 +341,7 @@ def gamma_series(a: WittElement, degree: int) -> WittSeries:
         raise ValueError("truncation degree must be >= 0")
     coords = _trace_coords(_level(a))
     cols = _trace_lambda(a, degree, coords.ds)
-    return _series([_gamma_from_lambda(col, degree) for col in cols], coords, degree)
+    return _series([_gamma_from_lambda(col, degree) for col in cols], coords)
 
 
 @dataclass
@@ -426,27 +439,32 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     exponential in the bound).
 
     All of it runs in the trace coordinates over divisors(N), where a
-    product is pointwise.  The trace map is injective and Z-linear, so
-    a Hermite basis there spans the image of the same lattice; its rows
-    map back exactly, and a second Hermite form in phi coordinates gives
-    the unique basis.
+    product is pointwise.  Coordinate c of gamma_t(phi(d) - euler_phi(d))
+    depends only on d/gcd(d, c) and euler_phi(d), so each distinct column
+    is computed once.  The trace map is injective and Z-linear, so a
+    Hermite basis there spans the image of the same lattice; its rows map
+    back exactly, and a second Hermite form in phi coordinates gives the
+    unique basis.
     """
     bound = monomial_bound if monomial_bound is not None else depth + 2
     if N < 1 or depth < 1 or bound < 0:
         raise ValueError("gamma_filtration() requires N >= 1, depth >= 1 and monomial_bound >= 0")
     ds = divisors(N)
     r = len(ds)
-    ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    lattices = [hnf(ident)]
+    lattices = [hnf([[int(i == j) for j in range(r)] for i in range(r)])]
     basis = [phi(d) - ONE * euler_phi(d) for d in ds if d > 1]
     lattices.append(hnf([_vec(b, ds) for b in basis], ambient=r))
 
     coords = _trace_coords(N)
     atoms: dict[int, list[list[int]]] = {e: [] for e in range(1, bound + 1)}  # gamma^e(b)
-    for b in basis:
-        cols = [_gamma_from_lambda(col, bound) for col in _trace_lambda(b, bound, ds)]
+    cols: dict[tuple[int, int], list[int]] = {}  # t_c(gamma_t(b)) by (d/gcd(d, c), euler_phi(d))
+    for d, b in zip(ds[1:], basis):
+        keys = [(d // math.gcd(d, c), euler_phi(d)) for c in ds]
+        new = {key: c for key, c in zip(keys, ds) if key not in cols}
+        for key, col in zip(new, _trace_lambda(b, bound, tuple(new.values()))):
+            cols[key] = _gamma_from_lambda(col, bound)
         for e in atoms:
-            v = [-col[e] if e % 2 else col[e] for col in cols]
+            v = [-cols[key][e] if e % 2 else cols[key][e] for key in keys]
             if any(v):
                 atoms[e].append(v)
     spans = [[[1] * r]]  # spans[t]: Hermite basis of S_t, in trace coordinates
@@ -460,7 +478,7 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     for k in range(bound, 1, -1):
         ideal = list(hnf(ideal + spans[k], ambient=r).basis)
         if k <= depth:
-            upper.append(hnf([coords.coeffs(row) for row in ideal], ambient=r))
+            upper.append(hnf(coords.solve(ideal), ambient=r))
     empty = hnf([], ambient=r)
     lattices += upper[::-1] + [empty] * (depth - max(bound, 1))
     return GammaFiltration(N, depth, ds, lattices)

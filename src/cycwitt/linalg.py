@@ -344,46 +344,48 @@ class HnfLattice:
 
 
 def hnf(generators, ambient: int | None = None) -> HnfLattice:
-    """Row-style Hermite normal form of the lattice spanned by the generators."""
-    gens = [list(g) for g in generators]
+    """Row-style Hermite normal form of the lattice spanned by the generators.
+
+    Distinct nonzero generators are kept once, in first-seen order.  Per
+    column, Euclid runs among the rows nonzero there until one is left, the
+    pivot; rows it zeroes wait for the next column, or leave if all zero.
+    The Hermite form of a lattice is unique (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.2), so any elimination order gives this basis.
+    """
+    gens = [tuple(g) for g in generators]
     if ambient is None:
         if not gens:
             raise ValueError("need either generators or an explicit ambient rank")
         ambient = len(gens[0])
     if any(len(g) != ambient for g in gens):
         raise ValueError("generators of mixed length")
-    mat = [g for g in gens if any(g)]
-    m = len(mat)
-    pivot_row = 0
+    live = list(dict.fromkeys(g for g in gens if any(g)))
+    basis = []
     for col in range(ambient):
-        while True:
-            nz = [i for i in range(pivot_row, m) if mat[i][col]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][col]))
-            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-            piv = mat[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, m):
-                q = mat[i][col] // piv
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-                if mat[i][col]:
-                    done = False
-            if done:
-                break
-        if nz:
-            if mat[pivot_row][col] < 0:
-                mat[pivot_row] = [-x for x in mat[pivot_row]]
-            piv = mat[pivot_row][col]
-            for i in range(pivot_row):
-                q = mat[i][col] // piv  # floor keeps entries in [0, piv)
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-            pivot_row += 1
-            if pivot_row == m:
-                break
-    return HnfLattice(ambient, mat[:pivot_row])
+        nz = [row for row in live if row[col]]
+        if not nz:
+            continue
+        live = [row for row in live if not row[col]]
+        while len(nz) > 1:
+            piv = min(nz, key=lambda row: abs(row[col]))
+            p = piv[col]
+            rest = [piv]
+            for row in nz:
+                if row is not piv:
+                    q = row[col] // p
+                    row = [a - q * b for a, b in zip(row, piv)]
+                    if row[col]:
+                        rest.append(row)
+                    elif any(row):
+                        live.append(row)
+            nz = rest
+        piv = nz[0] if nz[0][col] > 0 else [-x for x in nz[0]]
+        for i, row in enumerate(basis):
+            q = row[col] // piv[col]  # floor keeps entries in [0, pivot)
+            if q:
+                basis[i] = [a - q * b for a, b in zip(row, piv)]
+        basis.append(piv)
+    return HnfLattice(ambient, basis)
 
 
 # -- characteristic polynomial -----------------------------------------------

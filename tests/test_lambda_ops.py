@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from cycwitt.arith import IntPolynomial, cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
     GammaFiltration,
     WittSeries,
+    _gamma_from_lambda,
+    _level,
     _trace_coords,
     _trace_lambda,
     gamma_basis,
@@ -369,6 +372,99 @@ def test_corrupted_trace_vector_raises():
     g[2] += 1
     with pytest.raises(ArithmeticError, match="implementation bug"):
         coords.coeffs(g)
+
+
+def _per_vector_coeffs(coords, g):
+    """The inversion of one trace vector at a time, as _TraceCoords.coeffs
+    ran before the vectors were packed.  The oracle for the batched one."""
+    v = [0] * len(g)
+    for i, x in zip(coords._slot, g):
+        v[i] = x
+    for stride, table in coords._steps:
+        span = stride * len(table)
+        for base in (hi + lo for hi in range(0, len(v), span) for lo in range(stride)):
+            vals = v[base:base + span:stride]
+            for a, row in enumerate(table):
+                v[base + a * stride] = sum(map(operator.mul, row, vals))
+    out = []
+    for n, i, den in zip(coords.ds, coords._slot, coords._dens):
+        q, r = divmod(v[i], den)
+        if r:
+            raise ArithmeticError(
+                f"trace vector {list(g)} over divisors {coords.ds} has no integer "
+                f"coefficient at phi({n}): implementation bug"
+            )
+        out.append(q)
+    return out
+
+
+def _per_vector_series(cols, coords):
+    return WittSeries([WittElement(dict(zip(coords.ds, _per_vector_coeffs(coords, g))))
+                       for g in zip(*cols)])
+
+
+def _slot_bits(cols, coords):
+    # the slot width solve() picks for these columns
+    return (max(abs(x) for col in cols for x in col) * coords._gain).bit_length() + 2
+
+
+def _check_batched_series(a, degree):
+    """lambda_t(a) and gamma_t(a) against the per-vector inversion; returns
+    the slot widths the two batched inversions used."""
+    coords = _trace_coords(_level(a))
+    cols = _trace_lambda(a, degree, coords.ds)
+    gammas = [_gamma_from_lambda(col, degree) for col in cols]
+    assert lambda_series(a, degree) == _per_vector_series(cols, coords), a
+    assert gamma_series(a, degree) == _per_vector_series(gammas, coords), a
+    return _slot_bits(cols, coords), _slot_bits(gammas, coords)
+
+
+NINE_PRIMES = sum((phi(p) for p in (3, 5, 7, 11, 13, 17, 19, 23)), phi(2))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_batched_inversion_matches_per_vector_at_full_degree(n):
+    _check_batched_series(phi(n), euler_phi(n))
+
+
+def test_batched_inversion_matches_per_vector_on_virtual_elements():
+    for x in _virtual_elements() + _mixed_sign_elements():
+        _check_batched_series(x, 6)
+    _check_batched_series(NINE_PRIMES, 3)
+    _check_batched_series(WittElement(), 4)
+
+
+@pytest.mark.parametrize(
+    "a,degree,bits",
+    [(phi(41), 40, (46, 84)), (25 * phi(1) + phi(30), 30, (39, 67)),
+     (phi(30) - 60 * ONE, 40, (105, 70))],
+)
+def test_batched_inversion_with_slots_above_64_bits(a, degree, bits):
+    assert _check_batched_series(a, degree) == bits
+
+
+@pytest.mark.parametrize("level", (1, 12, 60, 97, 360, 2 * 3 * 5 * 7 * 11 * 13))
+def test_batched_solve_matches_per_vector_on_random_vectors(level):
+    coords = _trace_coords(level)
+    rng = random.Random(level)
+    for count in (0, 1, 2, 7, 40):
+        elements = [WittElement({d: rng.randint(-10**rng.randint(1, 30), 10**30)
+                                 for d in rng.sample(coords.ds, min(4, len(coords.ds)))})
+                    for _ in range(count)]
+        gs = [[t_m(d, w) for d in coords.ds] for w in elements]
+        assert coords.solve(gs) == [_per_vector_coeffs(coords, g) for g in gs]
+        assert [coords.element(g) for g in gs] == elements
+
+
+def test_batched_solve_names_the_corrupted_vector():
+    coords = _trace_coords(12)
+    gs = [[t_m(d, w) for d in coords.ds] for w in (phi(4) - 2 * ONE, phi(6), 3 * phi(12))]
+    gs[1][2] += 1
+    with pytest.raises(ArithmeticError) as batched:
+        coords.solve(gs)
+    with pytest.raises(ArithmeticError) as single:
+        _per_vector_coeffs(coords, gs[1])
+    assert str(batched.value) == str(single.value)
 
 
 def test_series_pow_is_repeated_product():

@@ -71,6 +71,112 @@ def test_hnf_membership():
     assert lat.contains([0, 0])
 
 
+def _oneshot_hnf(generators, ambient: int | None = None) -> linalg.HnfLattice:
+    """The elimination hnf ran before it kept only live rows, verbatim:
+    every row below the pivot is reduced on every pass.  The oracle."""
+    gens = [list(g) for g in generators]
+    if ambient is None:
+        if not gens:
+            raise ValueError("need either generators or an explicit ambient rank")
+        ambient = len(gens[0])
+    if any(len(g) != ambient for g in gens):
+        raise ValueError("generators of mixed length")
+    mat = [g for g in gens if any(g)]
+    m = len(mat)
+    pivot_row = 0
+    for col in range(ambient):
+        while True:
+            nz = [i for i in range(pivot_row, m) if mat[i][col]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][col]))
+            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
+            piv = mat[pivot_row][col]
+            done = True
+            for i in range(pivot_row + 1, m):
+                q = mat[i][col] // piv
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+                if mat[i][col]:
+                    done = False
+            if done:
+                break
+        if nz:
+            if mat[pivot_row][col] < 0:
+                mat[pivot_row] = [-x for x in mat[pivot_row]]
+            piv = mat[pivot_row][col]
+            for i in range(pivot_row):
+                q = mat[i][col] // piv  # floor keeps entries in [0, piv)
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+            pivot_row += 1
+            if pivot_row == m:
+                break
+    return linalg.HnfLattice(ambient, mat[:pivot_row])
+
+
+def _hnf_generator_sets():
+    # duplicates, zero rows, negated rows, entries above 2**64, rank-deficient
+    # sets (combinations of fewer rows than columns), up to 12 columns and
+    # 300 or more rows
+    rng = random.Random(19)
+    for i in range(240):
+        cols = rng.randint(1, 12)
+        size = rng.choice((1, 9, 2**70))
+        rank = rng.randint(1, cols) if i % 3 else rng.randint(1, max(1, cols - 1))
+        base = [[rng.randint(-size, size) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(rank)]
+        count = 300 + rng.randint(0, 40) if i % 40 == 0 else rng.randint(0, 30)
+        rows = [[sum(rng.randint(-3, 3) * b[j] for b in base) for j in range(cols)]
+                for _ in range(count)]
+        for _ in range(rng.randint(0, 4)):
+            if rows:
+                row = rng.choice(rows)
+                rows.insert(rng.randint(0, len(rows)), rng.choice((row, [-x for x in row])))
+            rows.insert(rng.randint(0, len(rows)), [0] * cols)
+        yield rows, cols
+
+
+def test_hnf_matches_oneshot_elimination():
+    sets = list(_hnf_generator_sets())
+    assert len(sets) >= 200 and sum(len(rows) >= 300 for rows, _ in sets) >= 5
+    assert any(abs(x) > 2**64 for rows, _ in sets for row in rows for x in row)
+    deficient = 0
+    for rows, cols in sets:
+        lat = hnf(rows, ambient=cols)
+        assert lat == _oneshot_hnf(rows, ambient=cols), rows
+        deficient += lat.rank < cols
+        if rows:
+            assert hnf(rows) == lat
+    assert deficient >= 50
+    for r in range(1, 13):
+        assert hnf([], ambient=r) == _oneshot_hnf([], ambient=r) == linalg.HnfLattice(r, [])
+    for bad in ([], [[1, 2], [3]]):
+        with pytest.raises(ValueError) as old:
+            _oneshot_hnf(bad)
+        with pytest.raises(ValueError) as new:
+            hnf(bad)
+        assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("level,depth", [(60, 2), (48, 3)])
+def test_hnf_matches_oneshot_on_gamma_filtration_spans(level, depth, monkeypatch):
+    from cycwitt import lambda_ops
+
+    inputs = []
+
+    def recording(generators, ambient=None):
+        gens = [list(g) for g in generators]
+        inputs.append((gens, ambient))
+        return hnf(gens, ambient)
+
+    monkeypatch.setattr(lambda_ops, "hnf", recording)
+    lambda_ops.gamma_filtration(level, depth)
+    assert len(inputs) > depth
+    for gens, ambient in inputs:
+        assert hnf(gens, ambient) == _oneshot_hnf(gens, ambient)
+
+
 def _laplace_det(cells):
     # independent reference determinant over polynomial entries
     n = len(cells)
