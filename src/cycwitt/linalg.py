@@ -78,10 +78,12 @@ class Rig:
         is assumed (the law checkers must expose a bad zero or one): each
         entry is the literal fold of its products, starting at zero.
         ``rigs.FiniteCRig`` and the two tropical carriers of ``rigs``
-        override it with the same fold minus the zero entries of f, exact
-        for them because a zero term cannot change their sums: the tables
-        are proved to have an absorbing zero that is the additive unit, and
-        max never lowers a sum that starts at zero."""
+        override it and skip the zero entries of f, exact for them because
+        a zero term cannot change their sums: the tables are proved to have
+        an absorbing zero that is the additive unit, and max never lowers a
+        sum that starts at zero.  The tropical kernel keeps the largest
+        term, comparing ``Fraction`` terms by integer cross-multiplication
+        (exact: denominators are positive) and building only the winner."""
         add, mul, zero = self.add, self.mul, self.zero
         g_cols = tuple(zip(*g_rows))
         return tuple(
@@ -172,7 +174,8 @@ class RigMatrix:
     def __eq__(self, other):
         if not isinstance(other, RigMatrix):
             return NotImplemented
-        return self.rig == other.rig and self.entries == other.entries and self.cols == other.cols
+        return ((self.rig is other.rig or self.rig == other.rig)
+                and self.entries == other.entries and self.cols == other.cols)
 
     def __hash__(self):
         return hash((self.rig, self.entries, self.cols))
@@ -191,7 +194,7 @@ _set_rig, _set_entries, _set_rows, _set_cols = (
 def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:
     """Matrix product; sums use rig addition, products rig multiplication,
     both through the rig's ``compose`` kernel."""
-    if f.rig != g.rig:
+    if f.rig is not g.rig and f.rig != g.rig:
         raise ValueError("matrices over different rigs")
     if f.cols != g.rows:
         raise ValueError(f"inner dimensions differ: {f.rows}x{f.cols} o {g.rows}x{g.cols}")
@@ -200,7 +203,7 @@ def mat_compose(f: RigMatrix, g: RigMatrix) -> RigMatrix:
 
 
 def direct_sum(f: RigMatrix, g: RigMatrix) -> RigMatrix:
-    if f.rig != g.rig:
+    if f.rig is not g.rig and f.rig != g.rig:
         raise ValueError("matrices over different rigs")
     right, left = (f.rig.zero,) * g.cols, (f.rig.zero,) * f.cols
     rows = tuple([row + right for row in f.entries] + [left + row for row in g.entries])
@@ -210,7 +213,7 @@ def direct_sum(f: RigMatrix, g: RigMatrix) -> RigMatrix:
 def kronecker(f: RigMatrix, g: RigMatrix) -> RigMatrix:
     """Kronecker product; row (i, k) of the result is indexed i*g.rows + k,
     matching the interleaving permutation convention of rigs.sigma()."""
-    if f.rig != g.rig:
+    if f.rig is not g.rig and f.rig != g.rig:
         raise ValueError("matrices over different rigs")
     mul = f.rig.mul
     rows = tuple(

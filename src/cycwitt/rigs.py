@@ -12,10 +12,13 @@ and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
 has one product kernel, ``compose``.  Three kernels skip the zero entries
 of the left factor: ``FiniteCRig``'s reads its tables, which construction
 proved to have an absorbing zero that is the additive unit, and the one
-shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` folds with max,
-under which a zero term never changes a sum that starts at zero.  Every
+shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` takes the largest
+term, since max never lowers a sum that starts at zero; it orders
+``Fraction`` terms by integer cross-multiplication, exact because their
+denominators are positive, and builds only the winning product.  Every
 other kernel folds every term, so a bad zero or one still shows in the
-law checks.  The law checkers verify the rig axioms and
+law checks.  The law checkers verify the rig axioms, over tables of
+interned values (exact for operations that depend only on the values), and
 the matrix-category laws (symmetry under block swap, centrality of
 scalars, the interleaving permutation that exchanges the two Kronecker
 orders) either exhaustively or by seeded sampling.  The module also
@@ -26,7 +29,6 @@ most one, which are exactly the signed sub-permutation matrices.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -355,12 +357,60 @@ class _TropicalRig(Rig):
 
     zero = Fraction(0)
     one = Fraction(1)
+    _exact_types = frozenset({Fraction})  # entry types that compose reads as integers
 
     def compose(self, f_rows, g_rows, ncols):
-        """The literal fold with zero entries of f skipped, exactly for any
-        ``Fraction`` or ``INF`` entries, in the carrier or not: mul(0, b) is
-        zero for every b, and the accumulator starts at zero and only grows
-        under max, so a skipped term would add zero to a value >= zero."""
+        """Each entry is the largest term a*b, or zero when no term is
+        positive, which is what the literal fold from zero gives: max keeps
+        its larger argument, and mul(0, b) is zero, so the zero entries of f
+        are skipped.  When every entry is a ``Fraction`` (or ``INF`` over
+        [0, inf]) the terms are compared as integers, an*bn*cd > cn*ad*bd
+        with positive denominators, and the winner becomes one ``Fraction``
+        at most: none when a factor is one.  Over [0, inf] a nonzero term
+        with an ``INF`` factor is ``INF`` and stays the leader, held as 1/0.
+        Any other entry takes the literal fold, so values and errors stay."""
+        kinds = {type(x) for rows in (f_rows, g_rows) for row in rows for x in row}
+        if not kinds <= self._exact_types:
+            return self._fold(f_rows, g_rows, ncols)
+        zero = self.zero
+        g_infs = [()] * len(g_rows)
+        if _Inf in kinds:  # INF columns are set apart and read as zero below
+            g_infs = [[j for j, b in enumerate(row) if b is INF] for row in g_rows]
+            g_rows = [[zero if b is INF else b for b in row] for row in g_rows]
+        out = []
+        for f_row in f_rows:
+            # the leading term of each column: its value top_n/top_d and either
+            # itself or, while neither factor is one, its factors (a, b)
+            lead, top_n, top_d, pending = [zero] * ncols, [0] * ncols, [1] * ncols, False
+            for k, a in enumerate(f_row):
+                if a is INF:
+                    infs = [j for j, b in enumerate(g_rows[k]) if b] + g_infs[k]
+                elif a._numerator:  # a Fraction's own slots: no property call
+                    an, ad = a._numerator, a._denominator
+                    for j, b in enumerate(g_rows[k]):
+                        pn = an * b._numerator
+                        if pn > 0:
+                            pd = ad * b._denominator
+                            if pn * top_d[j] > top_n[j] * pd:
+                                top_n[j], top_d[j] = pn, pd
+                                if an == ad:
+                                    lead[j] = b
+                                elif pn == an and pd == ad:
+                                    lead[j] = a
+                                else:
+                                    lead[j], pending = (a, b), True
+                    infs = g_infs[k]
+                else:
+                    continue
+                for j in infs:
+                    top_n[j], top_d[j], lead[j] = 1, 0, INF
+            if pending:
+                lead = [w[0] * w[1] if type(w) is tuple else w for w in lead]
+            out.append(tuple(lead))
+        return tuple(out)
+
+    def _fold(self, f_rows, g_rows, ncols):
+        """The literal fold, zero entries of f skipped."""
         add, mul = self.add, self.mul
         out = []
         for f_row in f_rows:
@@ -396,6 +446,7 @@ class TropicalNonNegRig(_TropicalRig):
     absorbing law."""
 
     name = "tropical-nonneg"
+    _exact_types = frozenset({Fraction, _Inf})
 
     def add(self, x, y):
         if x is INF or y is INF:
@@ -492,6 +543,8 @@ def identity(rig: Rig, n: int) -> RigMatrix:
 
 def oplus(f: RigMatrix, k: int) -> RigMatrix:
     """k-fold block sum of f with itself (k = 0 gives the empty matrix)."""
+    if k < 0:
+        raise ValueError(f"block sum needs k >= 0 copies, got {k}")
     z, c = f.rig.zero, f.cols
     rows = tuple(
         (z,) * (b * c) + row + (z,) * ((k - 1 - b) * c) for b in range(k) for row in f.entries
@@ -515,8 +568,11 @@ def sigma(m: int, n: int) -> tuple[int, ...]:
 
 
 def perm_matrix(rig: Rig, perm) -> RigMatrix:
-    """Matrix with row i selecting strand perm[i] (entry one at column perm[i])."""
+    """Matrix with row i selecting strand perm[i] (entry one at column perm[i]);
+    perm must be a permutation of range(len(perm))."""
     n = len(perm)
+    if set(perm) != set(range(n)):
+        raise ValueError(f"{tuple(perm)!r} is not a permutation of range({n})")
     rows = []
     for j in perm:
         row = [rig.zero] * n
@@ -549,49 +605,82 @@ class LawReport:
         return f"rig laws for {self.rig} ({mode}, {self.cases} cases): {verdict}"
 
 
+class _Table(dict):
+    """A table that fills each missing key k with fill(k) on first read."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
     """Verify associativity, units, commutative addition, distributivity and
     the absorbing zero over at most budget^2 triples: exhaustive on a small
-    finite carrier, else over round(budget^(2/3)) sampled elements.  A finite
-    carrier's sums and products are memoized unless it is a table already."""
-    add, mul = r.add, r.mul
+    finite carrier, else over round(budget^(2/3)) sampled elements (over
+    max(8, round(budget^(1/3))) when the carrier cannot be listed).
+
+    The laws run over index tables.  The elements, zero and one are interned
+    once, equal values sharing an index, and A[x][y] and M[x][y] are the
+    interned sum and product of the values at x and y, each computed on its
+    first read.  That is exact for operations that depend only on the values
+    (as for every carrier here, whose values hash as they compare): an
+    equation between indices holds exactly when the literal equation between
+    values does, so the cases, failures and their witnesses, mapped back to
+    values, are the literal checker's."""
     if r.finite:
         elems = list(r.elements())
         exhaustive = len(elems) ** 3 <= budget**2
         if not exhaustive:
             elems = Rig.sample(r, random.Random(seed), round(budget ** (2 / 3)))
-        if not isinstance(r, FiniteCRig):
-            add, mul = functools.cache(add), functools.cache(mul)
     else:
         elems = r.sample(random.Random(seed), max(8, round(budget ** (1 / 3))))
         exhaustive = False
     report = LawReport(r.name, exhaustive)
+    vals, index = [], {}
+
+    def intern(v):
+        i = index.setdefault(v, len(vals))
+        if i == len(vals):
+            vals.append(v)
+        return i
+
+    def table(op):
+        return _Table(lambda x: _Table(lambda y: intern(op(vals[x], vals[y]))))
+
+    ids = [intern(x) for x in elems]
+    zero, one = intern(r.zero), intern(r.one)
+    A, M = table(r.add), table(r.mul)
 
     def fail(law, *witness):
-        report.failures.append((law, witness))
+        report.failures.append((law, tuple(vals[x] for x in witness)))
 
-    for x in elems:
-        if add(x, r.zero) != x:
+    for x in ids:
+        if A[x][zero] != x:
             fail("additive unit", x)
-        if mul(x, r.one) != x or mul(r.one, x) != x:
+        if M[x][one] != x or M[one][x] != x:
             fail("multiplicative unit", x)
-        if mul(x, r.zero) != r.zero or mul(r.zero, x) != r.zero:
+        if M[x][zero] != zero or M[zero][x] != zero:
             fail("absorbing zero", x)
-    for x, y in itertools.product(elems, repeat=2):
+    for x, y in itertools.product(ids, repeat=2):
         report.cases += 1
-        if add(x, y) != add(y, x):
+        if A[x][y] != A[y][x]:
             fail("commutative addition", x, y)
-        if r.commutative and mul(x, y) != mul(y, x):
+        if r.commutative and M[x][y] != M[y][x]:
             fail("commutative multiplication", x, y)
-    for x, y, z in itertools.product(elems, repeat=3):
+    for x, y, z in itertools.product(ids, repeat=3):
         report.cases += 1
-        if add(add(x, y), z) != add(x, add(y, z)):
+        if A[A[x][y]][z] != A[x][A[y][z]]:
             fail("associative addition", x, y, z)
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+        if M[M[x][y]][z] != M[x][M[y][z]]:
             fail("associative multiplication", x, y, z)
-        if mul(add(x, y), z) != add(mul(x, z), mul(y, z)):
+        if M[A[x][y]][z] != A[M[x][z]][M[y][z]]:
             fail("right distributivity", x, y, z)
-        if mul(z, add(x, y)) != add(mul(z, x), mul(z, y)):
+        if M[z][A[x][y]] != A[M[z][x]][M[z][y]]:
             fail("left distributivity", x, y, z)
         if report.failures:
             break

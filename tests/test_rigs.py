@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -250,6 +251,21 @@ def test_perm_matrix_row_selector():
     m = perm_matrix(z, (2, 0, 1))
     x = RigMatrix(z, [[10], [20], [30]])
     assert mat_compose(m, x) == RigMatrix(z, [[30], [10], [20]])
+
+
+@pytest.mark.parametrize("perm", [(-1, 0), (0, 0), (0, 2), (1,), (2, 0, 2), (0, 1, 3)])
+def test_perm_matrix_refuses_non_permutations(perm):
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(perm))} is not a permutation "
+                       rf"of range\({len(perm)}\)$"):
+        perm_matrix(IntRig(), perm)
+
+
+def test_oplus_refuses_negative_copies():
+    f = RigMatrix(IntRig(), [[1, 2]])
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match=rf"^block sum needs k >= 0 copies, got {k}$"):
+            oplus(f, k)
+    assert oplus(f, 0) == RigMatrix(IntRig(), []) and oplus(f, 1) == f
 
 
 def test_prop_laws_boolean_exhaustive():
@@ -527,6 +543,72 @@ def _outcome(product, f, g):
         return type(exc)
 
 
+def _tropical_pool(rng, big):
+    """Entries for the tropical kernel tests: zero, one, INF, ints, negative
+    and above-one values, and fractions with parts up to 10**big."""
+    top = 10**big
+    return [Fraction(0), Fraction(1), INF, 0, 1, 3, -2, Fraction(-1, 2), Fraction(7, 2),
+            Fraction(-top + 1, top), Fraction(top - 1, top), Fraction(top, 3),
+            *(Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(6))]
+
+
+@pytest.mark.parametrize("rig", [TropicalUnitRig(), TropicalNonNegRig()], ids=lambda r: r.name)
+def test_tropical_kernel_matches_literal_fold(rig):
+    # the integer kernel against the literal fold on values outside the
+    # carrier too: every result, and every TypeError, must be the same
+    rng = random.Random(20)
+    for big in (1, 6, 30):
+        pool = _tropical_pool(rng, big)
+        # Fractions only, then INF too, then ints too
+        for keep in (lambda x: type(x) is Fraction, lambda x: type(x) is not int, lambda x: True):
+            entries = [x for x in pool if keep(x)]
+            for n, k, m in itertools.product(range(1, 4), repeat=3):
+                for _ in range(3):
+                    f = RigMatrix(rig, [[rng.choice(entries) for _ in range(k)] for _ in range(n)])
+                    g = RigMatrix(rig, [[rng.choice(entries) for _ in range(m)] for _ in range(k)])
+                    got, want = _outcome(mat_compose, f, g), _outcome(_literal_compose, f, g)
+                    assert got == want, (f, g)
+                    if isinstance(got, RigMatrix):  # int entries keep their type
+                        assert [list(map(type, row)) for row in got.entries] == [
+                            list(map(type, row)) for row in want.entries], (f, g)
+    # a zero entry of f against INF and a negative entry, and INF against zeros
+    zero, one = rig.zero, rig.one
+    for f, g in [([[zero, one]], [[INF], [Fraction(2)]]), ([[INF, zero]], [[zero], [INF]]),
+                 ([[Fraction(-1), one]], [[INF], [zero]]), ([[INF]], [[Fraction(-3)]])]:
+        f, g = RigMatrix(rig, f), RigMatrix(rig, g)
+        assert _outcome(mat_compose, f, g) == _outcome(_literal_compose, f, g), (f, g)
+    # k = 0: an n-by-0 factor composes to n-by-0, and the kernel gives zero rows
+    for n in range(3):
+        f = RigMatrix(rig, [[]] * n)
+        assert mat_compose(f, RigMatrix(rig, [])) == _literal_compose(f, RigMatrix(rig, []))
+        assert rig.compose(((),) * n, (), 2) == ((zero, zero),) * n
+
+
+def test_tropical_kernel_multiplies_no_terms(monkeypatch):
+    # Fraction entries (and INF over [0, inf]) never reach the carrier's mul:
+    # with mul raising, products still equal the literal fold taken before
+    rng = random.Random(21)
+    cases = []
+    for rig in (TropicalUnitRig(), TropicalNonNegRig()):
+        pool = [x for x in _tropical_pool(rng, 30) if type(x) is Fraction]
+        if isinstance(rig, TropicalNonNegRig):
+            pool.append(INF)
+        for n, k, m in itertools.product(range(1, 4), repeat=3):
+            f = RigMatrix(rig, [[rng.choice(pool) for _ in range(k)] for _ in range(n)])
+            g = RigMatrix(rig, [[rng.choice(pool) for _ in range(m)] for _ in range(k)])
+            cases.append((f, g, _literal_compose(f, g)))
+        last = cases[-1][2]  # and a one factor on the left
+        cases.append((identity(rig, last.rows), last, last))
+
+    def refuse(self, x, y):
+        raise AssertionError("the integer kernel called mul")
+
+    monkeypatch.setattr(TropicalUnitRig, "mul", refuse)
+    monkeypatch.setattr(TropicalNonNegRig, "mul", refuse)
+    for f, g, want in cases:
+        assert mat_compose(f, g) == want, (f, g)
+
+
 _MATRIX_CONSTRUCTORS = ("mat_compose", "direct_sum", "oplus", "perm_matrix", "kronecker",
                         "identity", "_scalar")
 
@@ -565,6 +647,26 @@ def test_prop_law_call_sequence_is_pinned(monkeypatch):
         total += counts
     assert [total[name] for name in ("mat_compose", "direct_sum", "oplus", "perm_matrix")] == [
         18110, 7462, 4992, 7024]
+
+
+# (rig name, budget) of the rig-law checks a benchmark round runs at seed 1,
+# and what each check does there: cases, exhaustive, failures
+_RIG_LAW_TRACES = [
+    (("boolean", 512), 12, True, []),
+    (("zmod:6", 512), 252, True, []),
+    (("zmod:7", 512), 392, True, []),
+    (("tropical-unit", 512), 576, False, []),
+    (("tropical-nonneg", 512), 576, False, []),
+    (("int", 512), 576, False, []),
+    (("control", 64), 4352, True, []),
+]
+
+
+def test_rig_law_checks_are_pinned():
+    for (name, budget), cases, exhaustive, failures in _RIG_LAW_TRACES:
+        r = SquareMatrixRig(FiniteCRig.boolean(), 2) if name == "control" else rig_by_name(name)
+        report = check_rig_laws(r, budget=budget, seed=1)
+        assert (report.cases, report.exhaustive, report.failures) == (cases, exhaustive, failures)
 
 
 @pytest.mark.parametrize("kind", ["table", "int"])
@@ -687,6 +789,57 @@ def test_memoized_rig_laws_match_literal_checker():
     assert check_rig_laws(control, budget=64, seed=3) == _literal_check_rig_laws(control, 64, 3)
     broken = check_rig_laws(_Mod4Minus())
     assert broken.failures and broken.failures[0] == ("commutative addition", (0, 1))
+
+
+class _Listed(Rig):
+    """A carrier's sample as a finite carrier: its elements are the sample."""
+
+    finite = True
+
+    def __init__(self, r, elems):
+        self.r, self.elems, self.name = r, elems, r.name
+        self.zero, self.one, self.commutative = r.zero, r.one, r.commutative
+
+    def add(self, x, y):
+        return self.r.add(x, y)
+
+    def mul(self, x, y):
+        return self.r.mul(x, y)
+
+    def elements(self):
+        return self.elems
+
+
+def test_table_rig_laws_match_literal_checker():
+    carriers = [_Carrier(*spec) for spec in _BROKEN_RIGS.values()]
+    carriers += [
+        _Mod4Minus(),
+        # sums and products leave the element list, so the tables intern new values
+        _Carrier(4, operator.add, operator.mul),
+        _Carrier(3, lambda x, y: 2 * x + y, operator.mul),
+        _Carrier(5, max, lambda x, y: x * y + (x and y), False),
+    ]
+    for r in carriers:
+        report = check_rig_laws(r)
+        assert report == _literal_check_rig_laws(r), r
+        assert report.exhaustive
+    zmod65 = rig_by_name("zmod:65")
+    assert check_rig_laws(zmod65, seed=2) == _literal_check_rig_laws(zmod65, seed=2)
+    control = SquareMatrixRig(FiniteCRig.boolean(), 2)
+    for budget, seed in itertools.product((64, 512), range(4)):
+        assert check_rig_laws(control, budget, seed) == _literal_check_rig_laws(control, budget, seed)
+    # a carrier that cannot be listed is checked over its sample
+    for name in ("int", "rational", "tropical-unit", "tropical-nonneg"):
+        for seed in range(3):
+            r = rig_by_name(name)
+            report = check_rig_laws(r, seed=seed)
+            literal = _literal_check_rig_laws(_Listed(r, r.sample(random.Random(seed), 8)))
+            assert (report.cases, report.failures) == (literal.cases, literal.failures), name
+            assert not report.exhaustive
+    # witnesses are values in the order listed: 3 - 1 = 1 - 3 mod 4, 3 - 2 is not 2 - 3
+    broken = _Listed(_Mod4Minus(), [3, 1, 2])
+    assert check_rig_laws(broken) == _literal_check_rig_laws(broken)
+    assert check_rig_laws(broken).failures[0] == ("commutative addition", (3, 2))
 
 
 def test_rig_laws_sample_above_exhaustive_size():
