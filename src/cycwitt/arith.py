@@ -14,6 +14,8 @@ from functools import lru_cache
 __all__ = [
     "BudgetExceeded",
     "NotUnitSpectrum",
+    "Record",
+    "FrozenRecord",
     "factor",
     "prime_factors",
     "divisors",
@@ -35,6 +37,45 @@ class BudgetExceeded(ValueError):
 
     def __init__(self, what: str, limit):
         super().__init__(f"budget exceeded: {what} > {limit}")
+
+
+class Record:
+    """A plain result class: ``==`` and ``repr`` go field by field over
+    ``_fields``, the constructor's parameters in order, and ``==`` holds
+    only between instances of one class.  A record is unhashable, since
+    its fields may change, unless its class defines ``__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class FrozenRecord(Record):
+    """An immutable ``Record`` that hashes field by field.  A subclass names
+    its fields in ``__slots__`` and ``_fields`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 # Raised by linalg.witt_class, and defined here beside BudgetExceeded so that

@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import divisors, euler_phi, factor, mobius, ramanujan_sum
+from .arith import Record, divisors, euler_phi, factor, mobius, ramanujan_sum
 from .linalg import HnfLattice, hnf
-from .roots import elementary_symmetric, orbit
 from .witt import ONE, WittElement, frobenius, mul, phi
 
 __all__ = [
@@ -52,8 +50,6 @@ __all__ = [
     "lambda_series",
     "gamma_basis",
     "gamma_series",
-    "gamma_positive_check",
-    "GammaUnitsReport",
     "gamma_filtration",
     "GammaFiltration",
     "graded_frobenius_check",
@@ -344,54 +340,6 @@ def gamma_series(a: WittElement, degree: int) -> WittSeries:
     return _series([_gamma_from_lambda(col, degree) for col in cols], coords)
 
 
-@dataclass
-class GammaUnitsReport:
-    """gamma_t on phi(n) - euler_phi(n)*phi(1) versus the literal expansion
-    of prod(1 - (1 - [root])*t) over the primitive n-th roots."""
-
-    n: int
-    degree: int
-    mismatches: list = field(default_factory=list)  # (k, got, expected)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.ok else f"FAIL at degrees {[k for k, *_ in self.mismatches]}"
-        return f"gamma units n={self.n} (degree {self.degree}): {verdict}"
-
-
-def gamma_positive_check(n: int) -> GammaUnitsReport:
-    """Check gamma_t(phi(n) - euler_phi(n)) against the root-multiset oracle.
-
-    The oracle expands the k-th elementary symmetric function of the
-    elements 1 - [root] by inclusion-exclusion over elementary
-    symmetric functions of the roots themselves:
-    e_k(1-z) = sum over j of (-1)**j C(N-j, k-j) e_j(z), N = count.
-    """
-    if n <= 1:
-        raise ValueError(f"requires n > 1, got {n}")
-    big_n = euler_phi(n)
-    degree = big_n + 2  # two degrees past the last nonzero one must vanish
-    lhs = gamma_series(phi(n) - ONE * big_n, degree)
-    orb = orbit(n)
-    e_of_roots = [elementary_symmetric(orb, j) for j in range(big_n + 1)]
-    report = GammaUnitsReport(n, degree)
-    for k in range(degree + 1):
-        if k <= big_n:
-            acc = WittElement()
-            for j in range(k + 1):
-                term = e_of_roots[j] * math.comb(big_n - j, k - j)
-                acc = acc + (term if j % 2 == 0 else -term)
-            expected = acc if k % 2 == 0 else -acc
-        else:
-            expected = WittElement()
-        if lhs[k] != expected:
-            report.mismatches.append((k, lhs[k], expected))
-    return report
-
-
 def _vec(w: WittElement, ds: tuple[int, ...]) -> list[int]:
     idx = {d: i for i, d in enumerate(ds)}
     v = [0] * len(ds)
@@ -406,15 +354,17 @@ def _unvec(v, ds: tuple[int, ...]) -> WittElement:
     return WittElement._of(dict(zip(ds, v)))
 
 
-@dataclass
-class GammaFiltration:
+class GammaFiltration(Record):
     """Nested integer lattices I_0 >= I_1 >= ... inside the span of the
     divisor classes of N, in Hermite form over that basis."""
 
-    N: int
-    depth: int
-    divisors: tuple[int, ...]
-    lattices: list[HnfLattice]
+    _fields = ("N", "depth", "divisors", "lattices")
+
+    def __init__(self, N: int, depth: int, divisors: tuple[int, ...], lattices: list[HnfLattice]):
+        self.N = N
+        self.depth = depth
+        self.divisors = divisors
+        self.lattices = lattices
 
     def basis_elements(self, k: int) -> list[WittElement]:
         return [_unvec(row, self.divisors) for row in self.lattices[k].basis]
@@ -484,8 +434,7 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     return GammaFiltration(N, depth, ds, lattices)
 
 
-@dataclass
-class GradedReport:
+class GradedReport(Record):
     """Containment checks on the gamma filtration.
 
     For each Hermite basis vector x of I_n and each m <= m_max the
@@ -494,13 +443,20 @@ class GradedReport:
     tracked separately (n >= 1) and reported rather than asserted.
     """
 
-    N: int
-    depth: int
-    m_max: int
-    frobenius_checked: int = 0
-    frobenius_failures: list = field(default_factory=list)  # (n, x, m)
-    lambda_checked: int = 0
-    lambda_failures: list = field(default_factory=list)
+    _fields = ("N", "depth", "m_max", "frobenius_checked", "frobenius_failures",
+               "lambda_checked", "lambda_failures")
+
+    def __init__(self, N: int, depth: int, m_max: int, frobenius_checked: int = 0,
+                 frobenius_failures: list | None = None, lambda_checked: int = 0,
+                 lambda_failures: list | None = None):
+        self.N = N
+        self.depth = depth
+        self.m_max = m_max
+        self.frobenius_checked = frobenius_checked
+        # (n, x, m) where F_m(x) - m**n * x leaves I_{n+1}
+        self.frobenius_failures = [] if frobenius_failures is None else frobenius_failures
+        self.lambda_checked = lambda_checked
+        self.lambda_failures = [] if lambda_failures is None else lambda_failures
 
     @property
     def frobenius_ok(self) -> bool:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
 
-from .arith import IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
+from .arith import FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
 from .witt import WittElement
 
 __all__ = [
@@ -508,8 +507,7 @@ def contraction_le_one(a: IntMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
+class SpectrumVerdict(FrozenRecord):
     """Outcome of the unit-disc spectrum test, decided exactly.
 
     status is 'unit_roots' (char poly = x^a * cyclotomics, with the
@@ -519,10 +517,14 @@ class SpectrumVerdict:
     allows.
     """
 
-    status: str
-    factors: tuple[tuple[int, int], ...] = ()
-    nilpotent: int = 0
-    witness: tuple[int, int] | None = None
+    __slots__ = _fields = ("status", "factors", "nilpotent", "witness")
+
+    def __init__(self, status: str, factors: tuple[tuple[int, int], ...] = (),
+                 nilpotent: int = 0, witness: tuple[int, int] | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "nilpotent", nilpotent)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def ok(self) -> bool:

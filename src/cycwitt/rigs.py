@@ -22,20 +22,19 @@ interned values (exact for operations that depend only on the values), and
 the matrix-category laws (symmetry under block swap, centrality of
 scalars, the interleaving permutation that exchanges the two Kronecker
 orders) either exhaustively or by seeded sampling.  The module also
-enumerates unit groups of matrix monoids, the hyperoctahedral
-signed-permutation groups, and the integer matrices of operator norm at
-most one, which are exactly the signed sub-permutation matrices.
+enumerates unit groups of matrix monoids and the integer matrices of
+operator norm at most one, which are exactly the signed sub-permutation
+matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .arith import BudgetExceeded
+from .arith import BudgetExceeded, Record
 from .linalg import (
     IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, kronecker,
     mat_compose,
@@ -49,7 +48,7 @@ __all__ = [
     "check_rig_laws", "LawReport",
     "check_prop_laws", "PropLawReport",
     "gl_enumerate", "global_sections", "SectionsReport",
-    "signed_subperm_matrices", "signed_perm_group",
+    "signed_subperm_matrices",
     "rig_by_name",
 ]
 
@@ -588,12 +587,14 @@ def all_matrices(rig: Rig, n: int, m: int):
         yield RigMatrix(rig, [flat[i * m : (i + 1) * m] for i in range(n)])
 
 
-@dataclass
-class LawReport:
-    rig: str
-    exhaustive: bool
-    cases: int = 0
-    failures: list = field(default_factory=list)  # (law, witness)
+class LawReport(Record):
+    _fields = ("rig", "exhaustive", "cases", "failures")
+
+    def __init__(self, rig: str, exhaustive: bool, cases: int = 0, failures: list | None = None):
+        self.rig = rig
+        self.exhaustive = exhaustive
+        self.cases = cases
+        self.failures = [] if failures is None else failures  # (law, witness)
 
     @property
     def ok(self) -> bool:
@@ -687,11 +688,13 @@ def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
     return report
 
 
-@dataclass
-class PropLawReport:
-    rig: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
+class PropLawReport(Record):
+    _fields = ("rig", "cases", "failures")
+
+    def __init__(self, rig: str, cases: int = 0, failures: list | None = None):
+        self.rig = rig
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -863,15 +866,18 @@ SECTIONS_BUDGET = 150_000
 ZMOD_BUDGET = 2_000_000
 
 
-@dataclass
-class SectionsReport:
+class SectionsReport(Record):
     """Exhaustive enumeration of integer norm-contractions of a given shape."""
 
-    rows: int
-    cols: int
-    bound: int
-    matrices: list = field(default_factory=list)
-    counterexample: IntMatrix | None = None
+    _fields = ("rows", "cols", "bound", "matrices", "counterexample")
+
+    def __init__(self, rows: int, cols: int, bound: int, matrices: list | None = None,
+                 counterexample: IntMatrix | None = None):
+        self.rows = rows
+        self.cols = cols
+        self.bound = bound
+        self.matrices = [] if matrices is None else matrices
+        self.counterexample = counterexample
 
     @property
     def ok(self) -> bool:
@@ -921,22 +927,3 @@ def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
         diff = (got - want) | (want - got)
         report.counterexample = sorted(diff, key=lambda a: a.entries)[0]
     return report
-
-
-def signed_perm_group(n: int) -> list[IntMatrix]:
-    """The group of n-by-n signed permutation matrices (order 2**n * n!).
-
-    Verified closed under products; every member is an exact isometry
-    (its transpose times itself is the identity).
-    """
-    # the full-rank signed sub-permutations: no row is zero
-    out = [a for a in signed_subperm_matrices(n, n) if all(any(row) for row in a.entries)]
-    group = set(out)
-    ident = IntMatrix.identity(n)
-    for a in out:
-        if a.transpose() * a != ident:
-            raise AssertionError("signed permutation is not an isometry")
-    for a, b in itertools.product(out[: min(len(out), 48)], repeat=2):
-        if a * b not in group:
-            raise AssertionError("signed permutations not closed under product")
-    return out

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
+from .arith import FrozenRecord, Record
 from .rigs import FiniteCRig
 
 __all__ = [
@@ -35,12 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(FrozenRecord):
     """Subset containing 0, closed under sums and scaling by any element."""
 
-    rig: FiniteCRig
-    elements: frozenset
+    __slots__ = _fields = ("rig", "elements")
+
+    def __init__(self, rig: FiniteCRig, elements: frozenset):
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "elements", elements)
 
     def __contains__(self, x: int) -> bool:
         return x in self.elements
@@ -105,13 +107,15 @@ def all_ideals(r: FiniteCRig) -> list[frozenset]:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class SpecSpace:
+class SpecSpace(FrozenRecord):
     """The set of primes of a finite rig, with the closed/basic-open
     operators of the Zariski topology."""
 
-    rig: FiniteCRig
-    primes: tuple
+    __slots__ = _fields = ("rig", "primes")
+
+    def __init__(self, rig: FiniteCRig, primes: tuple):
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "primes", primes)
 
     def closed_set(self, ideal_elements) -> tuple:
         s = frozenset(ideal_elements)
@@ -181,15 +185,18 @@ def multiplicative_closure(r: FiniteCRig, seed) -> frozenset:
         cur = nxt
 
 
-@dataclass(frozen=True)
-class Localization:
+class Localization(FrozenRecord):
     """Finite localization: the class rig and the class lookup for
     admissible fractions; class_of(x) is the canonical map."""
 
-    source: FiniteCRig
-    denominators: frozenset
-    rig: FiniteCRig
-    _pair_class: dict
+    __slots__ = _fields = ("source", "denominators", "rig", "_pair_class")
+
+    def __init__(self, source: FiniteCRig, denominators: frozenset, rig: FiniteCRig,
+                 _pair_class: dict):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "denominators", denominators)
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "_pair_class", _pair_class)
 
     def class_of(self, x: int, s: int | None = None) -> int:
         s = self.source.one if s is None else s
@@ -271,21 +278,27 @@ def localize(r: FiniteCRig, s_set) -> Localization:
     return Localization(r, s_set, loc_rig, class_ids)
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(Record):
     """Literal check that fractions over s give exactly the families of
     stalk elements on the basic open of s that are locally fractions."""
 
-    rig: str
-    s: int
-    opens: tuple = ()
-    loc_size: int = 0
-    families: int = 0
-    local_families: int = 0
-    bijective: bool = False
-    preserves_ops: bool = False
-    empty_case: bool = False
-    failures: list = field(default_factory=list)
+    _fields = ("rig", "s", "opens", "loc_size", "families", "local_families",
+               "bijective", "preserves_ops", "empty_case", "failures")
+
+    def __init__(self, rig: str, s: int, opens: tuple = (), loc_size: int = 0,
+                 families: int = 0, local_families: int = 0, bijective: bool = False,
+                 preserves_ops: bool = False, empty_case: bool = False,
+                 failures: list | None = None):
+        self.rig = rig
+        self.s = s
+        self.opens = opens
+        self.loc_size = loc_size
+        self.families = families
+        self.local_families = local_families
+        self.bijective = bijective
+        self.preserves_ops = preserves_ops
+        self.empty_case = empty_case
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

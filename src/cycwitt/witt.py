@@ -51,11 +51,10 @@ by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    Record,
     divisors,
     euler_phi,
     factor,
@@ -320,13 +319,15 @@ def inner(a: WittElement, b: WittElement) -> int:
     return integral(mul(a, b))
 
 
-@dataclass
-class ParsevalReport:
+class ParsevalReport(Record):
     """Exact finite Fourier orthogonality check at level N."""
 
-    N: int
-    pairs_checked: int = 0
-    failures: list = field(default_factory=list)  # (n, m, lhs, rhs) Fractions
+    _fields = ("N", "pairs_checked", "failures")
+
+    def __init__(self, N: int, pairs_checked: int = 0, failures: list | None = None):
+        self.N = N
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures  # (n, m, lhs, rhs) Fractions
 
     @property
     def ok(self) -> bool:
@@ -343,6 +344,8 @@ class ParsevalReport:
 def parseval_check(N: int) -> ParsevalReport:
     """For all n, m | N verify euler_phi(n)*[n == m] == (1/N) * sum over z <= N
     of C_n^z * C_m^z, exactly in rationals."""
+    from fractions import Fraction  # it loads decimal, so only this check imports it
+
     if N < 1:
         raise ValueError(f"parseval_check() requires N >= 1, got {N}")
     report = ParsevalReport(N)
@@ -371,17 +374,20 @@ def _zeta_value(t: int) -> float:
     return s + m ** (1 - t) / (t - 1) - m ** (-t) / 2 + t * m ** (-t - 1) / 12
 
 
-@dataclass
-class ZetaReport:
+class ZetaReport(Record):
     """Truncated Dirichlet-series identity check for Ramanujan sums."""
 
-    m: int
-    t: int
-    cutoff: int
-    tol: float
-    partial_sum: float
-    reference: float
-    tail_bound: float
+    _fields = ("m", "t", "cutoff", "tol", "partial_sum", "reference", "tail_bound")
+
+    def __init__(self, m: int, t: int, cutoff: int, tol: float, partial_sum: float,
+                 reference: float, tail_bound: float):
+        self.m = m
+        self.t = t
+        self.cutoff = cutoff
+        self.tol = tol
+        self.partial_sum = partial_sum
+        self.reference = reference
+        self.tail_bound = tail_bound
 
     @property
     def difference(self) -> float:

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from cycwitt import lambda_ops, linalg, rigs, spectra, witt
 from cycwitt.arith import (
     FACTOR_BUDGET,
     BudgetExceeded,
+    FrozenRecord,
     IntPolynomial,
     cyclotomic_poly,
     divisors,
@@ -168,3 +170,70 @@ def test_poly_pretty():
     assert IntPolynomial((1, -1, 1)).pretty() == "1 - t + t^2"
     assert IntPolynomial(()).pretty() == "0"
     assert IntPolynomial((0, 2)).pretty("x") == "2*x"
+
+
+_Z6 = rigs.FiniteCRig.zmod(6)
+# every result class: constructor arguments, then a field and another value for it
+_RECORDS = [
+    (witt.ParsevalReport, (12,), "pairs_checked", 1),
+    (witt.ZetaReport, (2, 3, 100, 1e-6, 0.5, 0.5, 1e-4), "tol", 1e-9),
+    (linalg.SpectrumVerdict, ("unit_roots", ((1, 2),), 1), "witness", (1, 3)),
+    (lambda_ops.GammaFiltration, (6, 2, (1, 2, 3, 6), []), "depth", 3),
+    (lambda_ops.GradedReport, (6, 2, 3), "lambda_checked", 1),
+    (rigs.LawReport, ("boolean", True), "cases", 5),
+    (rigs.PropLawReport, ("boolean",), "failures", [("law", ())]),
+    (rigs.SectionsReport, (2, 2, 1), "counterexample", linalg.IntMatrix([[2]])),
+    (spectra.Ideal, (_Z6, frozenset({0})), "elements", frozenset({0, 3})),
+    (spectra.SpecSpace, (_Z6, ()), "primes", (frozenset({0, 2, 4}),)),
+    (spectra.Localization, (_Z6, frozenset({1}), _Z6, {}), "denominators", frozenset({1, 5})),
+    (spectra.Theorem1Report, ("zmod:6", 2), "empty_case", True),
+]
+_RECORD_IDS = [cls.__name__ for cls, *_ in _RECORDS]
+
+
+@pytest.mark.parametrize("cls,args,name,other", _RECORDS, ids=_RECORD_IDS)
+def test_record_compares_field_by_field(cls, args, name, other):
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    fields = {f: getattr(a, f) for f in cls._fields}
+    assert cls(**fields) == a  # every field is a keyword of the constructor
+    assert cls(**{**fields, name: other}) != a
+    assert a != type("Copy", (cls,), {})(*args)
+    assert a != tuple(fields.values())
+    assert repr(a).startswith(f"{cls.__name__}(")
+
+
+@pytest.mark.parametrize("cls,args,name,other", _RECORDS, ids=_RECORD_IDS)
+def test_record_hashing_and_mutability(cls, args, name, other):
+    a, b = cls(*args), cls(*args)
+    if issubclass(cls, FrozenRecord):
+        with pytest.raises(AttributeError):
+            setattr(a, name, other)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        if cls is spectra.Localization:  # its class table is a dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, name, other)
+        assert getattr(a, name) == other and a != b
+    for f in cls._fields[len(args):]:  # a default list is fresh for each instance
+        if isinstance(getattr(b, f), list):
+            assert getattr(b, f) is not getattr(cls(*args), f)
+
+
+def test_record_defaults_and_repr():
+    verdict = linalg.SpectrumVerdict("outside", witness=(1, 3))
+    assert (verdict.factors, verdict.nilpotent, verdict.witness) == ((), 0, (1, 3))
+    assert not verdict.ok
+    report = spectra.Theorem1Report("zmod:6", 0, empty_case=True)
+    assert report.empty_case and report.failures == [] and not report.ok
+    assert repr(witt.ParsevalReport(12)) == "ParsevalReport(N=12, pairs_checked=0, failures=[])"
+    assert repr(verdict) == (
+        "SpectrumVerdict(status='outside', factors=(), nilpotent=0, witness=(1, 3))"
+    )
+

@@ -629,8 +629,13 @@ def test_cli_wittclass_outside_disc_in_a_fresh_interpreter():
 
 
 _BASE = {"cycwitt", "cycwitt.arith", "cycwitt.witt", "cycwitt.cli"}
-_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg", "cycwitt.roots"}
-_SPECTRA = {"cycwitt.linalg", "cycwitt.rigs", "cycwitt.spectra"}
+_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg"}
+# the rigs carriers build Fraction constants when rigs is imported
+_RIGS = {"cycwitt.linalg", "cycwitt.rigs", "fractions"}
+_SPECTRA = _RIGS | {"cycwitt.spectra"}
+# costly stdlib imports: no call loads dataclasses or inspect, and only
+# parseval and the rigs commands load fractions
+_STDLIB = ("dataclasses", "inspect", "fractions")
 
 
 @pytest.mark.parametrize(
@@ -640,12 +645,12 @@ _SPECTRA = {"cycwitt.linalg", "cycwitt.rigs", "cycwitt.spectra"}
         (["mul", "phi(4)", "phi(6)"], _BASE),
         (["--json", "trace", "2*phi(12) - 1"], _BASE),
         (["ramanujan", "--n", "3", "--m-max", "3"], _BASE),
-        (["parseval", "12"], _BASE),
+        (["parseval", "12"], _BASE | {"fractions"}),
         (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg"}),
         (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg"}),
         (["lambda", "6"], _BASE | _LAMBDA),
         (["gamma-filtration", "--level", "6", "--depth", "2"], _BASE | _LAMBDA),
-        (["sections", "--rows", "1", "--cols", "1"], _BASE | {"cycwitt.linalg", "cycwitt.rigs"}),
+        (["sections", "--rows", "1", "--cols", "1"], _BASE | _RIGS),
         (["spec", "--rig", "zmod:6"], _BASE | _SPECTRA),
         (["radical", "--rig", "zmod:8", "--ideal", "4"], _BASE | _SPECTRA),
         (["theorem1", "--rig", "zmod:6", "--s", "2"], _BASE | _SPECTRA),
@@ -659,7 +664,7 @@ def test_cli_call_loads_only_the_modules_its_subcommand_runs(argv, loaded):
     if argv:
         code += "with contextlib.redirect_stdout(io.StringIO()):\n"
         code += f"    cycwitt.cli.main({argv!r})\n"
-    code += "print(*sorted(m for m in sys.modules if m.startswith('cycwitt')))\n"
+    code += f"print(*sorted(m for m in sys.modules if m.startswith('cycwitt') or m in {_STDLIB}))\n"
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == loaded

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cycwitt import roots
-from cycwitt.arith import IntPolynomial, cyclotomic_poly, divisors, euler_phi
+from cycwitt.arith import IntPolynomial, Record, cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
     GammaFiltration,
     WittSeries,
@@ -15,7 +15,6 @@ from cycwitt.lambda_ops import (
     _trace_lambda,
     gamma_basis,
     gamma_filtration,
-    gamma_positive_check,
     gamma_series,
     graded_frobenius_check,
     lambda_basis,
@@ -182,10 +181,57 @@ def test_gamma_binomial_identity():
             assert sign * g == math.comb(k + n - 1, n) * ONE
 
 
+class GammaUnitsReport(Record):
+    """gamma_t on phi(n) - euler_phi(n)*phi(1) versus the literal expansion
+    of prod(1 - (1 - [root])*t) over the primitive n-th roots."""
+
+    _fields = ("n", "degree", "mismatches")
+
+    def __init__(self, n: int, degree: int, mismatches: list | None = None):
+        self.n = n
+        self.degree = degree
+        self.mismatches = [] if mismatches is None else mismatches  # (k, got, expected)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def gamma_positive_check(n: int) -> GammaUnitsReport:
+    """Check gamma_t(phi(n) - euler_phi(n)) against the root-multiset oracle.
+
+    The oracle expands the k-th elementary symmetric function of the
+    elements 1 - [root] by inclusion-exclusion over elementary
+    symmetric functions of the roots themselves:
+    e_k(1-z) = sum over j of (-1)**j C(N-j, k-j) e_j(z), N = count.
+    """
+    if n <= 1:
+        raise ValueError(f"requires n > 1, got {n}")
+    big_n = euler_phi(n)
+    degree = big_n + 2  # two degrees past the last nonzero one must vanish
+    lhs = gamma_series(phi(n) - ONE * big_n, degree)
+    orb = roots.orbit(n)
+    e_of_roots = [roots.elementary_symmetric(orb, j) for j in range(big_n + 1)]
+    report = GammaUnitsReport(n, degree)
+    for k in range(degree + 1):
+        if k <= big_n:
+            acc = WittElement()
+            for j in range(k + 1):
+                term = e_of_roots[j] * math.comb(big_n - j, k - j)
+                acc = acc + (term if j % 2 == 0 else -term)
+            expected = acc if k % 2 == 0 else -acc
+        else:
+            expected = WittElement()
+        if lhs[k] != expected:
+            report.mismatches.append((k, lhs[k], expected))
+    return report
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_gamma_units_oracle(n):
     report = gamma_positive_check(n)
     assert report.ok, report.mismatches
+    assert GammaUnitsReport(n, 0).mismatches is not report.mismatches
 
 
 def test_gamma_filtration_levels():

@@ -37,7 +37,6 @@ from cycwitt.rigs import (
     perm_matrix,
     rig_by_name,
     sigma,
-    signed_perm_group,
     signed_subperm_matrices,
     tau,
 )
@@ -395,6 +394,12 @@ def test_signed_subperm_count_formula():
         assert len(signed_subperm_matrices(n, m)) == expected(n, m)
 
 
+def signed_perm_group(n):
+    """The n-by-n signed permutation matrices (order 2**n * n!): the
+    signed sub-permutations with no zero row."""
+    return [a for a in signed_subperm_matrices(n, n) if all(any(row) for row in a.entries)]
+
+
 @pytest.mark.parametrize("n,order", [(1, 2), (2, 8), (3, 48)])
 def test_signed_perm_group(n, order):
     group = signed_perm_group(n)
@@ -402,6 +407,7 @@ def test_signed_perm_group(n, order):
     for a in group:
         assert contraction_le_one(a)
         assert a.transpose() * a == IntMatrix.identity(n)
+    assert {a * b for a in group for b in group} == set(group)
 
 
 @pytest.mark.parametrize("n", range(5))
