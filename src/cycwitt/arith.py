@@ -4,6 +4,10 @@ Factorization by deterministic trial division, Mobius and Euler
 functions, Ramanujan sums, and cyclotomic polynomials, all over
 Python's arbitrary-precision integers.  Every function is pure; hot
 lookups are memoized on immutable values.
+
+``Frozen``, the immutability guard of every value class, and ``Record``,
+the one constructor, ``==`` and ``repr`` of every result class, are
+written here once for all modules.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from functools import lru_cache
 __all__ = [
     "BudgetExceeded",
     "NotUnitSpectrum",
+    "Frozen",
     "Record",
     "FrozenRecord",
     "factor",
@@ -39,14 +44,53 @@ class BudgetExceeded(ValueError):
         super().__init__(f"budget exceeded: {what} > {limit}")
 
 
+class Frozen:
+    """Immutability guard: assigning or deleting any attribute raises
+    ``AttributeError("<ClassName> is immutable")``.  A subclass names its
+    fields in ``__slots__`` and sets each once through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Record:
-    """A plain result class: ``==`` and ``repr`` go field by field over
-    ``_fields``, the constructor's parameters in order, and ``==`` holds
-    only between instances of one class.  A record is unhashable, since
-    its fields may change, unless its class defines ``__hash__``."""
+    """A plain result class.  The constructor takes ``_fields`` in order,
+    positionally or by keyword; a field in ``_defaults`` (field -> value)
+    may be left out, and a list default is copied for each instance.  Extra
+    positional arguments, an unknown or repeated keyword or a missing field
+    raise ``TypeError``.  ``==`` and ``repr`` go field by field, ``==`` only
+    within one class.  A record is unhashable, since its fields may change,
+    unless its class defines ``__hash__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, fields, defaults = type(self).__name__, self._fields, self._defaults
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} arguments but {len(args)} were given")
+        rest = fields[len(args):]
+        for name in kwargs:
+            if name not in rest:
+                problem = "multiple values for" if name in fields else "an unexpected keyword"
+                raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in rest:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in defaults:
+                value = defaults[name]
+                value = value.copy() if type(value) is list else value
+            else:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -61,18 +105,12 @@ class Record:
         return f"{type(self).__qualname__}({args})"
 
 
-class FrozenRecord(Record):
+class FrozenRecord(Frozen, Record):
     """An immutable ``Record`` that hashes field by field.  A subclass names
-    its fields in ``__slots__`` and ``_fields`` and sets them once, in
-    ``__init__``, through ``object.__setattr__``."""
+    its fields in ``__slots__`` as well as ``_fields``; the constructor sets
+    them past the guard."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self):
         return hash(self._values())
@@ -223,7 +261,7 @@ def join_signed(terms) -> str:
     return text or "0"
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense univariate polynomial over the integers.
 
     Coefficients ascend by degree; the tuple is trimmed, so the
@@ -238,12 +276,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IntPolynomial is immutable")
 
     @property
     def degree(self) -> int:

@@ -198,8 +198,8 @@ RAMANUJAN_BUDGET = 1_010_000
 # (parseval 20000 has 25200000 and takes about 2.3 s).
 PARSEVAL_BUDGET = 30_000_000
 # The most gamma products, tau(N)^2 * (depth + 2)^2, that gamma-filtration
-# forms (level 5040 at depth 2 has 57600 and takes about 3.6 s; at depth 3,
-# 90000 and about 6 s).
+# forms (level 5040 at depth 2 has 57600 and takes about 2 s; at depth 3,
+# 90000 and about 3.3 s as a library call).
 GAMMA_BUDGET = 60_000
 # The most rows of a charpoly or wittclass matrix.  Berkowitz forms about n^4
 # products, each costlier as the entries grow, so rows^4 times the digits of

@@ -40,8 +40,8 @@ import math
 import operator
 from functools import lru_cache
 
-from .arith import Record, divisors, euler_phi, factor, mobius, ramanujan_sum
-from .linalg import HnfLattice, hnf
+from .arith import FrozenRecord, Record, divisors, euler_phi, factor, mobius, ramanujan_sum
+from .linalg import hnf
 from .witt import ONE, WittElement, frobenius, mul, phi
 
 __all__ = [
@@ -57,25 +57,19 @@ __all__ = [
 ]
 
 
-class WittSeries:
+class WittSeries(FrozenRecord):
     """Truncated power series in t with Witt-element coefficients.
 
     The truncation degree is explicit and arithmetic never reads past
     it.  Values of lambda_t / gamma_t have constant term phi(1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         if not self.coeffs:
             raise ValueError("series needs at least the constant term")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittSeries is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WittSeries is immutable")
 
     @property
     def degree(self) -> int:
@@ -90,14 +84,6 @@ class WittSeries:
         """lambda^k, i.e. (-1)**k times the t**k coefficient."""
         c = self[k]
         return c if k % 2 == 0 else -c
-
-    def __eq__(self, other):
-        if not isinstance(other, WittSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     @classmethod
     def one(cls, degree: int) -> "WittSeries":
@@ -360,12 +346,6 @@ class GammaFiltration(Record):
 
     _fields = ("N", "depth", "divisors", "lattices")
 
-    def __init__(self, N: int, depth: int, divisors: tuple[int, ...], lattices: list[HnfLattice]):
-        self.N = N
-        self.depth = depth
-        self.divisors = divisors
-        self.lattices = lattices
-
     def basis_elements(self, k: int) -> list[WittElement]:
         return [_unvec(row, self.divisors) for row in self.lattices[k].basis]
 
@@ -445,18 +425,9 @@ class GradedReport(Record):
 
     _fields = ("N", "depth", "m_max", "frobenius_checked", "frobenius_failures",
                "lambda_checked", "lambda_failures")
-
-    def __init__(self, N: int, depth: int, m_max: int, frobenius_checked: int = 0,
-                 frobenius_failures: list | None = None, lambda_checked: int = 0,
-                 lambda_failures: list | None = None):
-        self.N = N
-        self.depth = depth
-        self.m_max = m_max
-        self.frobenius_checked = frobenius_checked
-        # (n, x, m) where F_m(x) - m**n * x leaves I_{n+1}
-        self.frobenius_failures = [] if frobenius_failures is None else frobenius_failures
-        self.lambda_checked = lambda_checked
-        self.lambda_failures = [] if lambda_failures is None else lambda_failures
+    # frobenius_failures: (n, x, m) where F_m(x) - m**n * x leaves I_{n+1}
+    _defaults = {"frobenius_checked": 0, "frobenius_failures": [], "lambda_checked": 0,
+                 "lambda_failures": []}
 
     @property
     def frobenius_ok(self) -> bool:

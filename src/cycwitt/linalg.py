@@ -24,7 +24,7 @@ import sys
 from functools import lru_cache, reduce
 from itertools import count
 
-from .arith import FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
+from .arith import Frozen, FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
 from .witt import WittElement
 
 __all__ = [
@@ -76,7 +76,8 @@ class Rig:
         """Rows of the product of an n-by-k and a k-by-ncols matrix.  No law
         is assumed (the law checkers must expose a bad zero or one): each
         entry is the literal fold of its products, starting at zero.
-        ``rigs.FiniteCRig`` and the two tropical carriers of ``rigs``
+        ``rigs.FiniteCRig`` and the two tropical carriers of ``rigs`` (on
+        ``Fraction`` and ``INF`` entries, calling this fold for any other)
         override it and skip the zero entries of f, exact for them because
         a zero term cannot change their sums: the tables are proved to have
         an absorbing zero that is the additive unit, and max never lowers a
@@ -136,7 +137,7 @@ class IntRig(Rig):
 INT = IntRig()
 
 
-class RigMatrix:
+class RigMatrix(Frozen):
     """Rectangular matrix with entries in a fixed rig; immutable."""
 
     __slots__ = ("rig", "entries", "rows", "cols")
@@ -150,12 +151,6 @@ class RigMatrix:
         _set_entries(self, rows)
         _set_rows(self, len(rows))
         _set_cols(self, ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _of(cls, rig: Rig, rows: tuple, ncols: int) -> "RigMatrix":
@@ -183,7 +178,7 @@ class RigMatrix:
         return f"RigMatrix({self.rig.name}, {self.entries!r})"
 
 
-# RigMatrix's own slot setters, bound once: __setattr__ refuses every
+# RigMatrix's own slot setters, bound once: the Frozen guard refuses every
 # assignment, and a subclass declares no slots of its own
 _set_rig, _set_entries, _set_rows, _set_cols = (
     RigMatrix.__dict__[name].__set__ for name in RigMatrix.__slots__
@@ -293,7 +288,7 @@ def format_matrix(a: IntMatrix) -> str:
     return ";".join(",".join(str(x) for x in row) for row in a.entries)
 
 
-class HnfLattice:
+class HnfLattice(FrozenRecord):
     """Sublattice of Z^ambient given by a row-style Hermite basis.
 
     Pivots are positive, entries above each pivot are reduced into
@@ -301,29 +296,15 @@ class HnfLattice:
     exact successive reduction.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = _fields = ("ambient", "basis")
 
     def __init__(self, ambient: int, basis):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HnfLattice is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("HnfLattice is immutable")
-
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, HnfLattice):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def contains(self, vec) -> bool:
         v = list(vec)
@@ -518,13 +499,7 @@ class SpectrumVerdict(FrozenRecord):
     """
 
     __slots__ = _fields = ("status", "factors", "nilpotent", "witness")
-
-    def __init__(self, status: str, factors: tuple[tuple[int, int], ...] = (),
-                 nilpotent: int = 0, witness: tuple[int, int] | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "nilpotent", nilpotent)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"factors": (), "nilpotent": 0, "witness": None}
 
     @property
     def ok(self) -> bool:

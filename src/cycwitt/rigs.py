@@ -15,8 +15,9 @@ proved to have an absorbing zero that is the additive unit, and the one
 shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` takes the largest
 term, since max never lowers a sum that starts at zero; it orders
 ``Fraction`` terms by integer cross-multiplication, exact because their
-denominators are positive, and builds only the winning product.  Every
-other kernel folds every term, so a bad zero or one still shows in the
+denominators are positive, and builds only the winning product; entries
+of any other type take ``Rig.compose``, the literal fold.  Every other
+kernel folds every term, so a bad zero or one still shows in the
 law checks.  The law checkers verify the rig axioms, over tables of
 interned values (exact for operations that depend only on the values), and
 the matrix-category laws (symmetry under block swap, centrality of
@@ -34,7 +35,7 @@ import random
 from fractions import Fraction
 from operator import itemgetter
 
-from .arith import BudgetExceeded, Record
+from .arith import BudgetExceeded, Frozen, Record
 from .linalg import (
     IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, kronecker,
     mat_compose,
@@ -68,7 +69,7 @@ class _Inf:
 INF = _Inf()
 
 
-class FiniteCRig(Rig):
+class FiniteCRig(Rig, Frozen):
     """Finite commutative rig given by addition and multiplication tables.
 
     Elements are indices 0..size-1; ``names`` carries display strings.
@@ -106,12 +107,6 @@ class FiniteCRig(Rig):
         )
         object.__setattr__(self, "name", name)
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteCRig is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FiniteCRig is immutable")
 
     def _validate(self):
         """Check the laws in O(n^2 * |G|) table reads.
@@ -367,10 +362,11 @@ class _TropicalRig(Rig):
         with positive denominators, and the winner becomes one ``Fraction``
         at most: none when a factor is one.  Over [0, inf] a nonzero term
         with an ``INF`` factor is ``INF`` and stays the leader, held as 1/0.
-        Any other entry takes the literal fold, so values and errors stay."""
+        Any other entry takes ``Rig.compose``, the literal fold, so values
+        and errors stay."""
         kinds = {type(x) for rows in (f_rows, g_rows) for row in rows for x in row}
         if not kinds <= self._exact_types:
-            return self._fold(f_rows, g_rows, ncols)
+            return Rig.compose(self, f_rows, g_rows, ncols)
         zero = self.zero
         g_infs = [()] * len(g_rows)
         if _Inf in kinds:  # INF columns are set apart and read as zero below
@@ -406,18 +402,6 @@ class _TropicalRig(Rig):
             if pending:
                 lead = [w[0] * w[1] if type(w) is tuple else w for w in lead]
             out.append(tuple(lead))
-        return tuple(out)
-
-    def _fold(self, f_rows, g_rows, ncols):
-        """The literal fold, zero entries of f skipped."""
-        add, mul = self.add, self.mul
-        out = []
-        for f_row in f_rows:
-            acc = (self.zero,) * ncols
-            for a, g_row in zip(f_row, g_rows):
-                if a:  # INF is truthy
-                    acc = tuple([add(s, mul(a, b)) for s, b in zip(acc, g_row)])
-            out.append(acc)
         return tuple(out)
 
 
@@ -589,12 +573,7 @@ def all_matrices(rig: Rig, n: int, m: int):
 
 class LawReport(Record):
     _fields = ("rig", "exhaustive", "cases", "failures")
-
-    def __init__(self, rig: str, exhaustive: bool, cases: int = 0, failures: list | None = None):
-        self.rig = rig
-        self.exhaustive = exhaustive
-        self.cases = cases
-        self.failures = [] if failures is None else failures  # (law, witness)
+    _defaults = {"cases": 0, "failures": []}  # failures: (law, witness)
 
     @property
     def ok(self) -> bool:
@@ -690,11 +669,7 @@ def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
 
 class PropLawReport(Record):
     _fields = ("rig", "cases", "failures")
-
-    def __init__(self, rig: str, cases: int = 0, failures: list | None = None):
-        self.rig = rig
-        self.cases = cases
-        self.failures = [] if failures is None else failures
+    _defaults = {"cases": 0, "failures": []}
 
     @property
     def ok(self) -> bool:
@@ -870,14 +845,7 @@ class SectionsReport(Record):
     """Exhaustive enumeration of integer norm-contractions of a given shape."""
 
     _fields = ("rows", "cols", "bound", "matrices", "counterexample")
-
-    def __init__(self, rows: int, cols: int, bound: int, matrices: list | None = None,
-                 counterexample: IntMatrix | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.bound = bound
-        self.matrices = [] if matrices is None else matrices
-        self.counterexample = counterexample
+    _defaults = {"matrices": [], "counterexample": None}  # counterexample: an IntMatrix
 
     @property
     def ok(self) -> bool:

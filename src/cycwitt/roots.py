@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .arith import IntPolynomial, cyclotomic_poly, euler_phi
+from .arith import Frozen, IntPolynomial, cyclotomic_poly, euler_phi
 from .witt import WittElement, phi
 
 __all__ = [
@@ -31,7 +31,7 @@ class NotGaloisStable(ValueError):
     """Multiplicities are not constant on some orbit of primitive d-th roots."""
 
 
-class RootMultiset:
+class RootMultiset(Frozen):
     """Finite multiset of roots of unity, canonically levelled.
 
     The level is always reduced to the lcm of the orders of the roots
@@ -56,12 +56,6 @@ class RootMultiset:
             raw = {e * lvl // level: c for e, c in raw.items()}
         object.__setattr__(self, "level", lvl)
         object.__setattr__(self, "_counts", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootMultiset is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RootMultiset is immutable")
 
     def counts(self) -> dict[int, int]:
         return dict(self._counts)

@@ -40,10 +40,6 @@ class Ideal(FrozenRecord):
 
     __slots__ = _fields = ("rig", "elements")
 
-    def __init__(self, rig: FiniteCRig, elements: frozenset):
-        object.__setattr__(self, "rig", rig)
-        object.__setattr__(self, "elements", elements)
-
     def __contains__(self, x: int) -> bool:
         return x in self.elements
 
@@ -91,7 +87,7 @@ def all_ideals(r: FiniteCRig) -> list[frozenset]:
     principal ideal not inside it."""
     generators = {}
     for x in r.elements():
-        generators.setdefault(ideal_generated(r, (x,)).elements, x)
+        generators.setdefault(frozenset(_grow(r, {r.zero}, (x,))), x)
     start = frozenset((r.zero,))
     seen = {start}
     queue = [start]
@@ -112,10 +108,6 @@ class SpecSpace(FrozenRecord):
     operators of the Zariski topology."""
 
     __slots__ = _fields = ("rig", "primes")
-
-    def __init__(self, rig: FiniteCRig, primes: tuple):
-        object.__setattr__(self, "rig", rig)
-        object.__setattr__(self, "primes", primes)
 
     def closed_set(self, ideal_elements) -> tuple:
         s = frozenset(ideal_elements)
@@ -190,13 +182,6 @@ class Localization(FrozenRecord):
     admissible fractions; class_of(x) is the canonical map."""
 
     __slots__ = _fields = ("source", "denominators", "rig", "_pair_class")
-
-    def __init__(self, source: FiniteCRig, denominators: frozenset, rig: FiniteCRig,
-                 _pair_class: dict):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "denominators", denominators)
-        object.__setattr__(self, "rig", rig)
-        object.__setattr__(self, "_pair_class", _pair_class)
 
     def class_of(self, x: int, s: int | None = None) -> int:
         s = self.source.one if s is None else s
@@ -284,21 +269,10 @@ class Theorem1Report(Record):
 
     _fields = ("rig", "s", "opens", "loc_size", "families", "local_families",
                "bijective", "preserves_ops", "empty_case", "failures")
-
-    def __init__(self, rig: str, s: int, opens: tuple = (), loc_size: int = 0,
-                 families: int = 0, local_families: int = 0, bijective: bool = False,
-                 preserves_ops: bool = False, empty_case: bool = False,
-                 failures: list | None = None):
-        self.rig = rig
-        self.s = s
-        self.opens = opens
-        self.loc_size = loc_size
-        self.families = families
-        self.local_families = local_families
-        self.bijective = bijective
-        self.preserves_ops = preserves_ops
-        self.empty_case = empty_case
-        self.failures = [] if failures is None else failures
+    _defaults = {
+        "opens": (), "loc_size": 0, "families": 0, "local_families": 0, "bijective": False,
+        "preserves_ops": False, "empty_case": False, "failures": [],
+    }
 
     @property
     def ok(self) -> bool:

@@ -54,6 +54,7 @@ import math
 from functools import lru_cache
 
 from .arith import (
+    Frozen,
     Record,
     divisors,
     euler_phi,
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 
-class WittElement:
+class WittElement(Frozen):
     """Sparse integer combination of basis classes phi(n).
 
     Immutable and canonical: zero coefficients are never stored, so
@@ -99,12 +100,6 @@ class WittElement:
         w = object.__new__(cls)
         object.__setattr__(w, "_c", {n: v for n, v in c.items() if v})
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WittElement is immutable")
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Sorted (index, coefficient) pairs; the canonical serialized form."""
@@ -323,11 +318,7 @@ class ParsevalReport(Record):
     """Exact finite Fourier orthogonality check at level N."""
 
     _fields = ("N", "pairs_checked", "failures")
-
-    def __init__(self, N: int, pairs_checked: int = 0, failures: list | None = None):
-        self.N = N
-        self.pairs_checked = pairs_checked
-        self.failures = [] if failures is None else failures  # (n, m, lhs, rhs) Fractions
+    _defaults = {"pairs_checked": 0, "failures": []}  # failures: (n, m, lhs, rhs) Fractions
 
     @property
     def ok(self) -> bool:
@@ -378,16 +369,6 @@ class ZetaReport(Record):
     """Truncated Dirichlet-series identity check for Ramanujan sums."""
 
     _fields = ("m", "t", "cutoff", "tol", "partial_sum", "reference", "tail_bound")
-
-    def __init__(self, m: int, t: int, cutoff: int, tol: float, partial_sum: float,
-                 reference: float, tail_bound: float):
-        self.m = m
-        self.t = t
-        self.cutoff = cutoff
-        self.tol = tol
-        self.partial_sum = partial_sum
-        self.reference = reference
-        self.tail_bound = tail_bound
 
     @property
     def difference(self) -> float:

@@ -9,6 +9,7 @@ from cycwitt.arith import (
     BudgetExceeded,
     FrozenRecord,
     IntPolynomial,
+    Record,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -224,6 +225,46 @@ def test_record_hashing_and_mutability(cls, args, name, other):
     for f in cls._fields[len(args):]:  # a default list is fresh for each instance
         if isinstance(getattr(b, f), list):
             assert getattr(b, f) is not getattr(cls(*args), f)
+
+
+@pytest.mark.parametrize("cls,args,name,other", _RECORDS, ids=_RECORD_IDS)
+def test_record_constructor_refusals(cls, args, name, other):
+    fields = {f: getattr(cls(*args), f) for f in cls._fields}
+    first = cls._fields[0]  # required in every record
+    with pytest.raises(TypeError):
+        cls(*fields.values(), other)  # one positional argument too many
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=other)
+    with pytest.raises(TypeError):
+        cls(*args, **{first: args[0]})  # given positionally and by keyword
+    with pytest.raises(TypeError):
+        cls(**{f: v for f, v in fields.items() if f != first})
+    with pytest.raises(TypeError):
+        cls()
+
+
+_LIBRARY_RECORDS = [
+    cls for mod in (witt, linalg, lambda_ops, rigs, spectra) for cls in vars(mod).values()
+    if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
+]
+
+
+def test_record_defaults_name_fields():
+    assert {cls for cls, *_ in _RECORDS} <= set(_LIBRARY_RECORDS)
+    for cls in _LIBRARY_RECORDS:
+        assert set(cls._defaults) <= set(cls._fields), cls
+
+
+@pytest.mark.parametrize("cls,args,name,other", _RECORDS, ids=_RECORD_IDS)
+def test_record_fields_without_defaults_are_required(cls, args, name, other):
+    fields = {f: getattr(cls(*args), f) for f in cls._fields}
+    for f in cls._fields:
+        rest = {g: v for g, v in fields.items() if g != f}
+        if f in cls._defaults:
+            assert getattr(cls(**rest), f) == cls._defaults[f]
+        else:
+            with pytest.raises(TypeError, match=f"missing required argument '{f}'"):
+                cls(**rest)
 
 
 def test_record_defaults_and_repr():

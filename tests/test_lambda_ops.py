@@ -186,11 +186,7 @@ class GammaUnitsReport(Record):
     of prod(1 - (1 - [root])*t) over the primitive n-th roots."""
 
     _fields = ("n", "degree", "mismatches")
-
-    def __init__(self, n: int, degree: int, mismatches: list | None = None):
-        self.n = n
-        self.degree = degree
-        self.mismatches = [] if mismatches is None else mismatches  # (k, got, expected)
+    _defaults = {"mismatches": []}  # (k, got, expected)
 
     @property
     def ok(self) -> bool:
