@@ -24,7 +24,6 @@ __all__ = [
     "factor",
     "prime_factors",
     "divisors",
-    "is_prime",
     "mobius",
     "euler_phi",
     "ramanujan_sum",
@@ -172,10 +171,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and factor(n) == ((n, 1),)
-
-
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
     if n < 1:
@@ -291,8 +286,6 @@ class IntPolynomial(Frozen):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -301,29 +294,15 @@ class IntPolynomial(Frozen):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(
             tuple(self[k] + other[k] for k in range(n))
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -334,8 +313,6 @@ class IntPolynomial(Frozen):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         """Polynomial division; every quotient step must be an exact integer."""

@@ -795,25 +795,30 @@ def _scalar(r: Rig, a, n: int) -> RigMatrix:
 def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     """All two-sided invertible n-by-n matrices over a finite rig.
 
-    Raises BudgetExceeded when the |r|^(n*n) candidates exceed GL_BUDGET;
-    the returned group is verified closed under composition.
+    In a finite monoid f is a unit exactly when some power f^k is the
+    identity (then f^(k-1) is its inverse), so each candidate's powers are
+    chased until they reach the identity or repeat.  Raises BudgetExceeded
+    when the |r|^(n*n) candidates exceed GL_BUDGET; the returned group is
+    verified closed under composition.
     """
     if not r.finite:
         raise ValueError("gl_enumerate() needs a finite rig")
     count = len(list(r.elements())) ** (n * n)
     if count > GL_BUDGET:
         raise BudgetExceeded(f"{count} matrices", GL_BUDGET)
-    mats = list(all_matrices(r, n, n))
     one = identity(r, n)
     units = []
-    for f in mats:
-        for g in mats:
-            if mat_compose(f, g) == one and mat_compose(g, f) == one:
-                units.append(f)
-                break
-    unit_set = set(units)
+    for f in all_matrices(r, n, n):
+        # sets hold entries: a matrix hashes its rig, and so every table entry
+        power, seen = f, set()
+        while power != one and power.entries not in seen:
+            seen.add(power.entries)
+            power = mat_compose(power, f)
+        if power == one:
+            units.append(f)
+    unit_set = {u.entries for u in units}
     for f, g in itertools.product(units, repeat=2):
-        if mat_compose(f, g) not in unit_set:
+        if mat_compose(f, g).entries not in unit_set:
             raise AssertionError("unit set is not closed under composition")
     return units
 
@@ -833,8 +838,10 @@ def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
     return sorted(out, key=lambda a: a.entries)
 
 
-# gl_enumerate's candidate limit (it compares candidates pairwise)
-GL_BUDGET = 8192
+# gl_enumerate's candidate limit: its closure check composes every pair of
+# units, so zmod:1021 at n = 1 (1020 units) is the slowest accepted table,
+# about 4 s (1x1 matrices over it, a slower product, about 15 s)
+GL_BUDGET = 1024
 # global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
 SECTIONS_BUDGET = 150_000
 # rig_by_name's limit on the entries of a zmod:N table (zmod:1000 has 2*10^6)

@@ -40,9 +40,6 @@ class Ideal(FrozenRecord):
 
     __slots__ = _fields = ("rig", "elements")
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
     def __repr__(self):
         return f"Ideal({self.rig.describe(self.elements)})"
 
@@ -115,9 +112,6 @@ class SpecSpace(FrozenRecord):
 
     def basic_open(self, f: int) -> tuple:
         return tuple(p for p in self.primes if f not in p)
-
-    def __len__(self):
-        return len(self.primes)
 
 
 @functools.lru_cache(maxsize=8)
@@ -199,9 +193,17 @@ def localize(r: FiniteCRig, s_set) -> Localization:
     the monoid f*r, whose identity is f; with i_s its inverse there, the
     key x*i_s names the class of (x, s).  Classes are numbered by first
     appearance among the pairs (x, s), x ascending, then s ascending.
+
+    The keys are exactly f*r (x*i_1 = x*f), closed under both operations,
+    and the class rig is f*r with r's own tables restricted to it.
+    Inverses in the commutative monoid f*r are unique and s*i_s = f, so
+    i_st = i_s*i_t; then (x*t + y*s)*i_s*i_t = x*i_s + y*i_t and
+    (x*y)*i_s*i_t = (x*i_s)*(y*i_t): the key of a sum or product of
+    fractions is the sum or product of their keys.  Only the laws that
+    construction has already checked are used.
     """
     s_set = frozenset(s_set)
-    mul_t = r.mul_table
+    add_t, mul_t = r.add_table, r.mul_table
     if r.one not in s_set or any(
         not s_set.issuperset(map(mul_t[a].__getitem__, s_set)) for a in s_set
     ):
@@ -237,18 +239,9 @@ def localize(r: FiniteCRig, s_set) -> Localization:
                 order.append((x, s))
             class_ids[(x, s)] = key_class[key]
 
-    k = len(order)
-
-    def add_pair(p, q):
-        (x, s), (y, t) = p, q
-        return (r.add(r.mul(x, t), r.mul(y, s)), r.mul(s, t))
-
-    def mul_pair(p, q):
-        (x, s), (y, t) = p, q
-        return (r.mul(x, y), r.mul(s, t))
-
-    add_table = [[class_ids[add_pair(order[i], order[j])] for j in range(k)] for i in range(k)]
-    mul_table = [[class_ids[mul_pair(order[i], order[j])] for j in range(k)] for i in range(k)]
+    keys = list(key_class)
+    add_table = [[key_class[add_t[a][b]] for b in keys] for a in keys]
+    mul_table = [[key_class[mul_t[a][b]] for b in keys] for a in keys]
     names = tuple(
         f"{r.names[x]}/{r.names[s]}" if s != r.one else r.names[x] for x, s in order
     )

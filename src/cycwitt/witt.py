@@ -148,22 +148,12 @@ class WittElement(Frozen):
     def __mul__(self, other):
         if isinstance(other, int):
             return WittElement._of({n: v * other for n, v in self._c.items()})
-        if isinstance(other, WittElement):
-            return mul(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = ONE
-        for _ in range(k):
-            out = mul(out, self)
-        return out
 
     def divexact(self, k: int) -> "WittElement":
         """Divide every coefficient by k; inexactness is an internal error."""

@@ -357,8 +357,35 @@ def test_gl_enumeration_examples():
     ]
     assert sorted(m[0][0] for m in gl_enumerate(FiniteCRig.zmod(4), 1)) == [1, 3]
     assert [m.entries for m in gl_enumerate(b, 1)] == [((1,),)]
-    with pytest.raises(BudgetExceeded, match="budget exceeded: 262144 matrices > 8192"):
+    with pytest.raises(BudgetExceeded, match="budget exceeded: 262144 matrices > 1024"):
         gl_enumerate(FiniteCRig.zmod(4), 3)
+
+
+def _units_pairwise(r, n):
+    """Reference: the candidates with a two-sided inverse among all candidates."""
+    mats = list(rigs.all_matrices(r, n, n))
+    one = identity(r, n)
+    return [
+        f for f in mats
+        if any(mat_compose(f, g) == one and mat_compose(g, f) == one for g in mats)
+    ]
+
+
+_GL_CASES = [(rig_by_name(name), n) for name, n in [
+    ("boolean", 1), ("boolean", 2), ("zmod:2", 2), ("zmod:3", 2), ("zmod:4", 1),
+    ("zmod:6", 1), ("tropical4", 2),
+]] + [(SquareMatrixRig(FiniteCRig.boolean(), 2), 1)]
+
+
+@pytest.mark.parametrize("r,n", _GL_CASES, ids=[f"{r.name}-{n}" for r, n in _GL_CASES])
+def test_gl_enumerate_matches_pairwise_search(r, n):
+    assert gl_enumerate(r, n) == _units_pairwise(r, n)
+
+
+def test_gl_enumerate_refuses_quadratic_work():
+    # GL_2(F_7) has 2016 units: the closure check alone would compose 2016^2 pairs
+    with pytest.raises(BudgetExceeded, match="budget exceeded: 2401 matrices > 1024"):
+        gl_enumerate(FiniteCRig.zmod(7), 2)
 
 
 def test_global_sections_examples():
@@ -373,6 +400,16 @@ def test_global_sections_examples():
     with pytest.raises(BudgetExceeded, match=r"\(2\*bound \+ 1\)\^\(1\*1\) candidate"):
         global_sections(1, 1, 10**5000)
     assert time.perf_counter() - start < 1
+
+
+def test_global_sections_reports_a_counterexample(monkeypatch):
+    # a contraction test that also accepts (1 1) breaks the characterization
+    real = rigs.contraction_le_one
+    monkeypatch.setattr(rigs, "contraction_le_one", lambda a: real(a) or a.entries == ((1, 1),))
+    rep = global_sections(1, 2, 1)
+    assert not rep.ok
+    assert rep.counterexample == IntMatrix([[1, 1]])
+    assert rep.summary().endswith("FAIL (e.g. IntMatrix('1,1'))")
 
 
 def test_global_sections_independent_of_bound():

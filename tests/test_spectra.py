@@ -24,7 +24,7 @@ from cycwitt.spectra import (
 
 def test_construction_validates_tables():
     with pytest.raises(ValueError):
-        # addition not commutative
+        # 0 is not an additive unit: 1 + 0 = 0
         FiniteCRig([[0, 1], [0, 1]], [[0, 0], [0, 1]])
     with pytest.raises(ValueError):
         # multiplication table without a unit
@@ -60,6 +60,11 @@ _BOOL_ADD = [[0, 1], [1, 1]]
             "multiplication not associative at 2,2,3",
         ),
         (_table(3, max), _table(3, lambda x, y: x * y % 3), "distributivity fails at 2,1,2"),
+        (
+            [[0, 1, 2], [1, 2, 1], [2, 2, 1]],
+            _table(3, lambda x, y: x * y % 3),
+            "addition not commutative at 1,2",
+        ),
     ],
 )
 def test_construction_witnesses(add, mul, message):
@@ -491,6 +496,38 @@ def test_localize_matches_union_find():
             assert lr.add_table == tuple(map(tuple, add))
             assert lr.mul_table == tuple(map(tuple, mul))
             assert (lr.names, lr.zero, lr.one) == (names, zero, one)
+
+
+def test_localization_is_the_factor_eR():
+    # the localization at S is e*R for e the idempotent power of prod(S):
+    # the canonical map restricted to e*R is a bijection onto the class
+    # rig preserving + and *
+    rigs = [FiniteCRig.zmod(n) for n in range(1, 25)]
+    rigs += [FiniteCRig.boolean(), FiniteCRig.tropical4()]
+    cases = 0
+    for r in rigs:
+        closures = {
+            multiplicative_closure(r, seed)
+            for k in (1, 2)
+            for seed in itertools.combinations(r.elements(), k)
+        }
+        for s_set in closures:
+            loc = localize(r, s_set)
+            lr = loc.rig
+            t = r.one
+            for s in s_set:
+                t = r.mul(t, s)
+            e = t
+            while r.mul(e, e) != e:
+                e = r.mul(e, t)
+            e_r = sorted({r.mul(e, x) for x in r.elements()})
+            to_loc = {x: loc.class_of(x) for x in e_r}
+            assert sorted(to_loc.values()) == list(lr.elements()), (r.name, sorted(s_set))
+            for x, y in itertools.product(e_r, repeat=2):
+                assert to_loc[r.add(x, y)] == lr.add(to_loc[x], to_loc[y])
+                assert to_loc[r.mul(x, y)] == lr.mul(to_loc[x], to_loc[y])
+            cases += 1
+    assert cases == 798  # distinct closures of the 2613 seeds
 
 
 def test_localize_zmod6_examples():
