@@ -279,9 +279,6 @@ class IntPolynomial(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 

@@ -198,12 +198,6 @@ class _TraceCoords:
                 u >>= w
         return out
 
-    def coeffs(self, g) -> list[int]:
-        return self.solve([g])[0]
-
-    def element(self, g) -> WittElement:
-        return _unvec(self.coeffs(g), self.ds)
-
 
 # Bounded, unlike the arith caches: each entry holds tau(L)**2 integers, and
 # lambda_series asks for one level per support it meets.

@@ -56,7 +56,7 @@ class Rig:
     Subclasses set ``finite`` and either enumerate the carrier or
     provide a sampler; law conformance is checked by
     ``rigs.check_rig_laws``, not assumed.  Two rigs are equal when their
-    ``key()`` agrees.
+    ``key()`` agrees; a key determines the name, so a rig hashes its name.
     """
 
     __slots__ = ()
@@ -107,7 +107,7 @@ class Rig:
         return self is other or (isinstance(other, Rig) and self.key() == other.key())
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.name)
 
     def __repr__(self):
         return f"<rig {self.name}>"

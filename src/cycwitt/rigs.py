@@ -469,10 +469,8 @@ class SquareMatrixRig(Rig):
         self.size = n
         self.name = f"mat{n}:{base.name}"
         self.finite = base.finite
-        self.zero = tuple(tuple(base.zero for _ in range(n)) for _ in range(n))
-        self.one = tuple(
-            tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
-        )
+        self.zero = _scalar(base, base.zero, n).entries
+        self.one = identity(base, n).entries
 
     def key(self):
         # the name alone would equate matrices over two same-named tables
@@ -798,18 +796,21 @@ def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     In a finite monoid f is a unit exactly when some power f^k is the
     identity (then f^(k-1) is its inverse), so each candidate's powers are
     chased until they reach the identity or repeat.  Raises BudgetExceeded
-    when the |r|^(n*n) candidates exceed GL_BUDGET; the returned group is
-    verified closed under composition.
+    when the |r|^(n*n) candidates exceed GL_BUDGET, after listing at most
+    GL_BUDGET + 1 elements of r; the returned group is verified closed
+    under composition.
     """
     if not r.finite:
         raise ValueError("gl_enumerate() needs a finite rig")
-    count = len(list(r.elements())) ** (n * n)
+    size = len(list(itertools.islice(r.elements(), GL_BUDGET + 1)))
+    count = size ** (n * n)
     if count > GL_BUDGET:
-        raise BudgetExceeded(f"{count} matrices", GL_BUDGET)
+        what = count if size <= GL_BUDGET else f"|{r.name}|^{n * n}"
+        raise BudgetExceeded(f"{what} matrices", GL_BUDGET)
     one = identity(r, n)
     units = []
     for f in all_matrices(r, n, n):
-        # sets hold entries: a matrix hashes its rig, and so every table entry
+        # sets hold entries, the part of a matrix that varies here
         power, seen = f, set()
         while power != one and power.entries not in seen:
             seen.add(power.entries)

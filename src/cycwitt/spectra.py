@@ -118,12 +118,13 @@ class SpecSpace(FrozenRecord):
 def spec(r: FiniteCRig) -> SpecSpace:
     """All primes: proper ideals with multiplicatively closed complement;
     cached (rig and space are immutable) for the radicals and theorem1."""
+    M = r.mul_table
     primes = []
     for cand in all_ideals(r):
         if r.one in cand:
             continue
         comp = [x for x in r.elements() if x not in cand]
-        if all(r.mul(x, y) not in cand for x in comp for y in comp):
+        if all(cand.isdisjoint(map(M[x].__getitem__, comp)) for x in comp):
             primes.append(cand)
     return SpecSpace(r, tuple(primes))
 
@@ -140,20 +141,16 @@ def radical(r: FiniteCRig, a: Ideal) -> Ideal:
     cross-checked; a mismatch raises RadicalMismatch loudly.
     """
     by_powers = set()
-    for x in r.elements():
-        y = x
-        seen = set()
+    for x, times_x in zip(r.elements(), r.mul_table):
+        y, seen = x, set()
         while y not in seen:
             if y in a.elements:
                 by_powers.add(x)
                 break
             seen.add(y)
-            y = r.mul(y, x)
+            y = times_x[y]
     containing = [p for p in spec(r).primes if p >= a.elements]
-    if containing:
-        by_primes = frozenset.intersection(*containing)
-    else:
-        by_primes = frozenset(r.elements())
+    by_primes = frozenset(r.elements()).intersection(*containing)
     if frozenset(by_powers) != by_primes:
         raise RadicalMismatch(
             f"power radical {r.describe(by_powers)} != prime intersection "
@@ -165,23 +162,24 @@ def radical(r: FiniteCRig, a: Ideal) -> Ideal:
 def multiplicative_closure(r: FiniteCRig, seed) -> frozenset:
     cur = set(seed) | {r.one}
     while True:
-        nxt = set(cur) | {r.mul(x, y) for x in cur for y in cur}
+        nxt = cur | {r.mul_table[x][y] for x in cur for y in cur}
         if nxt == cur:
             return frozenset(cur)
         cur = nxt
 
 
 class Localization(FrozenRecord):
-    """Finite localization: the class rig and the class lookup for
-    admissible fractions; class_of(x) is the canonical map."""
+    """Finite localization: the class rig and the key map ``_keys`` =
+    (inverse, key_class); class_of(x, s) is key_class[x*inverse[s]]."""
 
-    __slots__ = _fields = ("source", "denominators", "rig", "_pair_class")
+    __slots__ = _fields = ("source", "denominators", "rig", "_keys")
 
     def class_of(self, x: int, s: int | None = None) -> int:
         s = self.source.one if s is None else s
         if s not in self.denominators:
             raise ValueError(f"{s} is not an admissible denominator")
-        return self._pair_class[(x, s)]
+        inverse, key_class = self._keys
+        return key_class[self.source.mul_table[x][inverse[s]]]
 
 
 def localize(r: FiniteCRig, s_set) -> Localization:
@@ -191,8 +189,9 @@ def localize(r: FiniteCRig, s_set) -> Localization:
     Every u divides t = prod(S), so the relation holds exactly for u = f,
     the idempotent power of t: f*s'*x == f*s*x'.  Each f*s is a unit of
     the monoid f*r, whose identity is f; with i_s its inverse there, the
-    key x*i_s names the class of (x, s).  Classes are numbered by first
-    appearance among the pairs (x, s), x ascending, then s ascending.
+    key x*i_s names the class of (x, s), and the key map is the only class
+    map.  Classes are numbered by first appearance among the pairs (x, s),
+    x ascending, then s ascending, until the |f*r| keys (below) are all in.
 
     The keys are exactly f*r (x*i_1 = x*f), closed under both operations,
     and the class rig is f*r with r's own tables restricted to it.
@@ -228,16 +227,14 @@ def localize(r: FiniteCRig, s_set) -> Localization:
             )
 
     key_class: dict[int, int] = {}
-    class_ids: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
-    for x in r.elements():
-        x_row = mul_t[x]
-        for s in denoms:
-            key = x_row[inverse[s]]
-            if key not in key_class:
-                key_class[key] = len(order)
-                order.append((x, s))
-            class_ids[(x, s)] = key_class[key]
+    for x, s in itertools.product(r.elements(), denoms):
+        key = mul_t[x][inverse[s]]
+        if key not in key_class:
+            key_class[key] = len(order)
+            order.append((x, s))
+            if len(order) == len(monoid):
+                break
 
     keys = list(key_class)
     add_table = [[key_class[add_t[a][b]] for b in keys] for a in keys]
@@ -248,12 +245,12 @@ def localize(r: FiniteCRig, s_set) -> Localization:
     loc_rig = FiniteCRig(
         add_table,
         mul_table,
-        zero=class_ids[(r.zero, r.one)],
-        one=class_ids[(r.one, r.one)],
+        zero=key_class[r.zero],
+        one=key_class[f],
         names=names,
         name=f"{r.name} localized",
     )
-    return Localization(r, s_set, loc_rig, class_ids)
+    return Localization(r, s_set, loc_rig, (inverse, key_class))
 
 
 class Theorem1Report(Record):
@@ -304,7 +301,7 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
     everywhere = range(len(opens))
 
     def family(x, w, points):  # w is admissible at every point asked for
-        return tuple([stalks[i]._pair_class[x, w] for i in points])
+        return tuple([stalks[i].class_of(x, w) for i in points])
 
     image = {}  # fraction class -> its family
     for x, w in itertools.product(r.elements(), loc.denominators):
@@ -346,11 +343,12 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
         report.failures.append(("two fraction classes with one family", *pair))
 
     # operation preservation, checked through representatives
+    loc_add, loc_mul = loc.rig.add_table, loc.rig.mul_table
     for c1, c2 in itertools.product(range(k), repeat=2):
         at = list(zip(stalks, image[c1], image[c2]))
-        fam_sum = tuple(st.rig.add(a, b) for st, a, b in at)
-        fam_prod = tuple(st.rig.mul(a, b) for st, a, b in at)
-        if image[loc.rig.add(c1, c2)] != fam_sum or image[loc.rig.mul(c1, c2)] != fam_prod:
+        fam_sum = tuple(st.rig.add_table[a][b] for st, a, b in at)
+        fam_prod = tuple(st.rig.mul_table[a][b] for st, a, b in at)
+        if image[loc_add[c1][c2]] != fam_sum or image[loc_mul[c1][c2]] != fam_prod:
             report.failures.append(("operations disagree", c1, c2))
     report.preserves_ops = not any(f[0] == "operations disagree" for f in report.failures)
     return report

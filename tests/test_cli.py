@@ -675,6 +675,28 @@ def test_cli_unknown_rig(capsys):
     assert code == 2 and "unknown" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["spec", "--rig", "int"],
+            "unknown finite rig 'int' (use boolean | zmod:N | tropical4, or load a table file)",
+        ),
+        (["trace", "2*x"], "expected 'phi(' (at offset 2)"),
+        (["trace", "phix"], "expected '(' after 'phi' (at offset 3)"),
+    ],
+    ids=["spec-carrier-int", "trace-no-phi", "trace-phi-no-paren"],
+)
+def test_cli_rejects_carriers_and_bad_terms(argv, message, capsys):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_gamma_filtration_level_zero_is_left_by_the_cost_check_to_the_handler(capsys):
+    code, out, err = run_cli(capsys, "gamma-filtration", "--level", "0", "--depth", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: gamma_filtration() requires N >= 1")
+
+
 _GOLDEN_CALLS = [
     ("lambda_table_10.txt", ["lambda-table", "10"]),
     ("ramanujan_12x12.txt", ["ramanujan", "--n", "12", "--m-max", "12"]),

@@ -13,6 +13,7 @@ from cycwitt.lambda_ops import (
     _level,
     _trace_coords,
     _trace_lambda,
+    _unvec,
     gamma_basis,
     gamma_filtration,
     gamma_series,
@@ -405,7 +406,7 @@ def test_trace_coordinates_invert_exactly(level):
     rng = random.Random(level)
     for _ in range(20):
         w = WittElement({d: rng.randint(-9, 9) for d in rng.sample(coords.ds, min(3, len(coords.ds)))})
-        assert coords.element([t_m(d, w) for d in coords.ds]) == w
+        assert _unvec(coords.solve([[t_m(d, w) for d in coords.ds]])[0], coords.ds) == w
 
 
 def test_corrupted_trace_vector_raises():
@@ -413,7 +414,7 @@ def test_corrupted_trace_vector_raises():
     g = [t_m(d, phi(4) - 2 * ONE) for d in coords.ds]
     g[2] += 1
     with pytest.raises(ArithmeticError, match="implementation bug"):
-        coords.coeffs(g)
+        coords.solve([g])
 
 
 def _per_vector_coeffs(coords, g):
@@ -495,7 +496,7 @@ def test_batched_solve_matches_per_vector_on_random_vectors(level):
                     for _ in range(count)]
         gs = [[t_m(d, w) for d in coords.ds] for w in elements]
         assert coords.solve(gs) == [_per_vector_coeffs(coords, g) for g in gs]
-        assert [coords.element(g) for g in gs] == elements
+        assert [_unvec(row, coords.ds) for row in coords.solve(gs)] == elements
 
 
 def test_batched_solve_names_the_corrupted_vector():

@@ -93,6 +93,8 @@ def test_finite_rig_equality():
     g = RigMatrix(b, [[5], [1]])
     assert mat_compose(f, g) == RigMatrix(a, [[1], [1]])
     assert FiniteCRig.zmod(6) != FiniteCRig.zmod(7)
+    for r in (FiniteCRig.zmod(1000), SquareMatrixRig(a, 2)):
+        assert hash(r) == hash(r.name)  # not the tables: O(1) per lookup
     assert FiniteCRig.zmod(2) != rig_by_name("boolean")
     table = "size 2\nadd\n0 1\n1 {}\nmul\n0 0\n0 1\n"
     custom_bool, custom_z2 = (FiniteCRig.from_text(table.format(v)) for v in (1, 0))
@@ -386,6 +388,27 @@ def test_gl_enumerate_refuses_quadratic_work():
     # GL_2(F_7) has 2016 units: the closure check alone would compose 2016^2 pairs
     with pytest.raises(BudgetExceeded, match="budget exceeded: 2401 matrices > 1024"):
         gl_enumerate(FiniteCRig.zmod(7), 2)
+
+
+class _CountedMatrices(SquareMatrixRig):
+    """Square matrices whose carrier counts the elements drawn from it."""
+
+    def __init__(self, base, n):
+        super().__init__(base, n)
+        self.drawn = 0
+
+    def elements(self):
+        for m in super().elements():
+            self.drawn += 1
+            yield m
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_gl_enumerate_prices_a_large_carrier_from_a_prefix(n):
+    big = _CountedMatrices(FiniteCRig.boolean(), n)  # 2^(n*n) elements
+    with pytest.raises(BudgetExceeded, match=rf"^budget exceeded: \|mat{n}:boolean\|\^1 matrices > 1024$"):
+        gl_enumerate(big, 1)
+    assert big.drawn <= rigs.GL_BUDGET + 1
 
 
 def test_global_sections_examples():

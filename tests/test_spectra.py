@@ -492,7 +492,7 @@ def test_localize_matches_union_find():
             loc = localize(r, s_set)
             lr = loc.rig
             class_ids, add, mul, names, zero, one = _localize_union_find(r, s_set)
-            assert loc._pair_class == class_ids, (r.name, sorted(s_set))
+            assert {p: loc.class_of(*p) for p in class_ids} == class_ids, (r.name, sorted(s_set))
             assert lr.add_table == tuple(map(tuple, add))
             assert lr.mul_table == tuple(map(tuple, mul))
             assert (lr.names, lr.zero, lr.one) == (names, zero, one)
