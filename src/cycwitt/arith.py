@@ -1,9 +1,10 @@
 """Exact number theory at desk scale.
 
 Factorization by deterministic trial division, Mobius and Euler
-functions, Ramanujan sums, and cyclotomic polynomials, all over
-Python's arbitrary-precision integers.  Every function is pure; hot
-lookups are memoized on immutable values.
+functions, Ramanujan sums, and cyclotomic polynomials, all built by one
+kernel (a truncated series times (1 - t**e)**k), over Python's
+arbitrary-precision integers.  Every function is pure; hot lookups are
+memoized on immutable values.
 
 ``Frozen``, the immutability guard of every value class, and ``Record``,
 the one constructor, ``==`` and ``repr`` of every result class, are
@@ -30,6 +31,8 @@ __all__ = [
     "ramanujan_sum_divisor_form",
     "phi_mu_tables",
     "IntPolynomial",
+    "times_binomial",
+    "times_cyclotomic",
     "cyclotomic_poly",
     "join_signed",
 ]
@@ -331,13 +334,6 @@ class IntPolynomial(Frozen):
                 rem[j + k] -= q * b
         return IntPolynomial(quot), IntPolynomial(rem)
 
-    def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient; raises ArithmeticError on a nonzero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError(f"non-exact division: remainder {r.coeffs}")
-        return q
-
     def __call__(self, x):
         out = 0
         for c in reversed(self.coeffs):
@@ -363,26 +359,54 @@ class IntPolynomial(Frozen):
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _x_pow_minus_one(n: int) -> IntPolynomial:
-    return IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+def times_binomial(col: list[int], e: int, k: int) -> list[int]:
+    """col * (1 - t**e)**k to the length of col, for any integer k."""
+    top = len(col) - 1
+    terms = top // e + 1  # powers of t**e below the truncation
+    col = list(col)
+    if abs(k) < terms:  # |k| passes of one factor (1 - t**e) or its inverse each
+        for _ in range(abs(k)):
+            if k > 0:
+                for i in range(top, e - 1, -1):
+                    col[i] -= col[i - e]
+            else:
+                for i in range(e, top + 1):
+                    col[i] += col[i - e]
+        return col
+    # the coefficient of t**(e j) in (1 - t**e)**k is (-1)**j C(k, j) = b_j,
+    # with b_j = b_(j-1) (j - 1 - k) / j exact
+    bs = [1]
+    for j in range(1, terms):
+        bs.append(bs[-1] * (j - 1 - k) // j)
+    out = [0] * (top + 1)
+    for i, c in enumerate(col):
+        if c:
+            for j in range((top - i) // e + 1):
+                out[i + e * j] += c * bs[j]
+    return out
+
+
+def times_cyclotomic(col: list[int], n: int, k: int) -> list[int]:
+    """col * (reversed Phi_n)**k to the length of col, for any integer k:
+    reversed Phi_n is the product of (1 - t**d)**mobius(n/d) over d | n."""
+    for d in divisors(n):
+        if d >= len(col):
+            break
+        if mu := mobius(n // d):
+            col = times_binomial(col, d, k * mu)
+    return col
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_plain(n: int) -> IntPolynomial:
-    # Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d; exact in Z[x].
-    num = _x_pow_minus_one(n)
-    for d in divisors(n):
-        if d < n:
-            num = num.divexact(_cyclotomic_plain(d))
-    return num
-
-
 def cyclotomic_poly(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial (degree euler_phi(n)).
 
     Its ``reversed_coeffs()`` is the product of (1 - z*t) over the
-    primitive n-th roots z, whose constant term is 1.
+    primitive n-th roots z, which times_cyclotomic expands; for n >= 2,
+    Phi_n is palindromic, so that is Phi_n itself.
     """
     if n < 1:
         raise ValueError(f"cyclotomic_poly() requires n >= 1, got {n}")
-    return _cyclotomic_plain(n)
+    if n == 1:
+        return IntPolynomial((-1, 1))
+    return IntPolynomial(times_cyclotomic([1] + [0] * euler_phi(n), n, 1))

@@ -40,7 +40,8 @@ import math
 import operator
 from functools import lru_cache
 
-from .arith import FrozenRecord, Record, divisors, euler_phi, factor, mobius, ramanujan_sum
+from .arith import (FrozenRecord, Record, divisors, euler_phi, factor, mobius, ramanujan_sum,
+                    times_binomial)
 from .linalg import hnf
 from .witt import ONE, WittElement, frobenius, mul, phi
 
@@ -206,33 +207,6 @@ def _trace_coords(L: int) -> _TraceCoords:
     return _TraceCoords(L)
 
 
-def _times_binomial(col: list[int], e: int, k: int) -> list[int]:
-    """col * (1 - t**e)**k to the length of col, for any integer k."""
-    top = len(col) - 1
-    terms = top // e + 1  # powers of t**e below the truncation
-    col = list(col)
-    if abs(k) < terms:  # |k| passes of one factor (1 - t**e) or its inverse each
-        for _ in range(abs(k)):
-            if k > 0:
-                for i in range(top, e - 1, -1):
-                    col[i] -= col[i - e]
-            else:
-                for i in range(e, top + 1):
-                    col[i] += col[i - e]
-        return col
-    # the coefficient of t**(e j) in (1 - t**e)**k is (-1)**j C(k, j) = b_j,
-    # with b_j = b_(j-1) (j - 1 - k) / j exact
-    bs = [1]
-    for j in range(1, terms):
-        bs.append(bs[-1] * (j - 1 - k) // j)
-    out = [0] * (top + 1)
-    for i, c in enumerate(col):
-        if c:
-            for j in range((top - i) // e + 1):
-                out[i + e * j] += c * bs[j]
-    return out
-
-
 def _trace_lambda(a: WittElement, degree: int, ds: tuple[int, ...]) -> list[list[int]]:
     """t_d(lambda_t(a)) for each d in ds, as integer series to degree.
 
@@ -259,7 +233,7 @@ def _trace_lambda(a: WittElement, degree: int, ds: tuple[int, ...]) -> list[list
         col = [1] + [0] * degree
         for e, k in exps.items():
             if k:
-                col = _times_binomial(col, e, k)
+                col = times_binomial(col, e, k)
         cols.append(col)
     return cols
 

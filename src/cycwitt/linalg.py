@@ -13,8 +13,9 @@ integer test for operator norm <= 1, and
 conversion of unit-spectrum integer matrices to Witt classes. By
 Kronecker's theorem an integer matrix whose eigenvalues all lie in the
 closed unit disc has characteristic polynomial x**a times a product of
-cyclotomics, so the class is read off an exact factorization, and a
-failed factorization proves an eigenvalue outside the disc.
+cyclotomics, so the class is read off an exact factorization, by series
+division through arith.times_cyclotomic, and a failed factorization
+proves an eigenvalue outside the disc.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import sys
 from functools import lru_cache, reduce
 from itertools import count
 
-from .arith import Frozen, FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
+from .arith import (Frozen, FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi,
+                    times_cyclotomic)
 from .witt import WittElement
 
 __all__ = [
@@ -531,28 +533,27 @@ def _growth_witness(rev: IntPolynomial, dim: int) -> tuple[int, int]:
 def spectrum_in_unit_disc(a: IntMatrix) -> SpectrumVerdict:
     """Decide whether all eigenvalues are zero or roots of unity.
 
-    Attempts the exact factorization char(A) = x^a * prod Phi_d by
-    trial division. A remainder left after every Phi_d is divided out
-    has an eigenvalue of modulus > 1 by Kronecker's theorem (a monic
-    integer polynomial with nonzero constant term and all roots in the
-    closed unit disc is a product of cyclotomics).
+    Divides c = det(1 - x*A), c[0] = 1, by each reversed Phi_d as a series,
+    q = times_cyclotomic(c, d, -1) to the length of c.  The division is
+    exact exactly when the last euler_phi(d) entries of q are zero: then
+    reversed Phi_d times the head of q has degree < len(c) and agrees with
+    c mod x**len(c), so it is c; and an exact quotient is that series.  A
+    factor left after every Phi_d has an eigenvalue of modulus > 1 by
+    Kronecker's theorem (a monic integer polynomial with nonzero constant
+    term and all roots in the closed unit disc is a product of cyclotomics).
     """
     rev = charpoly_rev(a)
-    nilpotent = a.rows - rev.degree
-    mono = rev.reversed_coeffs()
+    c = list(rev.coeffs)
     factors: dict[int, int] = {}
-    for d in _cyclo_candidates(mono.degree):
-        if mono.degree < 1:
+    for d in _cyclo_candidates(rev.degree):
+        if len(c) == 1:
             break
-        phi_d = cyclotomic_poly(d)
-        while mono.degree >= phi_d.degree:
-            q, r = divmod(mono, phi_d)
-            if not r.is_zero():
-                break
+        head = len(c) - euler_phi(d)
+        while head >= 1 and not any((q := times_cyclotomic(c, d, -1))[head:]):
             factors[d] = factors.get(d, 0) + 1
-            mono = q
-    if mono == IntPolynomial((1,)):
-        return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), nilpotent)
+            c, head = q[:head], head - euler_phi(d)
+    if c == [1]:
+        return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), a.rows - rev.degree)
     return SpectrumVerdict("outside", witness=_growth_witness(rev, a.rows))
 
 

@@ -176,6 +176,8 @@ class Localization(FrozenRecord):
 
     def class_of(self, x: int, s: int | None = None) -> int:
         s = self.source.one if s is None else s
+        if x not in range(self.source.size):
+            raise ValueError(f"{x} is not an element of {self.source.name}")
         if s not in self.denominators:
             raise ValueError(f"{s} is not an admissible denominator")
         inverse, key_class = self._keys

@@ -259,8 +259,6 @@ def frobenius(m: int, a: WittElement) -> WittElement:
     """The m-th power operator F_m, additively extended; m = 0 gives f0(a)*phi(1)."""
     if m < 0:
         raise ValueError(f"frobenius() requires m >= 0, got {m}")
-    if m == 0:
-        return ONE * f0(a)
     acc: dict[int, int] = {}
     for n, c in a.items():
         tgt, k = _frobenius_basis(m, n)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,8 @@ from cycwitt.arith import (
     phi_mu_tables,
     ramanujan_sum,
     ramanujan_sum_divisor_form,
+    times_binomial,
+    times_cyclotomic,
 )
 
 
@@ -126,7 +129,8 @@ def test_cyclotomic_examples():
     assert cyclotomic_poly(1) == IntPolynomial((-1, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 61))
+# Phi_105 has a coefficient -2; Phi_385 and Phi_1155 have +-3
+@pytest.mark.parametrize("n", [*range(1, 61), 105, 385, 840, 1155, 2310])
 def test_cyclotomic_product_over_divisors(n):
     prod = IntPolynomial((1,))
     for d in divisors(n):
@@ -141,6 +145,45 @@ def test_cyclotomic_reversal(n):
     assert plain.degree == rev.degree == euler_phi(n)
     assert rev.coeffs == tuple(reversed(plain.coeffs))
     assert rev[0] == 1
+
+
+def _truncated(p, length):
+    return [p[i] for i in range(length)]
+
+
+def _binomial_power(col, e, k):
+    # col * (1 - t**e)**k by literal products, with the truncated geometric
+    # series 1 + t**e + t**2e + ... as the inverse of 1 - t**e when k < 0
+    n = len(col)
+    base = IntPolynomial((1,) + (0,) * (e - 1) + (-1,)) if k >= 0 else IntPolynomial(
+        [int(i % e == 0) for i in range(n)])
+    out = IntPolynomial(col)
+    for _ in range(abs(k)):
+        out = IntPolynomial(_truncated(out * base, n))
+    return _truncated(out, n)
+
+
+def test_times_binomial_matches_literal_powers():
+    rng = random.Random(25)
+    branches = set()
+    for _ in range(600):
+        col = [rng.randint(-9, 9) for _ in range(rng.randint(1, 20))]
+        e, k = rng.randint(1, 6), rng.randint(-12, 12)
+        branches.add(abs(k) < (len(col) - 1) // e + 1)
+        assert times_binomial(col, e, k) == _binomial_power(col, e, k), (col, e, k)
+    assert branches == {True, False}
+
+
+def test_times_cyclotomic_inverts_and_expands_reversed_phi():
+    rng = random.Random(26)
+    for n in [*range(1, 41), 105, 210, 385]:
+        length = euler_phi(n) + 6
+        rev = cyclotomic_poly(n).reversed_coeffs()
+        assert times_cyclotomic([1] + [0] * (length - 1), n, 1) == _truncated(rev, length)
+        for _ in range(3):
+            col = [rng.randint(-9, 9) for _ in range(rng.randint(1, 20))]
+            k = rng.randint(-12, 12)
+            assert times_cyclotomic(times_cyclotomic(col, n, k), n, -k) == col, (col, n, k)
 
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -159,12 +202,15 @@ def test_poly_ring_laws(a, b, c):
 def test_poly_divmod_roundtrip(a, b):
     prod = a * b
     if not b.is_zero():
-        assert prod.divexact(b) == a or a.is_zero()
+        assert divmod(prod, b) == (a, IntPolynomial())
 
 
 def test_poly_divexact_raises_on_remainder():
+    q, r = divmod(IntPolynomial((1, 1, 1)), IntPolynomial((1, 1)))
+    assert (q, r) == (IntPolynomial((0, 1)), IntPolynomial((1,)))
+    assert q * IntPolynomial((1, 1)) + r == IntPolynomial((1, 1, 1))
     with pytest.raises(ArithmeticError):
-        IntPolynomial((1, 1, 1)).divexact(IntPolynomial((1, 1)))
+        divmod(IntPolynomial((1, 1)), IntPolynomial((1, 2)))
 
 
 def test_poly_pretty():

@@ -351,6 +351,11 @@ _MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
         (None, ["tm", "4", "phi(1000000000000000003)"], _HUGE_FACTOR),
         (
             None,
+            ["frob", "0", "phi(2000000000000000006)"],
+            "budget exceeded: trial divisors for factor(2000000000000000006) > 4000000",
+        ),
+        (
+            None,
             ["gamma-filtration", "--level", "1000000000000000003", "--depth", "2"],
             _HUGE_FACTOR,
         ),
@@ -381,6 +386,7 @@ _MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
          "parseval-prime-4999999", "parseval-huge-prime", "charpoly-101-rows",
          "wittclass-101-rows", "charpoly-ten-digit-entries", "spec-zmod5000",
          "radical-zmod3000", "trace-huge-prime", "f0-huge-prime", "tm-huge-prime",
+         "frob0-huge-index",
          "gamma-filtration-huge-level", "gamma-filtration-depth-100000",
          "gamma-filtration-5040-depth-6", "gamma-filtration-720720"],
 )

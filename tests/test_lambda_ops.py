@@ -418,8 +418,8 @@ def test_corrupted_trace_vector_raises():
 
 
 def _per_vector_coeffs(coords, g):
-    """The inversion of one trace vector at a time, as _TraceCoords.coeffs
-    ran before the vectors were packed.  The oracle for the batched one."""
+    """The inversion of one trace vector at a time, with no Kronecker
+    packing of values into slots.  The oracle for _TraceCoords.solve."""
     v = [0] * len(g)
     for i, x in zip(coords._slot, g):
         v[i] = x

@@ -28,6 +28,7 @@ from cycwitt.linalg import (
     kronecker,
     mat_compose,
     parse_matrix,
+    SpectrumVerdict,
     spectrum_in_unit_disc,
     witt_class,
 )
@@ -511,6 +512,71 @@ def test_outside_witness_is_least_growing_trace(a):
 
 def test_lehmer_witness():
     assert spectrum_in_unit_disc(companion(LEHMER)).witness == (13, 12)
+
+
+def _spectrum_by_long_division(a):
+    """The unit-disc verdict by IntPolynomial long division of the monic
+    char(A) by each candidate Phi_d: the oracle for the series division."""
+    rev = charpoly_rev(a)
+    mono = rev.reversed_coeffs()
+    factors = {}
+    for d in linalg._cyclo_candidates(mono.degree):
+        if mono.degree < 1:
+            break
+        phi_d = cyclotomic_poly(d)
+        while mono.degree >= phi_d.degree:
+            q, r = divmod(mono, phi_d)
+            if not r.is_zero():
+                break
+            factors[d] = factors.get(d, 0) + 1
+            mono = q
+    if mono == IntPolynomial((1,)):
+        return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), a.rows - rev.degree)
+    return SpectrumVerdict("outside", witness=linalg._growth_witness(rev, a.rows))
+
+
+# the expanding companions of x^2 - 3x + 1 and x^3 - x - 1
+_EXPANDING = (companion(IntPolynomial((1, -3, 1))), companion(IntPolynomial((-1, -1, 0, 1))))
+
+
+def _block_sum(rng, n):
+    # companion blocks of Phi_d, d < 300, filling dimension n
+    indices, total = [], 0
+    while total < n:
+        indices.append(rng.choice([d for d in range(1, 300) if euler_phi(d) <= n - total]))
+        total += euler_phi(indices[-1])
+    return companion_blocks(indices)
+
+
+_SPECTRUM_CASES = {
+    "block-sum": lambda rng: _block_sum(rng, rng.randint(1, 100)),
+    "conjugate": lambda rng: _conjugated(rng, _block_sum(rng, rng.choice((8, 16, 30, 45)))),
+    # conjugated by a unimodular matrix of two dense 50 x 50 blocks, then permuted
+    "conjugate-100": lambda rng: _permuted(rng, direct_sum(
+        _conjugated(rng, _block_sum(rng, 50)), _conjugated(rng, _block_sum(rng, 50)))),
+    "expanding": lambda rng: _permuted(
+        rng, _block_sum(rng, rng.randint(1, 90)).direct_sum(rng.choice(_EXPANDING))
+    ),
+    "expanding-conjugate": lambda rng: _conjugated(
+        rng, _block_sum(rng, rng.randint(1, 20)).direct_sum(rng.choice(_EXPANDING))
+    ),
+    "nilpotent-padding": lambda rng: _permuted(
+        rng, _block_sum(rng, rng.randint(1, 90)).direct_sum(_nilpotent(rng, rng.randint(2, 10)))
+    ),
+    "expanding-nilpotent-conjugate": lambda rng: _conjugated(rng, reduce(direct_sum, [
+        _block_sum(rng, 12), rng.choice(_EXPANDING), _nilpotent(rng, 4)])),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SPECTRUM_CASES))
+def test_series_division_matches_long_division(kind):
+    rng = random.Random(list(_SPECTRUM_CASES).index(kind))
+    for _ in range(3 if kind == "conjugate-100" else 12):
+        a = _SPECTRUM_CASES[kind](rng)
+        assert a.rows <= 100
+        want = _spectrum_by_long_division(a)
+        assert spectrum_in_unit_disc(a) == want, (kind, format_matrix(a))
+        assert want.ok == ("expanding" not in kind)
 
 
 def test_witt_class_examples():

@@ -358,6 +358,18 @@ def test_closed_and_basic_open_identities():
         assert meet == set(sp.closed_set(sum_ideal.elements))
 
 
+def test_class_of_refuses_a_non_element():
+    z6 = FiniteCRig.zmod(6)
+    loc = localize(z6, {1, 5})
+    assert [loc.class_of(x) for x in z6.elements()] == [0, 1, 3, 5, 4, 2]
+    assert [loc.class_of(x, 5) for x in z6.elements()] == [0, 2, 4, 5, 3, 1]
+    for x in (-1, 6):
+        with pytest.raises(ValueError, match=f"^{x} is not an element of zmod:6$"):
+            loc.class_of(x)
+    with pytest.raises(ValueError, match="^2 is not an admissible denominator$"):
+        loc.class_of(1, 2)
+
+
 def test_radical_examples():
     z8 = FiniteCRig.zmod(8)
     assert radical(z8, ideal_generated(z8, ())).elements == frozenset({0, 2, 4, 6})
