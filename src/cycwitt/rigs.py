@@ -11,16 +11,21 @@ carriers [0,1] and [0,inf] with max as addition and ordinary product.
 and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
 has one product kernel, ``compose``.  Three kernels skip the zero entries
 of the left factor: ``FiniteCRig``'s reads its tables, which construction
-proved to have an absorbing zero that is the additive unit, and the one
-shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` takes the largest
-term, since max never lowers a sum that starts at zero; it orders
-``Fraction`` terms by integer cross-multiplication, exact because their
-denominators are positive, and builds only the winning product; entries
-of any other type take ``Rig.compose``, the literal fold.  Every other
-kernel folds every term, so a bad zero or one still shows in the
-law checks.  The law checkers verify the rig axioms, over tables of
-interned values (exact for operations that depend only on the values), and
-the matrix-category laws (symmetry under block swap, centrality of
+proved to have an absorbing zero that is the additive unit and a one that
+is the multiplicative unit, so a row's first term is its sum as it stands
+and a term with coefficient one is g's row unread (a permutation factor
+moves rows); the one shared by ``TropicalUnitRig`` and
+``TropicalNonNegRig`` takes the largest term, since max never lowers a sum
+that starts at zero; it orders ``Fraction`` terms by integer
+cross-multiplication, exact because their denominators are positive, and
+builds only the winning product; entries of any other type take
+``Rig.compose``, the literal fold.  ``IntRig``'s moves g's row for a row
+of int 0s and one int 1 when g holds only ints.  Every other kernel folds
+every term, so a bad zero or one still shows in the law checks.
+``perm_matrix``, ``tau`` and ``sigma`` are memoized in bounded caches.
+The law checkers verify the rig axioms, over tables of interned values
+(exact for operations that depend only on the values), and the
+matrix-category laws (symmetry under block swap, centrality of
 scalars, the interleaving permutation that exchanges the two Kronecker
 orders) either exhaustively or by seeded sampling.  The module also
 enumerates unit groups of matrix monoids and the integer matrices of
@@ -33,7 +38,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import itemgetter
+from functools import lru_cache
+from operator import index, itemgetter
 
 from .arith import BudgetExceeded, Frozen, Record
 from .linalg import (
@@ -188,17 +194,21 @@ class FiniteCRig(Rig, Frozen):
 
     def compose(self, f_rows, g_rows, ncols):
         """Table reads that skip zero entries of f, exactly: construction
-        proved zero absorbing and the additive unit, so a permutation or
-        block-diagonal factor costs one row of reads per nonzero entry."""
-        A, M, z = self.add_table, self.mul_table, self.zero
+        proved zero absorbing and the additive unit and one the
+        multiplicative unit, so a row's first term is its sum as it stands
+        (A[zero][x] = x) and a term whose entry of f is one is g's row
+        unread (M[one][x] = x).  A permutation or identity factor thus
+        costs no reads; entries are element indices."""
+        A, M, z, e = self.add_table, self.mul_table, self.zero, self.one
         out = []
         for f_row in f_rows:
-            acc = (z,) * ncols
+            acc = None
             for a, g_row in zip(f_row, g_rows):
-                if a != z:
-                    ma = M[a]
-                    acc = tuple([A[s][ma[b]] for s, b in zip(acc, g_row)])
-            out.append(acc)
+                if a == z:
+                    continue
+                term = g_row if a == e else tuple(map(M[a].__getitem__, g_row))
+                acc = term if acc is None else tuple([A[s][t] for s, t in zip(acc, term)])
+            out.append((z,) * ncols if acc is None else acc)
         return tuple(out)
 
     def mul(self, x: int, y: int) -> int:
@@ -364,7 +374,7 @@ class _TropicalRig(Rig):
         with an ``INF`` factor is ``INF`` and stays the leader, held as 1/0.
         Any other entry takes ``Rig.compose``, the literal fold, so values
         and errors stay."""
-        kinds = {type(x) for rows in (f_rows, g_rows) for row in rows for x in row}
+        kinds = set(map(type, itertools.chain(*f_rows, *g_rows)))
         if not kinds <= self._exact_types:
             return Rig.compose(self, f_rows, g_rows, ncols)
         zero = self.zero
@@ -533,11 +543,20 @@ def oplus(f: RigMatrix, k: int) -> RigMatrix:
     return type(f)._of(f.rig, rows, k * c)
 
 
+# tau, sigma and perm_matrix each keep at most _CACHE_SIZE results.
+# perm_matrix's cache, emptied when full, is keyed by (id(rig), perm): each
+# entry's matrix holds its rig, so the id names no other rig while it lives
+_CACHE_SIZE = 256
+_PERM_MATRICES: dict = {}
+
+
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def tau(n: int, m: int) -> tuple[int, ...]:
     """Block-swap permutation on n + m strands: the last m move to the front."""
     return tuple(j + n if j < m else j - m for j in range(n + m))
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def sigma(m: int, n: int) -> tuple[int, ...]:
     """Interleaving permutation on m*n strands: position j*m + i maps to
     i*n + j (0 <= i < m, 0 <= j < n)."""
@@ -550,21 +569,29 @@ def sigma(m: int, n: int) -> tuple[int, ...]:
 
 def perm_matrix(rig: Rig, perm) -> RigMatrix:
     """Matrix with row i selecting strand perm[i] (entry one at column perm[i]);
-    perm must be a permutation of range(len(perm))."""
-    n = len(perm)
-    if set(perm) != set(range(n)):
-        raise ValueError(f"{tuple(perm)!r} is not a permutation of range({n})")
-    rows = []
-    for j in perm:
-        row = [rig.zero] * n
-        row[j] = rig.one
-        rows.append(tuple(row))
-    return RigMatrix._of(rig, tuple(rows), n)
+    perm must be a permutation of range(len(perm)), given by integers.
+    Memoized per rig object: a repeat is the matrix a fresh call builds."""
+    perm = tuple(map(index, perm))
+    m = _PERM_MATRICES.get((id(rig), perm))
+    if m is None:
+        n = len(perm)
+        if set(perm) != set(range(n)):
+            raise ValueError(f"{perm!r} is not a permutation of range({n})")
+        rows = []
+        for j in perm:
+            row = [rig.zero] * n
+            row[j] = rig.one
+            rows.append(tuple(row))
+        if len(_PERM_MATRICES) >= _CACHE_SIZE:
+            _PERM_MATRICES.clear()
+        m = _PERM_MATRICES[id(rig), perm] = RigMatrix._of(rig, tuple(rows), n)
+    return m
 
 
-def all_matrices(rig: Rig, n: int, m: int):
-    """Every n-by-m matrix over a finite rig, row-major lexicographic."""
-    elems = list(rig.elements())
+def all_matrices(rig: Rig, n: int, m: int, elems=None):
+    """Every n-by-m matrix over a finite rig, row-major lexicographic, with
+    entries from elems (the listed carrier when elems is None)."""
+    elems = list(rig.elements()) if elems is None else elems
     for flat in itertools.product(elems, repeat=n * m):
         yield RigMatrix(rig, [flat[i * m : (i + 1) * m] for i in range(n)])
 
@@ -678,11 +705,6 @@ class PropLawReport(Record):
         return f"matrix-category laws over {self.rig} ({self.cases} cases): {verdict}"
 
 
-def _random_matrix(rig: Rig, rng: random.Random, n: int, m: int) -> RigMatrix:
-    vals = rig.sample(rng, n * m)
-    return RigMatrix(rig, [vals[i * m : (i + 1) * m] for i in range(n)])
-
-
 def check_prop_laws(
     r: Rig,
     max_rows: int = 2,
@@ -698,16 +720,26 @@ def check_prop_laws(
     carriers, else `samples` per shape from the seeded generator).  Pairwise
     laws stop at pair_cap cases, three- and four-matrix laws at quad_cap; a
     failure is (law, case).  The centrality, interchange and Kronecker laws
-    need a commutative carrier and fail on noncommutative control inputs."""
+    need a commutative carrier and fail on noncommutative control inputs.
+    A finite carrier is listed once, and one of more than PROP_BUDGET
+    elements is refused (BudgetExceeded) after listing PROP_BUDGET + 1."""
     rng = random.Random(seed)
-    exhaustive = r.finite and len(list(r.elements())) ** (max_rows * max_cols) <= 4096
+    elems = list(itertools.islice(r.elements(), PROP_BUDGET + 1)) if r.finite else []
+    if len(elems) > PROP_BUDGET:
+        raise BudgetExceeded(f"|{r.name}| elements", PROP_BUDGET)
+    exhaustive = r.finite and len(elems) ** (max_rows * max_cols) <= 4096
+
+    def draw(k):  # a finite carrier is drawn from as Rig.sample does
+        return [rng.choice(elems) for _ in range(k)] if r.finite else r.sample(rng, k)
 
     def mats(n, m):
-        return (list(all_matrices(r, n, m)) if exhaustive
-                else [_random_matrix(r, rng, n, m) for _ in range(samples)])
+        if exhaustive:
+            return list(all_matrices(r, n, m, elems))
+        return [RigMatrix(r, [vals[i * m : (i + 1) * m] for i in range(n)])
+                for vals in (draw(n * m) for _ in range(samples))]
 
     pool = {(n, m): mats(n, m) for n in range(1, max_rows + 1) for m in range(1, max_cols + 1)}
-    scalars = list(r.elements()) if r.finite else r.sample(rng, 4)
+    scalars = elems if r.finite else r.sample(rng, 4)
     every = [f for ms in pool.values() for f in ms]
     # after[k]: the pooled matrices with k rows, which compose after any k-column one
     after = {k: [f for f in every if f.rows == k] for k in range(1, max_cols + 1)}
@@ -802,14 +834,15 @@ def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     """
     if not r.finite:
         raise ValueError("gl_enumerate() needs a finite rig")
-    size = len(list(itertools.islice(r.elements(), GL_BUDGET + 1)))
+    elems = list(itertools.islice(r.elements(), GL_BUDGET + 1))
+    size = len(elems)
     count = size ** (n * n)
     if count > GL_BUDGET:
         what = count if size <= GL_BUDGET else f"|{r.name}|^{n * n}"
         raise BudgetExceeded(f"{what} matrices", GL_BUDGET)
     one = identity(r, n)
     units = []
-    for f in all_matrices(r, n, n):
+    for f in all_matrices(r, n, n, elems):
         # sets hold entries, the part of a matrix that varies here
         power, seen = f, set()
         while power != one and power.entries not in seen:
@@ -843,6 +876,9 @@ def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
 # units, so zmod:1021 at n = 1 (1020 units) is the slowest accepted table,
 # about 4 s (1x1 matrices over it, a slower product, about 15 s)
 GL_BUDGET = 1024
+# check_prop_laws' limit on a finite carrier, which it lists for its scalars
+# and samples (zmod:1000, the largest rig_by_name builds, is accepted)
+PROP_BUDGET = 1024
 # global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
 SECTIONS_BUDGET = 150_000
 # rig_by_name's limit on the entries of a zmod:N table (zmod:1000 has 2*10^6)

@@ -261,6 +261,53 @@ def test_perm_matrix_refuses_non_permutations(perm):
         perm_matrix(IntRig(), perm)
 
 
+def _fresh_perm_matrix(r, perm):
+    return RigMatrix(r, [[r.one if j == p else r.zero for j in range(len(perm))] for p in perm])
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m.entries]
+
+
+@pytest.mark.parametrize("name", ["boolean", "int", "tropical-nonneg"])
+def test_cached_perm_matrix_is_a_fresh_build(name):
+    r = rig_by_name(name)
+    for n in range(4):
+        for perm in itertools.permutations(range(n)):
+            want = _fresh_perm_matrix(r, perm)
+            for got in (perm_matrix(r, perm), perm_matrix(r, perm), perm_matrix(r, list(perm))):
+                assert got == want and got.rig is r and _types(got) == _types(want)
+    # an equal rig built apart gets a matrix over itself, not the first one's
+    twin = rig_by_name(name)
+    assert perm_matrix(twin, (1, 0)).rig is twin
+
+
+def test_cached_tau_and_sigma_are_fresh_builds():
+    for n, m in itertools.product(range(5), repeat=2):
+        for fn in (tau, sigma):
+            assert fn(n, m) == fn(n, m) == fn.__wrapped__(n, m)
+
+
+@pytest.mark.parametrize("perm", [(0, 0), [1, 1], (0, 2)])
+def test_perm_matrix_refuses_a_non_permutation_on_every_call(perm):
+    perm_matrix(IntRig(), (0, 1))  # a cached valid neighbour changes nothing
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not a permutation of range"):
+            perm_matrix(IntRig(), perm)
+
+
+def test_constructor_caches_are_bounded():
+    r = IntRig()
+    for perm in itertools.islice(itertools.permutations(range(6)), 3 * rigs._CACHE_SIZE):
+        perm_matrix(r, perm)
+    assert 0 < len(rigs._PERM_MATRICES) <= rigs._CACHE_SIZE
+    for n in range(40):
+        for m in range(40):
+            tau(n, m), sigma(n, m)
+    for fn in (tau, sigma):
+        assert fn.cache_info().currsize <= fn.cache_info().maxsize == rigs._CACHE_SIZE
+
+
 def test_oplus_refuses_negative_copies():
     f = RigMatrix(IntRig(), [[1, 2]])
     for k in (-1, -2):
@@ -401,6 +448,15 @@ class _CountedMatrices(SquareMatrixRig):
         for m in super().elements():
             self.drawn += 1
             yield m
+
+
+def test_prop_laws_refuse_a_large_carrier_from_a_prefix():
+    big = _CountedMatrices(FiniteCRig.boolean(), 5)  # 2^25 elements
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^budget exceeded: \|mat5:boolean\| elements > 1024$"):
+        check_prop_laws(big)
+    assert time.perf_counter() - start < 1.0
+    assert big.drawn == rigs.PROP_BUDGET + 1
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -599,6 +655,69 @@ def test_mat_compose_matches_literal_fold(rig):
         f = RigMatrix(rig, [[Fraction(-1), zero]])
         g = RigMatrix(rig, [[Fraction(2)], [Fraction(5)]])
         assert mat_compose(f, g) == _literal_compose(f, g) == RigMatrix(rig, [[zero]])
+
+
+# a chain bottom < mid < top under max and min, with its elements listed as
+# top, mid, bottom: zero is index 2 and one is index 0
+_CHAIN = FiniteCRig.from_text("""
+size 3
+zero 2
+one 0
+add
+0 0 0
+0 1 1
+0 1 2
+mul
+0 1 2
+1 1 2
+2 2 2
+""")
+
+
+@pytest.mark.parametrize("rig", [FiniteCRig.boolean(), FiniteCRig.zmod(6), FiniteCRig.tropical4(),
+                                 _CHAIN, IntRig()], ids=lambda r: r.name)
+def test_unit_row_kernels_match_literal_fold(rig):
+    # rows that move g's row (one nonzero entry, equal to one) next to rows
+    # that must not: a single nonzero entry other than one, and several
+    # nonzero entries; every product equals the literal fold in value and type
+    rng = random.Random(26)
+    zero, one = rig.zero, rig.one
+    others = [x for x in (rig.elements() if rig.finite else range(-3, 4)) if x not in (zero, one)]
+
+    def rand(n, m):
+        pool = [zero, one, *others]
+        return RigMatrix(rig, [[rng.choice(pool) for _ in range(m)] for _ in range(n)])
+
+    def single(n, j, a):
+        return tuple(a if i == j else zero for i in range(n))
+
+    def check(f, g):
+        got, want = mat_compose(f, g), _literal_compose(f, g)
+        assert got == want and _types(got) == _types(want), (f, g)
+
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            p = perm_matrix(rig, perm)
+            for m in range(1, 4):
+                check(p, rand(n, m))
+                check(rand(m, n), p)
+            check(identity(rig, n), rand(n, 2))
+            check(rand(2, n), identity(rig, n))
+        for a in others:
+            for j in range(n):
+                scaled = RigMatrix(rig, [single(n, j, a), single(n, j, one), (zero,) * n])
+                check(scaled, rand(n, 3))
+        for _ in range(20):
+            k = rng.randrange(n)
+            row = [zero] * k + [rng.choice([one, *others])] + [
+                rng.choice([one, *others]) for _ in range(n - k - 1)]
+            check(RigMatrix(rig, [row, single(n, k, one)]), rand(n, 3))
+    if isinstance(rig, IntRig):
+        # entries that equal 0 and 1 but are not ints keep the fold's types
+        for f, g in [([[True, 0]], [[2, 3], [4, 5]]), ([[1.0, 0]], [[2, 3], [4, 5]]),
+                     ([[1, 0]], [[2, 3], [4.5, 5]]), ([[0, 1]], [[False, 3], [4, 5]]),
+                     ([[1, False]], [[2, 3], [4, 5]]), ([[1, 0]], [[True, 3], [4, 5]])]:
+            check(RigMatrix(rig, f), RigMatrix(rig, g))
 
 
 def _outcome(product, f, g):
