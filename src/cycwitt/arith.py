@@ -1,10 +1,10 @@
 """Exact number theory at desk scale.
 
-Factorization by deterministic trial division, Mobius and Euler
-functions, Ramanujan sums, and cyclotomic polynomials, all built by one
-kernel (a truncated series times (1 - t**e)**k), over Python's
-arbitrary-precision integers.  Every function is pure; hot lookups are
-memoized on immutable values.
+Factorization (trial division, then a proven Miller-Rabin test and
+Brent's rho), Mobius and Euler functions, Ramanujan sums, and cyclotomic
+polynomials, all built by one kernel (a truncated series times
+(1 - t**e)**k), over Python's arbitrary-precision integers.  Every
+function is pure; hot lookups are memoized on immutable values.
 
 ``Frozen``, the immutability guard of every value class, and ``Record``,
 the one constructor, ``==`` and ``repr`` of every result class, are
@@ -40,7 +40,8 @@ __all__ = [
 
 class BudgetExceeded(ValueError):
     """Work over an explicit limit, refused before it starts or, for
-    factoring, as soon as the trial divisor passes FACTOR_BUDGET."""
+    factoring, once the squarings spent past trial division pass RHO_BUDGET
+    or a probable prime factor is too large to prove prime."""
 
     def __init__(self, what: str, limit):
         super().__init__(f"budget exceeded: {what} > {limit}")
@@ -124,8 +125,17 @@ class NotUnitSpectrum(ValueError):
     """Matrix spectrum is not contained in {0} union roots of unity."""
 
 
-# The largest trial divisor: every n below FACTOR_BUDGET**2 still factors.
-FACTOR_BUDGET = 4_000_000
+# Trial divisors stop at TRIAL_LIMIT, so every n below TRIAL_LIMIT**2 is
+# factored by them alone.
+TRIAL_LIMIT = 1000
+# A strong probable prime to the 13 bases is prime below PROVEN_BOUND, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# The most modular squarings that one factor() spends past trial division, on
+# primality tests and Brent's rho.  A squaring modulo a number of b bits counts
+# (1 + b // 256)**2 times, so that long cofactors are refused as fast.
+RHO_BUDGET = 2_000_000
 
 
 # The three unbounded caches in this module hold one entry per distinct
@@ -136,14 +146,15 @@ FACTOR_BUDGET = 4_000_000
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.
 
-    factor(1) is the empty tuple.  Trial divisors stop at FACTOR_BUDGET; a
-    cofactor they leave that could still be composite raises BudgetExceeded.
+    factor(1) is the empty tuple.  Trial divisors stop at TRIAL_LIMIT, and
+    _factor_large factors a cofactor they leave that could be composite, or
+    raises BudgetExceeded: it never returns a factor it has not proven prime.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     out = []
     d, whole = 2, n
-    stop = min(math.isqrt(n), FACTOR_BUDGET)
+    stop = min(math.isqrt(n), TRIAL_LIMIT)
     while d <= stop:
         if n % d == 0:
             e = 0
@@ -151,13 +162,71 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
                 n //= d
                 e += 1
             out.append((d, e))
-            stop = min(math.isqrt(n), FACTOR_BUDGET)
+            stop = min(math.isqrt(n), TRIAL_LIMIT)
         d += 1 if d == 2 else 2
     if d * d <= n:
-        raise BudgetExceeded(f"trial divisors for factor({whole})", FACTOR_BUDGET)
-    if n > 1:
+        out += sorted(_factor_large(n, whole).items())
+    elif n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _factor_large(m: int, whole: int) -> dict[int, int]:
+    """{prime: exponent} of m, which has no prime factor below TRIAL_LIMIT.
+
+    A piece that is a strong probable prime to every base is prime below
+    PROVEN_BOUND and refused at or above it; any other is split by Brent's
+    rho (Brent, 1980) with c = 1, 2, ... in turn, so an m always gets the
+    same answer or the same refusal.
+    """
+    found, todo, spent = {}, [m], 0
+    while todo:
+        m = todo.pop()
+        bits = m.bit_length()
+        size = (1 + bits // 256) ** 2
+        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+        for a in _BASES:
+            spent += bits * size
+            if spent > RHO_BUDGET:
+                raise BudgetExceeded(f"modular squarings for factor({whole})", RHO_BUDGET)
+            x = pow(a, m >> s, m)
+            if x == 1 or x == m - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                break  # a witnesses that m is composite
+        else:
+            if m >= PROVEN_BOUND:
+                raise BudgetExceeded(f"probable prime {m} of factor({whole})", PROVEN_BOUND - 1)
+            found[m] = found.get(m, 0) + 1
+            continue
+        g, c = m, 0
+        while g == m:  # Brent's cycle search for x -> x*x + c, gcds batched by 128
+            y, r, q, g, c = 2, 1, 1, 1, c + 1
+            while g == 1:
+                spent += 2 * r * size
+                if spent > RHO_BUDGET:
+                    raise BudgetExceeded(f"modular squarings for factor({whole})", RHO_BUDGET)
+                x, k = y, 0
+                for _ in range(r):
+                    y = (y * y + c) % m
+                while k < r and g == 1:
+                    ys = y
+                    for _ in range(min(128, r - k)):
+                        y = (y * y + c) % m
+                        q = q * (x - y) % m
+                    g, k = math.gcd(q, m), k + 128
+                r *= 2
+            if g == m:  # the batch passed a factor: step back through it
+                g = 1
+                while g == 1:
+                    ys = (ys * ys + c) % m
+                    g = math.gcd(x - ys, m)
+        todo += (g, m // g)
+    return found
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

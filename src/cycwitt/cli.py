@@ -198,9 +198,14 @@ RAMANUJAN_BUDGET = 1_010_000
 # (parseval 20000 has 25200000 and takes about 2.3 s).
 PARSEVAL_BUDGET = 30_000_000
 # The most gamma products, tau(N)^2 * (depth + 2)^2, that gamma-filtration
-# forms (level 5040 at depth 2 has 57600 and takes about 2 s; at depth 3,
-# 90000 and about 3.3 s as a library call).
+# forms (level 5040 at depth 2 has 57600 and takes about 1.8 s as a command,
+# 1.6-1.7 s as a library call; at depth 3, 90000 and about 2.8 s as a library
+# call).
 GAMMA_BUDGET = 60_000
+# The most basis products, |supp a| * |supp b|, that mul forms (the sum of
+# phi(i) for i <= 500 times itself has 250000, takes about 0.4 s and prints
+# 0.8 MB).
+MUL_BUDGET = 250_000
 # The most rows of a charpoly or wittclass matrix.  Berkowitz forms about n^4
 # products, each costlier as the entries grow, so rows^4 times the digits of
 # the longest entry is held to MATRIX_BUDGET^4: a dense 100 x 100 with
@@ -209,6 +214,13 @@ GAMMA_BUDGET = 60_000
 # runs), and a 100 x 100 with 10-digit entries about 7 s (7.4 s).  Only the
 # first packs some Krylov steps; in the others no Krylov vector fits a slot.
 MATRIX_BUDGET = 100
+
+
+def _mul_cost(args) -> None:
+    # the operands are parsed, which factors nothing, and parsed again to run
+    sizes = [len(parse_witt(text).support) for text in (args.a, args.b)]
+    if sizes[0] * sizes[1] > MUL_BUDGET:
+        raise BudgetExceeded(f"{sizes[0]}*{sizes[1]} basis products", MUL_BUDGET)
 
 
 def _lambda_cost(args) -> None:
@@ -440,7 +452,7 @@ _Command = namedtuple("_Command", "name help arguments run cost", defaults=(None
 
 
 _COMMANDS = (
-    _Command("mul", "product of two elements", ("a", "b"), partial(_cmd_witt, "mul")),
+    _Command("mul", "product of two elements", ("a", "b"), partial(_cmd_witt, "mul"), _mul_cost),
     _Command("inner", "inner product of two elements", ("a", "b"), partial(_cmd_witt, "inner")),
     _Command("trace", "trace projection", ("a",), partial(_cmd_witt, "trace")),
     _Command("f0", "root-count projection", ("a",), partial(_cmd_witt, "f0")),

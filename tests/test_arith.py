@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 from cycwitt import lambda_ops, linalg, rigs, spectra, witt
 from cycwitt.arith import (
-    FACTOR_BUDGET,
+    _BASES,
+    PROVEN_BOUND,
+    RHO_BUDGET,
+    TRIAL_LIMIT,
     BudgetExceeded,
     FrozenRecord,
     IntPolynomial,
@@ -49,12 +52,107 @@ def test_factor_rejects_zero():
         factor(0)
 
 
-def test_factor_refuses_past_its_trial_budget():
-    p, q = 3999971, 4000037  # the primes either side of FACTOR_BUDGET
-    assert p < FACTOR_BUDGET < q
-    assert factor(p * q) == ((p, 1), (q, 1))  # the cofactor q is below the budget squared
-    with pytest.raises(BudgetExceeded, match=f"factor\\({q * q}\\) > {FACTOR_BUDGET}"):
-        factor(q * q)
+def is_prime_by_trial(p):
+    """Trial division up to isqrt(p): the oracle for primes too large for
+    naive_factor, which divides up to p itself."""
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_factor_below_1e5_is_the_oracle():
+    # naive_factor of every n < 10^5 would divide about 4.5*10^8 times: it runs
+    # on a seeded sample, and every n is checked as a product of ascending
+    # primes, which is unique
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 10**5, p)))
+    for n in range(1, 10**5):
+        fs = factor(n)
+        assert math.prod(p**e for p, e in fs) == n
+        assert all(sieve[p] and e >= 1 for p, e in fs) and [p for p, _ in fs] == sorted({p for p, _ in fs})
+    for n in random.Random(27).sample(range(1, 10**5), 300):
+        assert factor(n) == naive_factor(n)
+
+
+def test_factor_of_products_of_large_prime_powers():
+    rng = random.Random(2027)
+    primes = set()
+    while len(primes) < 40:
+        p = rng.randrange(10**5, 10**7) | 1
+        while not is_prime_by_trial(p):
+            p += 2
+        primes.add(p)
+    primes = sorted(primes)
+    for _ in range(200):
+        fs = dict.fromkeys(rng.sample(primes, rng.randint(1, 3)), 0)
+        for p in fs:
+            fs[p] = rng.randint(1, 3)
+        small = rng.choice([1, 2, 12, 997, 30030])
+        want = tuple(sorted(naive_factor(small) + tuple(fs.items())))
+        assert factor(small * math.prod(p**e for p, e in fs.items())) == want
+
+
+@pytest.mark.parametrize("p", [1009, 1093, 3511, 65537, 999983, 1000003, 4000037])
+def test_factor_of_squares_and_cubes_above_the_trial_limit(p):
+    # 1093 and 3511 are the Wieferich primes: their squares are strong
+    # pseudoprimes to base 2
+    assert p > TRIAL_LIMIT and is_prime_by_trial(p)
+    assert factor(p * p) == ((p, 2),)
+    assert factor(p**3) == ((p, 3),)
+    assert factor(6 * p**2 * 1000033) == tuple(sorted({2: 1, 3: 1, p: 2, 1000033: 1}.items()))
+
+
+@pytest.mark.parametrize(
+    "n, primes",
+    [
+        (561, (3, 11, 17)),  # Carmichael numbers
+        (41041, (7, 11, 13, 41)),
+        (825265, (5, 7, 17, 19, 73)),
+        (3215031751, (151, 751, 28351)),  # strong pseudoprime to bases 2, 3, 5, 7
+        (25326001, (2251, 11251)),  # to bases 2, 3, 5; from here every prime > TRIAL_LIMIT
+        (2152302898747, (6763, 10627, 29947)),  # 2 to 11
+        (3474749660383, (1303, 16927, 157543)),  # 2 to 13
+        (341550071728321, (10670053, 32010157)),  # 2 to 17
+        (3825123056546413051, (149491, 747451, 34233211)),  # 2 to 23
+        (318665857834031151167461, (399165290221, 798330580441)),  # 2 to 37
+    ],
+)
+def test_factor_splits_pseudoprimes(n, primes):
+    assert math.prod(primes) == n and all(map(is_prime_by_trial, primes))
+    assert factor(n) == tuple((p, 1) for p in primes)
+
+
+def test_factor_of_primes_up_to_the_proven_bound():
+    assert _BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in _BASES:
+        assert factor(a) == ((a, 1),)
+    for p in (2**31 - 1, 2**61 - 1, 10**18 + 3):
+        assert factor(p) == ((p, 1),)
+    assert factor(2 * (10**18 + 3)) == ((2, 1), (10**18 + 3, 1))
+    # the least strong pseudoprime to all 13 bases, 1287836182261 *
+    # 2575672364521, is the bound: at or above it a probable prime is refused
+    assert PROVEN_BOUND == 3317044064679887385961981 == 1287836182261 * 2575672364521
+    with pytest.raises(BudgetExceeded, match=f"^budget exceeded: probable prime {PROVEN_BOUND} "):
+        factor(PROVEN_BOUND)
+
+
+def test_factor_refuses_past_its_rho_budget():
+    # 3999971 * 4000037 and 4000037^2 needed trial divisors past 4*10^6
+    p, q = 3999971, 4000037
+    assert factor(p * q) == ((p, 1), (q, 1)) and factor(q * q) == ((q, 2),)
+    # 2^89 - 1 is prime, above the proven bound, so it is refused as unproven
+    m89 = 2**89 - 1
+    with pytest.raises(BudgetExceeded, match=f"^budget exceeded: probable prime {m89} of factor\\({m89}\\) >"):
+        factor(m89)
+    with pytest.raises(BudgetExceeded, match=f"probable prime {m89} of factor\\({6 * m89}\\)"):
+        factor(6 * m89)
+    # both primes near 10^13: rho would need some sqrt(10^13) > RHO_BUDGET squarings
+    p, q = 10**13 + 37, 2 * 10**13 + 21
+    assert is_prime_by_trial(p) and is_prime_by_trial(q)
+    message = f"^budget exceeded: modular squarings for factor\\({p * q}\\) > {RHO_BUDGET}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        factor(p * q)
 
 
 @pytest.mark.parametrize("n", list(range(1, 200)) + [720720, 999983])

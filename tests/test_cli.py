@@ -225,8 +225,15 @@ _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
 # 100 x 100 with 10-digit entries (120 KB, within one argument's size limit):
 # Berkowitz on it takes 7-8 s
 _TEN_DIGITS_100 = ";".join([",".join(["-1234567890"] * 100)] * 100)
-# trial division of 10^18 + 3 stops at arith.FACTOR_BUDGET, mid-work
-_HUGE_FACTOR = "budget exceeded: trial divisors for factor(1000000000000000003) > 4000000"
+# 2^89 - 1 is prime and above arith.PROVEN_BOUND, so factoring refuses it as
+# unproven; (10^13 + 37)*(2*10^13 + 21) is refused past arith.RHO_BUDGET
+_M89 = str(2**89 - 1)
+_UNPROVEN = f"budget exceeded: probable prime {_M89} of factor({_M89}) > 3317044064679887385961980"
+_SEMIPRIME = str((10**13 + 37) * (2 * 10**13 + 21))
+# the sums of phi(i) over i <= 500 and i <= 501: mul of the two has 250500
+# basis products
+_SUM_500 = " + ".join(f"phi({i})" for i in range(1, 501))
+_SUM_501 = _SUM_500 + " + phi(501)"
 _MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
 
 
@@ -346,19 +353,22 @@ _MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
             ["radical", "--rig", "zmod:3000"],
             "budget exceeded: zmod:3000 has 18000000 table entries > 2000000",
         ),
-        (None, ["trace", "phi(1000000000000000003)"], _HUGE_FACTOR),
-        (None, ["f0", "phi(1000000000000000003)"], _HUGE_FACTOR),
-        (None, ["tm", "4", "phi(1000000000000000003)"], _HUGE_FACTOR),
+        (None, ["trace", f"phi({_M89})"], _UNPROVEN),
+        (None, ["f0", f"phi({_M89})"], _UNPROVEN),
+        (None, ["tm", "4", f"phi({_M89})"], _UNPROVEN),
         (
             None,
-            ["frob", "0", "phi(2000000000000000006)"],
-            "budget exceeded: trial divisors for factor(2000000000000000006) > 4000000",
+            ["frob", "0", f"phi({2 * int(_M89)})"],
+            f"budget exceeded: probable prime {_M89} of factor({2 * int(_M89)}) "
+            "> 3317044064679887385961980",
         ),
+        (None, ["gamma-filtration", "--level", _M89, "--depth", "2"], _UNPROVEN),
         (
             None,
-            ["gamma-filtration", "--level", "1000000000000000003", "--depth", "2"],
-            _HUGE_FACTOR,
+            ["trace", f"phi({_SEMIPRIME})"],
+            f"budget exceeded: modular squarings for factor({_SEMIPRIME}) > 2000000",
         ),
+        (None, ["mul", _SUM_501, _SUM_500], "budget exceeded: 501*500 basis products > 250000"),
         (
             None,
             ["gamma-filtration", "--level", "12", "--depth", "100000"],
@@ -387,7 +397,8 @@ _MILLION_ROWS = "budget exceeded: 1000000 rows > 150000"
          "wittclass-101-rows", "charpoly-ten-digit-entries", "spec-zmod5000",
          "radical-zmod3000", "trace-huge-prime", "f0-huge-prime", "tm-huge-prime",
          "frob0-huge-index",
-         "gamma-filtration-huge-level", "gamma-filtration-depth-100000",
+         "gamma-filtration-huge-level", "trace-huge-semiprime", "mul-over-budget",
+         "gamma-filtration-depth-100000",
          "gamma-filtration-5040-depth-6", "gamma-filtration-720720"],
 )
 def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_path):
@@ -397,8 +408,9 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
         argv = ["spec", "--rig", f"file:{path}"]
     start = time.perf_counter()
     proc = run_cli_process(*argv)
-    # a refusal comes before the work or, for factoring, within FACTOR_BUDGET
-    # trial divisors: all of 10^18 + 3 would take minutes
+    # a refusal comes before the work or, for factoring, at once for a
+    # probable prime above the proven bound and within arith.RHO_BUDGET
+    # squarings (0.4-0.7 s) for a composite rho cannot split
     assert time.perf_counter() - start < 2
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 2 and proc.stdout == ""
@@ -417,13 +429,73 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
     ids=["coprime", "gcd-2", "gcd-2-repeated"],
 )
 def test_cli_frobenius_of_a_huge_index_answers_at_once(argv, out):
-    # F_m factors only divisors of gcd(m, n): trial division of the prime
-    # 1000000000000000003 itself would take minutes and hit the timeout
+    # F_m factors only divisors of gcd(m, n), never the index itself
     start = time.perf_counter()
     proc = run_cli_process(*argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == out + "\n"
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["trace", "phi(1000000000000000003)"], "-1"),
+        (["f0", "phi(1000000000000000003)"], "1000000000000000002"),
+        (["tm", "4", "phi(1000000000000000003)"], "-1"),
+        (["frob", "0", "phi(2000000000000000006)"], "1000000000000000002"),
+        (
+            ["gamma-filtration", "--level", "1000000000000000003", "--depth", "2"],
+            "gamma filtration on the divisor span of 1000000000000000003 "
+            "(divisors [1, 1000000000000000003]), depth 2\n"
+            "I_0: rank 2\n  [1, 0]\n  [0, 1]\n"
+            "I_1: rank 1\n  [1000000000000000002, -1]\n"
+            "I_2: rank 1\n  [1000000000000000002, -1]",
+        ),
+    ],
+    ids=["trace", "f0", "tm", "frob0", "gamma-filtration"],
+)
+def test_cli_huge_prime_index_answers(argv, out):
+    # 10^18 + 3 is proven prime by the strong-probable-prime test; trial
+    # division up to its square root would take minutes
+    start = time.perf_counter()
+    proc = run_cli_process(*argv)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == out + "\n"
+
+
+def test_cli_trace_of_many_semiprime_indices_answers_in_time():
+    # 64 distinct p*q with p, q primes near 10^6: each term's factoring used to
+    # cost about 55 ms of trial division; mu(p*q) = 1, so the trace is 64
+    sieve = bytearray([1]) * 1_002_000
+    for d in range(2, 1001):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, len(sieve), d)))
+    primes = [p for p in range(999_000, len(sieve)) if sieve[p]][:128]
+    assert len(primes) == 128
+    terms = [f"phi({p * q})" for p, q in zip(primes[::2], primes[1::2])]
+    start = time.perf_counter()
+    proc = run_cli_process("trace", " + ".join(terms))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and proc.stdout == "64\n"
+
+
+def test_cli_mul_budget_boundary():
+    from cycwitt import cli, witt
+
+    # cli-oneshot multiplies elements of three terms
+    assert 3 * 3 <= cli.MUL_BUDGET == 500 * 500
+    # the support is counted: a zero coefficient and a repeated term add nothing
+    args = build_parser().parse_args(["mul", "phi(7) + phi(7) + 0*phi(3)", _SUM_501])
+    args.cmd.cost(args)
+    # the largest accepted square, checked by two ring homomorphisms
+    start = time.perf_counter()
+    proc = run_cli_process("mul", _SUM_500, _SUM_500)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0 and proc.stderr == ""
+    a, product = parse_witt(_SUM_500), parse_witt(proc.stdout)
+    assert witt.trace(product) == witt.trace(a) ** 2 and witt.f0(product) == witt.f0(a) ** 2
 
 
 _SUBCOMMANDS = next(
