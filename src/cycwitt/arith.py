@@ -125,8 +125,9 @@ class NotUnitSpectrum(ValueError):
     """Matrix spectrum is not contained in {0} union roots of unity."""
 
 
-# Trial divisors stop at TRIAL_LIMIT, so every n below TRIAL_LIMIT**2 is
-# factored by them alone.
+# Trial divisors stop at TRIAL_LIMIT * (1 + b // 256), b the bits of what is
+# left to factor: a division grows linearly with b, a rho step quadratically.
+# Every n below TRIAL_LIMIT**2 is factored by trial divisors alone.
 TRIAL_LIMIT = 1000
 # A strong probable prime to the 13 bases is prime below PROVEN_BOUND, the least
 # strong pseudoprime to all of them (Sorenson and Webster, 2015).
@@ -146,15 +147,16 @@ RHO_BUDGET = 2_000_000
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.
 
-    factor(1) is the empty tuple.  Trial divisors stop at TRIAL_LIMIT, and
-    _factor_large factors a cofactor they leave that could be composite, or
-    raises BudgetExceeded: it never returns a factor it has not proven prime.
+    factor(1) is the empty tuple.  Trial divisors stop at TRIAL_LIMIT (later
+    for a long n), and _factor_large factors a cofactor they leave that could
+    be composite, or raises BudgetExceeded: it never returns a factor it has
+    not proven prime.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     out = []
     d, whole = 2, n
-    stop = min(math.isqrt(n), TRIAL_LIMIT)
+    stop = min(math.isqrt(n), TRIAL_LIMIT * (1 + n.bit_length() // 256))
     while d <= stop:
         if n % d == 0:
             e = 0
@@ -162,7 +164,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
                 n //= d
                 e += 1
             out.append((d, e))
-            stop = min(math.isqrt(n), TRIAL_LIMIT)
+            stop = min(math.isqrt(n), TRIAL_LIMIT * (1 + n.bit_length() // 256))
         d += 1 if d == 2 else 2
     if d * d <= n:
         out += sorted(_factor_large(n, whole).items())
@@ -171,45 +173,38 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _factor_large(m: int, whole: int) -> dict[int, int]:
-    """{prime: exponent} of m, which has no prime factor below TRIAL_LIMIT.
+def _factor_large(n: int, whole: int) -> dict[int, int]:
+    """{prime: exponent} of n, which has no prime factor below TRIAL_LIMIT.
 
-    A piece that is a strong probable prime to every base is prime below
-    PROVEN_BOUND and refused at or above it; any other is split by Brent's
-    rho (Brent, 1980) with c = 1, 2, ... in turn, so an m always gets the
-    same answer or the same refusal.
+    Pieces are taken smallest first, and every power of a prime already
+    found is divided out of a piece before it is looked at, so a prime
+    power costs one split.  A piece goes first to Brent's rho for about the
+    cost of one primality base; if that does not split it, a strong probable
+    prime to every base is prime below PROVEN_BOUND and refused at or above
+    it, and any other piece goes back to rho without that limit.  Rho
+    (Brent, 1980) uses c = 1, 2, ... in turn, so an n always gets the same
+    answer or the same refusal.
     """
-    found, todo, spent = {}, [m], 0
-    while todo:
-        m = todo.pop()
-        bits = m.bit_length()
-        size = (1 + bits // 256) ** 2
-        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
-        for a in _BASES:
-            spent += bits * size
-            if spent > RHO_BUDGET:
-                raise BudgetExceeded(f"modular squarings for factor({whole})", RHO_BUDGET)
-            x = pow(a, m >> s, m)
-            if x == 1 or x == m - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % m
-                if x == m - 1:
-                    break
-            else:
-                break  # a witnesses that m is composite
-        else:
-            if m >= PROVEN_BOUND:
-                raise BudgetExceeded(f"probable prime {m} of factor({whole})", PROVEN_BOUND - 1)
-            found[m] = found.get(m, 0) + 1
-            continue
+    found, todo, spent = {}, [n], 0
+    try:
+        name = f"factor({whole})"
+    except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+        name = f"factor(<{whole.bit_length()}-bit n>)"
+
+    def pay(k):
+        nonlocal spent
+        spent += k
+        if spent > RHO_BUDGET:
+            raise BudgetExceeded(f"modular squarings for {name}", RHO_BUDGET)
+
+    def rho(m, size, until):  # a divisor 1 < g < m, or None once spent would pass until
         g, c = m, 0
         while g == m:  # Brent's cycle search for x -> x*x + c, gcds batched by 128
             y, r, q, g, c = 2, 1, 1, 1, c + 1
             while g == 1:
-                spent += 2 * r * size
-                if spent > RHO_BUDGET:
-                    raise BudgetExceeded(f"modular squarings for factor({whole})", RHO_BUDGET)
+                if spent + 2 * r * size > until:
+                    return None
+                pay(2 * r * size)
                 x, k = y, 0
                 for _ in range(r):
                     y = (y * y + c) % m
@@ -225,7 +220,39 @@ def _factor_large(m: int, whole: int) -> dict[int, int]:
                 while g == 1:
                     ys = (ys * ys + c) % m
                     g = math.gcd(x - ys, m)
-        todo += (g, m // g)
+        return g
+
+    while todo:
+        m = todo.pop()
+        for p in found:
+            while m % p == 0:
+                m //= p
+                found[p] += 1
+        if m == 1:
+            continue
+        bits = m.bit_length()
+        size = (1 + bits // 256) ** 2
+        g = rho(m, size, spent + bits * size)
+        if g is None:
+            s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+            for a in _BASES:
+                pay(bits * size)
+                x = pow(a, m >> s, m)
+                if x == 1 or x == m - 1:
+                    continue
+                for _ in range(s - 1):
+                    x = x * x % m
+                    if x == m - 1:
+                        break
+                else:
+                    break  # a witnesses that m is composite
+            else:
+                if m >= PROVEN_BOUND:
+                    raise BudgetExceeded(f"probable prime {m} of {name}", PROVEN_BOUND - 1)
+                found[m] = 1
+                continue
+            g = rho(m, size, math.inf)
+        todo += sorted((g, m // g), reverse=True)
     return found
 
 

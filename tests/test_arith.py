@@ -103,6 +103,33 @@ def test_factor_of_squares_and_cubes_above_the_trial_limit(p):
     assert factor(6 * p**2 * 1000033) == tuple(sorted({2: 1, 3: 1, p: 2, 1000033: 1}.items()))
 
 
+def test_factor_of_long_smooth_numbers():
+    # trial division up to 4*10^6 answered each of these at once; rho splits
+    # off a prime power in one step, and a long n gets trial divisors past
+    # TRIAL_LIMIT
+    assert factor(1009**300) == ((1009, 300),)
+    assert factor(65537**150) == ((65537, 150),)
+    assert factor(1000003**60 * 4000037**40) == ((1000003, 60), (4000037, 40))
+    n = 1009**300 * 65537**20 * 1000003**7 * (10**18 + 3)
+    assert factor(n) == ((1009, 300), (65537, 20), (1000003, 7), (10**18 + 3, 1))
+    for top in (3000, 10000):
+        n = math.prod(p for p in range(TRIAL_LIMIT + 1, top) if is_prime_by_trial(p))
+        assert factor(n) == naive_factor(n)
+    # rho peels these off without a primality test of the long cofactor
+    # between splits
+    primes = [p for p in range(10**5, 102_234) if is_prime_by_trial(p)]
+    assert len(primes) == 200 and factor(math.prod(primes)) == tuple((p, 1) for p in primes)
+
+
+def test_factor_names_a_long_refused_input_by_its_length():
+    # str() refuses an int past 4300 digits, so the refusal gives the length
+    n = (10**13 + 37) ** 340
+    assert n > 10**4300
+    message = f"^budget exceeded: modular squarings for factor\\(<{n.bit_length()}-bit n>\\) > {RHO_BUDGET}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        factor(n)
+
+
 @pytest.mark.parametrize(
     "n, primes",
     [
