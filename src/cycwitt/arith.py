@@ -27,11 +27,13 @@ __all__ = [
     "divisors",
     "mobius",
     "euler_phi",
+    "frobenius_basis",
     "ramanujan_sum",
     "ramanujan_sum_divisor_form",
     "phi_mu_tables",
     "IntPolynomial",
     "times_binomial",
+    "cyclotomic_binomials",
     "times_cyclotomic",
     "cyclotomic_poly",
     "join_signed",
@@ -290,23 +292,30 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def frobenius_basis(m: int, n: int) -> tuple[int, int]:
+    """F_m phi(n) = k * phi(n/g) as (n/g, k), g = gcd(m, n).  k is the exact
+    quotient euler_phi(n)/euler_phi(n/g) = euler_phi(g)*d/euler_phi(d) with
+    d = gcd(g, n/g), so n is never factored; a remainder raises ArithmeticError."""
+    g = math.gcd(m, n)
+    d = math.gcd(g, n // g)
+    k, r = divmod(euler_phi(g) * d, euler_phi(d))
+    if r:
+        raise ArithmeticError(f"inexact F_{m} coefficient of phi({n}): implementation bug")
+    return n // g, k
+
+
 def ramanujan_sum(n: int, m: int) -> int:
     """Ramanujan sum: the sum of m-th powers of the primitive n-th roots of unity.
 
-    Closed form mobius(n/g) * euler_phi(n) / euler_phi(n/g) with
+    Closed form mobius(n/g) times frobenius_basis's euler_phi(n)/euler_phi(n/g),
     g = gcd(n, m); for m = 0 this yields euler_phi(n).
     """
     if n < 1:
         raise ValueError(f"ramanujan_sum() requires n >= 1, got {n}")
     if m < 0:
         raise ValueError(f"ramanujan_sum() requires m >= 0, got {m}")
-    g = math.gcd(n, m)
-    k = n // g
-    num = mobius(k) * euler_phi(n)
-    den = euler_phi(k)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    k, q = frobenius_basis(m, n)
+    return mobius(k) * q
 
 
 def ramanujan_sum_divisor_form(n: int, m: int) -> int:
@@ -482,14 +491,21 @@ def times_binomial(col: list[int], e: int, k: int) -> list[int]:
     return out
 
 
-def times_cyclotomic(col: list[int], n: int, k: int) -> list[int]:
-    """col * (reversed Phi_n)**k to the length of col, for any integer k:
-    reversed Phi_n is the product of (1 - t**d)**mobius(n/d) over d | n."""
+def cyclotomic_binomials(n: int, top: int):
+    """The (d, mobius(n/d)) with d | n, d <= top and mobius(n/d) != 0, d
+    ascending: reversed Phi_n is the product of (1 - t**d)**mobius(n/d) over
+    d | n, and a factor with d > top is 1 to degree top."""
     for d in divisors(n):
-        if d >= len(col):
+        if d > top:
             break
         if mu := mobius(n // d):
-            col = times_binomial(col, d, k * mu)
+            yield d, mu
+
+
+def times_cyclotomic(col: list[int], n: int, k: int) -> list[int]:
+    """col * (reversed Phi_n)**k to the length of col, for any integer k."""
+    for d, mu in cyclotomic_binomials(n, len(col) - 1):
+        col = times_binomial(col, d, k * mu)
     return col
 
 

@@ -40,8 +40,8 @@ import math
 import operator
 from functools import lru_cache
 
-from .arith import (FrozenRecord, Record, divisors, euler_phi, factor, mobius, ramanujan_sum,
-                    times_binomial)
+from .arith import (FrozenRecord, Record, cyclotomic_binomials, divisors, euler_phi, factor,
+                    frobenius_basis, ramanujan_sum, times_binomial)
 from .linalg import hnf
 from .witt import ONE, WittElement, frobenius, mul, phi
 
@@ -211,25 +211,21 @@ def _trace_lambda(a: WittElement, degree: int, ds: tuple[int, ...]) -> list[list
     """t_d(lambda_t(a)) for each d in ds, as integer series to degree.
 
     On phi(n) it is the product of (1 - z**d t) over the primitive n-th
-    roots z; the z**d are the primitive m-th roots, m = n/gcd(n, d), each
-    euler_phi(n)/euler_phi(m) times, so it is the reversed m-th
+    roots z; the z**d are the primitive m-th roots, each k times, for
+    (m, k) = frobenius_basis(d, n), so it is the reversed m-th
     cyclotomic polynomial to that power.  t_d is a ring map, so a
     combination gives the product of these powers, exponents times
-    coefficients.  With Phi_m reversed = prod over e | m of
-    (1 - t**e)**mobius(m/e), the whole coordinate is a product of
-    (1 - t**e)**k_e over e <= degree: one integer exponent per e.
+    coefficients.  Reversed Phi_m is the product of (1 - t**e)**mobius(m/e)
+    over cyclotomic_binomials(m, degree), so the whole coordinate is a
+    product of (1 - t**e)**k_e over e <= degree: one integer exponent per e.
     """
     cols = []
     for d in ds:
         exps: dict[int, int] = {}
         for n, c in a.items():
-            m = n // math.gcd(n, d)
-            k = c * (euler_phi(n) // euler_phi(m))
-            for e in divisors(m):
-                if e > degree:
-                    break
-                if mu := mobius(m // e):
-                    exps[e] = exps.get(e, 0) + mu * k
+            m, k = frobenius_basis(d, n)  # uncached: lambda levels ask for many (d, n)
+            for e, mu in cyclotomic_binomials(m, degree):
+                exps[e] = exps.get(e, 0) + mu * c * k
         col = [1] + [0] * degree
         for e, k in exps.items():
             if k:

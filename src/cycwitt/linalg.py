@@ -88,8 +88,7 @@ class Rig:
         g's row (M[one][x] = x), both proved at construction.  The tropical
         kernel keeps the largest term, comparing ``Fraction`` terms by
         integer cross-multiplication (exact: denominators are positive) and
-        building only the winner.  ``IntRig``'s takes a row of int 0s and one
-        int 1 as g's row when g holds only ints, the fold's value and type."""
+        building only the winner."""
         add, mul, zero = self.add, self.mul, self.zero
         g_cols = tuple(zip(*g_rows))
         return tuple(
@@ -131,21 +130,9 @@ class IntRig(Rig):
         return x * y
 
     def compose(self, f_rows, g_rows, ncols):
-        """Dot products, except that a row of f whose entries are int 0s and
-        one int 1 is g's row at that 1, when every entry of g is an int:
-        then that is the fold's value and type."""
+        """Dot products: the fold's value and type."""
         g_cols = tuple(zip(*g_rows))
-        g_ints = None  # whether every entry of g is an int, found on first need
-        out = []
-        for row in f_rows:
-            if row.count(0) == len(row) - 1 and 1 in row and set(map(type, row)) == {int}:
-                if g_ints is None:
-                    g_ints = all(type(b) is int for g_row in g_rows for b in g_row)
-                if g_ints:
-                    out.append(g_rows[row.index(1)])
-                    continue
-            out.append(tuple([sum(map(operator.mul, row, col)) for col in g_cols]))
-        return tuple(out)
+        return tuple(tuple([sum(map(operator.mul, row, col)) for col in g_cols]) for row in f_rows)
 
     def sample(self, rng, k):
         return [rng.randint(-9, 9) for _ in range(k)]
@@ -164,6 +151,9 @@ class RigMatrix(Frozen):
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        if hasattr(rig, "__contains__"):  # a table rig (rigs.FiniteCRig) knows its elements
+            if bad := [x for row in rows for x in row if x not in rig]:
+                raise ValueError(f"matrix entry {bad[0]!r} is not an element of {rig.name}")
         _set_rig(self, rig)
         _set_entries(self, rows)
         _set_rows(self, len(rows))

@@ -10,18 +10,18 @@ carriers [0,1] and [0,inf] with max as addition and ordinary product.
 ``RigMatrix`` and the matrix operations ``mat_compose``, ``direct_sum``
 and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
 has one product kernel, ``compose``.  Three kernels skip the zero entries
-of the left factor: ``FiniteCRig``'s reads its tables, which construction
-proved to have an absorbing zero that is the additive unit and a one that
-is the multiplicative unit, so a row's first term is its sum as it stands
+of the left factor: ``FiniteCRig``'s reads its tables at the element
+indices, the only entries a ``RigMatrix`` over it takes; construction
+proved them to have an absorbing zero that is the additive unit and a one
+that is the multiplicative unit, so a row's first term is its sum as it stands
 and a term with coefficient one is g's row unread (a permutation factor
 moves rows); the one shared by ``TropicalUnitRig`` and
 ``TropicalNonNegRig`` takes the largest term, since max never lowers a sum
 that starts at zero; it orders ``Fraction`` terms by integer
 cross-multiplication, exact because their denominators are positive, and
 builds only the winning product; entries of any other type take
-``Rig.compose``, the literal fold.  ``IntRig``'s moves g's row for a row
-of int 0s and one int 1 when g holds only ints.  Every other kernel folds
-every term, so a bad zero or one still shows in the law checks.
+``Rig.compose``, the literal fold.  Every other kernel (``IntRig``'s dot
+products among them) folds every term, so a bad zero or one still shows.
 ``perm_matrix``, ``tau`` and ``sigma`` are memoized in bounded caches.
 The law checkers verify the rig axioms, over tables of interned values
 (exact for operations that depend only on the values), and the
@@ -216,6 +216,9 @@ class FiniteCRig(Rig, Frozen):
 
     def elements(self) -> range:
         return range(self.size)
+
+    def __contains__(self, x) -> bool:
+        return type(x) is int and 0 <= x < self.size
 
     def key(self):
         return (self.name, self.add_table, self.mul_table, self.zero, self.one)

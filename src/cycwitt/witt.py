@@ -59,6 +59,7 @@ from .arith import (
     divisors,
     euler_phi,
     factor,
+    frobenius_basis,
     mobius,
     phi_mu_tables,
     ramanujan_sum,
@@ -244,15 +245,7 @@ def mul(a: WittElement, b: WittElement) -> WittElement:
 
 # Unbounded on purpose: one entry of two small ints per distinct (m, n)
 # asked for, and F_m of an element only asks for the indices it holds.
-@lru_cache(maxsize=None)
-def _frobenius_basis(m: int, n: int) -> tuple[int, int]:
-    """F_m on phi(n): (n/g, euler_phi(g)*d/euler_phi(d)) with g = gcd(m, n) and
-    d = gcd(g, n/g), which is euler_phi(n)/euler_phi(n/g) but factors only g and d."""
-    g = math.gcd(m, n)
-    d = math.gcd(g, n // g)
-    q, r = divmod(euler_phi(g) * d, euler_phi(d))
-    assert r == 0
-    return n // g, q
+_frobenius_basis = lru_cache(maxsize=None)(frobenius_basis)
 
 
 def frobenius(m: int, a: WittElement) -> WittElement:
@@ -294,12 +287,14 @@ def integral(a: WittElement) -> int:
 
 
 def inner(a: WittElement, b: WittElement) -> int:
-    """integral(a*b); the basis classes are orthogonal with norm euler_phi(n).
+    """integral(a*b).  The basis classes are orthogonal with norm euler_phi(n),
+    so this is the sum of a_n*b_n*euler_phi(n) over the shared indices n:
+    linear in the terms, and only the shared indices are factored.
 
     Complex conjugation permutes each orbit of primitive roots, so it
     fixes every basis class; conjugation is therefore the identity here.
     """
-    return integral(mul(a, b))
+    return sum(c * b._c[n] * euler_phi(n) for n, c in a._c.items() if n in b._c)
 
 
 class ParsevalReport(Record):
@@ -321,10 +316,8 @@ class ParsevalReport(Record):
 
 
 def parseval_check(N: int) -> ParsevalReport:
-    """For all n, m | N verify euler_phi(n)*[n == m] == (1/N) * sum over z <= N
-    of C_n^z * C_m^z, exactly in rationals."""
-    from fractions import Fraction  # it loads decimal, so only this check imports it
-
+    """For all n, m | N verify N*euler_phi(n)*[n == m] == the sum over z <= N
+    of C_n^z * C_m^z in integers; a failure keeps both sides over N as Fractions."""
     if N < 1:
         raise ValueError(f"parseval_check() requires N >= 1, got {N}")
     report = ParsevalReport(N)
@@ -332,11 +325,12 @@ def parseval_check(N: int) -> ParsevalReport:
     cols = {d: [ramanujan_sum(d, z) for z in range(1, N + 1)] for d in ds}
     for n in ds:
         for m in ds:
-            lhs = Fraction(euler_phi(n) if n == m else 0)
-            rhs = Fraction(sum(x * y for x, y in zip(cols[n], cols[m])), N)
+            lhs = N * euler_phi(n) if n == m else 0
+            rhs = sum(x * y for x, y in zip(cols[n], cols[m]))
             report.pairs_checked += 1
             if lhs != rhs:
-                report.failures.append((n, m, lhs, rhs))
+                from fractions import Fraction  # it loads decimal, so only a failure imports it
+                report.failures.append((n, m, Fraction(lhs, N), Fraction(rhs, N)))
     return report
 
 

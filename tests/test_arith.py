@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,10 +16,12 @@ from cycwitt.arith import (
     FrozenRecord,
     IntPolynomial,
     Record,
+    cyclotomic_binomials,
     cyclotomic_poly,
     divisors,
     euler_phi,
     factor,
+    frobenius_basis,
     mobius,
     phi_mu_tables,
     ramanujan_sum,
@@ -245,6 +249,56 @@ def test_ramanujan_depends_only_on_gcd_class():
     for n in range(1, 41):
         for m in range(0, 81):
             assert ramanujan_sum(n, m) == ramanujan_sum(n, math.gcd(n, m))
+
+
+def test_frobenius_basis_is_the_totient_quotient():
+    # (n/g, euler_phi(n)/euler_phi(n/g)) with g = gcd(m, n), m = 0 included
+    for n in range(1, 201):
+        for m in range(0, 61):
+            g = math.gcd(m, n)
+            assert frobenius_basis(m, n) == (n // g, euler_phi(n) // euler_phi(n // g)), (m, n)
+
+
+def test_frobenius_basis_factors_only_the_gcd():
+    # 2^89 - 1 is refused by factor, so any factoring of n or n/g would raise
+    big = 2**89 - 1
+    with pytest.raises(BudgetExceeded):
+        factor(big)
+    assert frobenius_basis(2, 2 * big) == (big, 1)
+    assert frobenius_basis(12, 8 * big) == (2 * big, 4)
+    assert frobenius_basis(5, big) == (big, 1)
+
+
+def test_an_inexact_frobenius_quotient_raises_under_every_caller(monkeypatch):
+    # with euler_phi(2) made 3, F_6 of phi(12 p) divides euler_phi(6) * 2 by 3;
+    # the guard is a raise, so python -O cannot remove it
+    from cycwitt import arith
+
+    real = arith.euler_phi
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 3 if n == 2 else real(n))
+    witt._frobenius_basis.cache_clear()
+    n = 12 * 1_000_003
+    for call in (lambda: frobenius_basis(6, n), lambda: ramanujan_sum(n, 6),
+                 lambda: witt.frobenius(6, witt.phi(n)), lambda: witt.t_m(6, witt.phi(n))):
+        with pytest.raises(ArithmeticError, match=f"inexact F_6 coefficient of phi[(]{n}[)]"):
+            call()
+    witt._frobenius_basis.cache_clear()
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 105, 210, 385, 2310])
+def test_cyclotomic_binomials_are_the_mobius_divisors(n):
+    for top in (0, 1, 2, 5, n - 1, n, n + 3):
+        want = [(d, mobius(n // d)) for d in divisors(n) if d <= top and mobius(n // d)]
+        assert list(cyclotomic_binomials(n, top)) == want, (n, top)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so no check in the library may be one
+    src = Path(witt.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert len(list(src.glob("*.py"))) >= 9 and found == []
 
 
 def test_cyclotomic_examples():

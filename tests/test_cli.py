@@ -437,6 +437,80 @@ def test_cli_frobenius_of_a_huge_index_answers_at_once(argv, out):
     assert time.perf_counter() - start < 10
 
 
+# 2^89 - 1 is a prime above arith.PROVEN_BOUND, which factor refuses (exit 2)
+_M89 = 2**89 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["frob", "2", f"phi({2 * _M89})"], f"phi({_M89})"),
+        (["inner", f"phi({6 * _M89})", f"phi({2 * _M89})"], "0"),
+    ],
+    ids=["frob", "inner-disjoint"],
+)
+def test_cli_never_factors_an_index_it_does_not_need(argv, out):
+    # F_m factors only gcd(m, n) and gcd(g, n/g); inner only the shared indices
+    assert argv[-1] == "phi(1237940039285380274899124222)"
+    start = time.perf_counter()
+    proc = run_cli_process(*argv)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == out + "\n"
+
+
+def test_cli_inner_is_linear_in_the_terms():
+    # integral(mul(a, a)) would form 2000^2 basis products (about 4 s)
+    a = " + ".join(f"phi({i})" for i in range(1, 2001))
+    start = time.perf_counter()
+    proc = run_cli_process("inner", a, a)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and proc.stdout == f"{sum(map(euler_phi, range(1, 2001)))}\n"
+    assert proc.stdout == "1216588\n"
+
+
+def test_cli_inexact_frobenius_quotient_exits_3(monkeypatch, capsys):
+    from cycwitt import arith, witt
+
+    real = arith.euler_phi
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 3 if n == 2 else real(n))
+    witt._frobenius_basis.cache_clear()
+    for argv in (["frob", "6", "phi(12000036)"], ["tm", "6", "phi(12000036)"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err.splitlines() == [
+            "internal error: inexact F_6 coefficient of phi(12000036): implementation bug"]
+    witt._frobenius_basis.cache_clear()
+
+
+def test_cli_inexact_frobenius_quotient_exits_3_under_python_O():
+    # python -O strips assert statements; the guard is a raise and stays
+    code = ("import sys\nfrom cycwitt import arith, cli\nreal = arith.euler_phi\n"
+            "arith.euler_phi = lambda n: 3 if n == 2 else real(n)\n"
+            "assert False, 'asserts run'\n"
+            "sys.exit(cli.main(['frob', '6', 'phi(12000036)']))\n")
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "internal error: inexact F_6 coefficient of phi(12000036): implementation bug"]
+
+
+def test_cli_parseval_failure_json_is_unchanged(monkeypatch, capsys):
+    from cycwitt import witt
+
+    real = witt.ramanujan_sum
+    monkeypatch.setattr(witt, "ramanujan_sum", lambda n, m: real(n, m) + (n == 6 and m == 1))
+    code, out, _ = run_cli(capsys, "--json", "parseval", "6")
+    assert code == 1
+    assert out == (
+        '{"N": 6, "failures": [[1, 6, "0", "1/6"], [2, 6, "0", "-1/6"], [3, 6, "0", "-1/6"], '
+        '[6, 1, "0", "1/6"], [6, 2, "0", "-1/6"], [6, 3, "0", "-1/6"], [6, 6, "2", "5/2"]], '
+        '"ok": false, "pairs_checked": 16}\n'
+    )
+    code, out, _ = run_cli(capsys, "parseval", "6")
+    assert code == 1 and out.endswith("FAIL (7 mismatches)\n")
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [
@@ -712,7 +786,7 @@ _LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg"}
 _RIGS = {"cycwitt.linalg", "cycwitt.rigs", "fractions"}
 _SPECTRA = _RIGS | {"cycwitt.spectra"}
 # costly stdlib imports: no call loads dataclasses or inspect, and only
-# parseval and the rigs commands load fractions
+# the rigs commands load fractions
 _STDLIB = ("dataclasses", "inspect", "fractions")
 
 
@@ -723,7 +797,7 @@ _STDLIB = ("dataclasses", "inspect", "fractions")
         (["mul", "phi(4)", "phi(6)"], _BASE),
         (["--json", "trace", "2*phi(12) - 1"], _BASE),
         (["ramanujan", "--n", "3", "--m-max", "3"], _BASE),
-        (["parseval", "12"], _BASE | {"fractions"}),
+        (["parseval", "12"], _BASE),
         (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg"}),
         (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg"}),
         (["lambda", "6"], _BASE | _LAMBDA),

@@ -261,6 +261,26 @@ def test_perm_matrix_refuses_non_permutations(perm):
         perm_matrix(IntRig(), perm)
 
 
+@pytest.mark.parametrize("rows,entry", [
+    ([[5]], "5"), ([[1, 1]], None), ([[5], [0]], "5"), ([[0, -1]], "-1"), ([[True]], "True"),
+    ([[1.0]], "1.0"), ([["1"]], "'1'"), ([[0], [2]], "2"),
+])
+def test_table_rig_matrix_holds_only_element_indices(rows, entry):
+    # the table kernels index their tables by entries, so [[1]] o [[5]] would pass
+    # the 5 through and [[1, 1]] o [[5], [0]] raise IndexError: such entries are refused
+    boolean = FiniteCRig.boolean()
+    if entry is None:
+        assert RigMatrix(boolean, rows).entries == ((1, 1),)
+        return
+    with pytest.raises(ValueError, match=rf"^matrix entry {re.escape(entry)} is not an "
+                       rf"element of boolean$"):
+        RigMatrix(boolean, rows)
+    assert all(x in FiniteCRig.zmod(6) for x in range(6)) and 6 not in FiniteCRig.zmod(6)
+    # the trusted constructor and the other carriers check nothing
+    assert RigMatrix._of(boolean, tuple(map(tuple, rows)), len(rows[0])).entries[0] == tuple(rows[0])
+    assert RigMatrix(IntRig(), rows).entries == tuple(map(tuple, rows))
+
+
 def _fresh_perm_matrix(r, perm):
     return RigMatrix(r, [[r.one if j == p else r.zero for j in range(len(perm))] for p in perm])
 

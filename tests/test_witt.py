@@ -241,6 +241,51 @@ def test_integral_and_inner():
             assert inner(phi(n), phi(m)) == (euler_phi(n) if n == m else 0)
 
 
+def test_inner_matches_integral_of_the_product():
+    # the product route is the oracle of the orthogonality sum
+    rng = random.Random(28)
+    kinds = set()
+    for i in range(600):
+        pool = range(1, rng.choice((6, 30, 120)) + 1)
+        a = WittElement({n: rng.randint(-9, 9) for n in rng.sample(pool, rng.randint(0, 5))})
+        if i % 3 == 0:  # b shares a's support, partly or wholly
+            b = WittElement({n: rng.randint(-9, 9) for n in a.support if rng.random() < 0.7})
+            b = b + WittElement({n: rng.randint(-9, 9) for n in rng.sample(pool, 2)})
+        elif i % 3 == 1:  # b avoids a's support
+            b = WittElement({n: rng.randint(-9, 9) for n in pool if n not in a.support
+                             and rng.random() < 0.1})
+        else:
+            b = WittElement({n: rng.randint(-9, 9) for n in rng.sample(pool, rng.randint(0, 5))})
+        shared = set(a.support) & set(b.support)
+        kinds.add((bool(shared), 1 in shared))
+        assert inner(a, b) == integral(mul(a, b)) == inner(b, a), (a, b)
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_inner_factors_only_shared_indices():
+    big = 2**89 - 1  # factor refuses it
+    assert inner(phi(6 * big), phi(2 * big)) == 0
+    assert inner(3 * phi(2 * big) - ONE, 2 * phi(4 * big) + 5 * ONE) == -5
+    assert inner(phi(12) + phi(big), 2 * phi(12)) == 8
+
+
+def test_parseval_records_a_broken_sum_in_fractions(monkeypatch):
+    from fractions import Fraction
+
+    real = witt.ramanujan_sum
+    monkeypatch.setattr(witt, "ramanujan_sum", lambda n, m: real(n, m) + (n == 6 and m == 1))
+    rep = parseval_check(6)
+    assert rep.pairs_checked == 16 and not rep.ok
+    assert rep.failures == [
+        (1, 6, 0, Fraction(1, 6)), (2, 6, 0, Fraction(-1, 6)), (3, 6, 0, Fraction(-1, 6)),
+        (6, 1, 0, Fraction(1, 6)), (6, 2, 0, Fraction(-1, 6)), (6, 3, 0, Fraction(-1, 6)),
+        (6, 6, 2, Fraction(5, 2)),
+    ]
+    assert all(type(x) is Fraction for *_, lhs, rhs in rep.failures for x in (lhs, rhs))
+    assert rep.summary() == ("parseval N=6: 16 divisor pairs checked, orthogonality exact "
+                             "in rationals: FAIL (7 mismatches)")
+
+
 def test_averaged_traces_recover_integral():
     # over a full period the trace averages of the power operators
     # project onto the coefficient of phi(1)
