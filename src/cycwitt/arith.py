@@ -141,10 +141,13 @@ PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 RHO_BUDGET = 2_000_000
 
 
-# The three unbounded caches in this module hold one entry per distinct
-# argument: the indices, levels and degrees of the elements, matrices and
-# commands a caller supplies, together with their divisors.  They grow with
-# the inputs, not with the work done on them.
+# The three unbounded caches in this module, and _REFUSED, hold one entry per
+# distinct argument: the indices, levels and degrees of the elements,
+# matrices and commands a caller supplies, together with their divisors.
+# They grow with the inputs, not with the work done on them.
+_REFUSED: dict[int, BudgetExceeded] = {}  # factor's refusals, which lru_cache does not keep
+
+
 @lru_cache(maxsize=None)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.
@@ -152,10 +155,13 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     factor(1) is the empty tuple.  Trial divisors stop at TRIAL_LIMIT (later
     for a long n), and _factor_large factors a cofactor they leave that could
     be composite, or raises BudgetExceeded: it never returns a factor it has
-    not proven prime.
+    not proven prime.  A refused n is refused again at once, with the same
+    exception.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
+    if n in _REFUSED:
+        raise _REFUSED[n].with_traceback(None)
     out = []
     d, whole = 2, n
     stop = min(math.isqrt(n), TRIAL_LIMIT * (1 + n.bit_length() // 256))
@@ -169,7 +175,11 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
             stop = min(math.isqrt(n), TRIAL_LIMIT * (1 + n.bit_length() // 256))
         d += 1 if d == 2 else 2
     if d * d <= n:
-        out += sorted(_factor_large(n, whole).items())
+        try:
+            out += sorted(_factor_large(n, whole).items())
+        except BudgetExceeded as exc:
+            _REFUSED[whole] = exc
+            raise
     elif n > 1:
         out.append((n, 1))
     return tuple(out)
@@ -253,9 +263,29 @@ def _factor_large(n: int, whole: int) -> dict[int, int]:
                     raise BudgetExceeded(f"probable prime {m} of {name}", PROVEN_BOUND - 1)
                 found[m] = 1
                 continue
-            g = rho(m, size, math.inf)
+            g = _root(m) or rho(m, size, math.inf)
         todo += sorted((g, m // g), reverse=True)
     return found
+
+
+def _root(m: int) -> int | None:
+    """r with m = r**k for a prime k, or None, for an m > 1 with no prime
+    factor up to TRIAL_LIMIT: then r > TRIAL_LIMIT >= 2**9, so 9*k < bits.
+    (A k-th power is a p-th power for each prime p dividing k.)"""
+    bits, log_m = m.bit_length(), math.log2(m)
+    for k in range(2, bits // (TRIAL_LIMIT.bit_length() - 1) + 1):
+        if factor(k) != ((k, 1),):
+            continue
+        # Newton's integer steps fall from above to the floor of the k-th root
+        # (each step is at least the floor, by AM-GM) and stop there.  They
+        # start at 2**(log_m/k) raised by 2**-30 of itself, past the float
+        # error, or, where a float cannot hold that, at 2**ceil(bits/k)
+        r = int(2.0 ** (log_m / k) * (1 + 2.0**-30)) + 1 if log_m < 1000 * k else 1 << -(-bits // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r
+    return None
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

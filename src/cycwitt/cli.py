@@ -30,7 +30,7 @@ from .arith import BudgetExceeded, NotUnitSpectrum, divisors, euler_phi, join_si
 from .witt import WittElement
 
 if TYPE_CHECKING:
-    from . import lambda_ops, rigs
+    from . import lambda_ops, tables
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -366,9 +366,9 @@ def _cmd_wittclass(args):
 
 
 def _cmd_sections(args):
-    from . import rigs
+    from . import matrices
 
-    report = rigs.global_sections(args.rows, args.cols, args.bound)
+    report = matrices.global_sections(args.rows, args.cols, args.bound)
     obj = {
         "rows": args.rows,
         "cols": args.cols,
@@ -380,14 +380,14 @@ def _cmd_sections(args):
     return [report.summary()], obj, report.ok
 
 
-def _load_finite_rig(name: str) -> rigs.FiniteCRig:
-    from . import rigs
+def _load_finite_rig(name: str) -> tables.FiniteCRig:
+    from . import tables
 
     if name.startswith("file:"):
         with open(name[5:], encoding="utf-8") as f:
-            return rigs.FiniteCRig.from_text(f.read())
-    r = rigs.rig_by_name(name)
-    if not isinstance(r, rigs.FiniteCRig):
+            return tables.FiniteCRig.from_text(f.read())
+    r = tables.rig_by_name(name)
+    if not isinstance(r, tables.FiniteCRig):
         raise ValueError(
             f"unknown finite rig {name!r} (use boolean | zmod:N | tropical4, "
             f"or load a table file)"
@@ -483,14 +483,22 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_BY_NAME = {cmd.name: cmd for cmd in _COMMANDS}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given a command's name, of that
+    one alone, under the same usage line, so that it parses the command's
+    calls and words their errors as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="cycwitt",
         description="exact cyclotomic Witt ring calculator and verification suite",
     )
     parser.add_argument("--json", action="store_true", help="stable machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in _COMMANDS:
+    # a lone subparser is shown as the list of every command, as argparse shows them all
+    every = None if command is None else "{" + ",".join(_BY_NAME) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for cmd in _COMMANDS if command is None else (_BY_NAME[command],):
         p = sub.add_parser(cmd.name, help=cmd.help)
         for spec in cmd.arguments:
             spec, has_default, default = spec.partition("=")
@@ -503,9 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parser_for(argv: list) -> argparse.ArgumentParser:
+    # a call whose command follows only --json flags gets that command's
+    # subparser alone; any other call (no command, help, "--" or an unknown
+    # name first) gets them all, so its help and errors are argparse's own
+    first = next((token for token in argv if token != "--json"), None)
+    return build_parser(first if first in _BY_NAME else None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser_for(argv).parse_args(argv)
     try:
         if args.cmd.cost:
             args.cmd.cost(args)

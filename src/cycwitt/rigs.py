@@ -1,36 +1,28 @@
-"""Commutative rigs (rings without negatives) and matrices over them.
+"""Rigs with callable operations, and the laws of rigs and of matrices.
 
-A rig is either finite and given by its operation tables
-(``FiniteCRig``: the two-element boolean rig, the integers mod n, a
-four-element tropical rig, or tables from a file, validated at
-construction over an additive generating set) or a carrier with callable
-operations: the integers, the rationals, and the exact-rational tropical
-carriers [0,1] and [0,inf] with max as addition and ordinary product.
-``rig_by_name`` is the one registry of rig names.  ``Rig``, ``IntRig``,
-``RigMatrix`` and the matrix operations ``mat_compose``, ``direct_sum``
-and ``kronecker`` live in ``linalg`` and are re-exported here; each rig
-has one product kernel, ``compose``.  Three kernels skip the zero entries
-of the left factor: ``FiniteCRig``'s reads its tables at the element
-indices, the only entries a ``RigMatrix`` over it takes; construction
-proved them to have an absorbing zero that is the additive unit and a one
-that is the multiplicative unit, so a row's first term is its sum as it stands
-and a term with coefficient one is g's row unread (a permutation factor
-moves rows); the one shared by ``TropicalUnitRig`` and
-``TropicalNonNegRig`` takes the largest term, since max never lowers a sum
-that starts at zero; it orders ``Fraction`` terms by integer
-cross-multiplication, exact because their denominators are positive, and
-builds only the winning product; entries of any other type take
-``Rig.compose``, the literal fold.  Every other kernel (``IntRig``'s dot
-products among them) folds every term, so a bad zero or one still shows.
-``perm_matrix``, ``tau`` and ``sigma`` are memoized in bounded caches.
-The law checkers verify the rig axioms, over tables of interned values
-(exact for operations that depend only on the values), and the
-matrix-category laws (symmetry under block swap, centrality of
-scalars, the interleaving permutation that exchanges the two Kronecker
-orders) either exhaustively or by seeded sampling.  The module also
-enumerates unit groups of matrix monoids and the integer matrices of
-operator norm at most one, which are exactly the signed sub-permutation
-matrices.
+The carriers here are the rationals and the exact-rational tropical
+carriers [0,1] and [0,inf] with max as addition and ordinary product,
+and ``SquareMatrixRig``, the n-by-n matrices over a base rig, the
+noncommutative control of the law checks.  The matrix core (``Rig``,
+``IntRig``, ``RigMatrix``, ``mat_compose``, ``direct_sum``,
+``kronecker``, ``IntMatrix`` and ``global_sections``) lives in
+``matrices``, and the table rigs (``FiniteCRig`` and ``rig_by_name``,
+the one registry of rig names) in ``tables``; both are imported and
+re-exported here.  Each rig has one product kernel, ``compose``.  The
+one shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` takes the
+largest term, since max never lowers a sum that starts at zero; it
+orders ``Fraction`` terms by integer cross-multiplication, exact because
+their denominators are positive, and builds only the winning product;
+entries of any other type take ``Rig.compose``, the literal fold.  Every
+other carrier kernel (``IntRig``'s dot products among them) folds every
+term, so a bad zero or one still shows.  ``perm_matrix``, ``tau`` and
+``sigma`` are memoized in bounded caches.  The law checkers verify the
+rig axioms, over tables of interned values (exact for operations that
+depend only on the values), and the matrix-category laws (symmetry
+under block swap, centrality of scalars, the interleaving permutation
+that exchanges the two Kronecker orders) either exhaustively or by
+seeded sampling.  The module also enumerates unit groups of matrix
+monoids.
 """
 
 from __future__ import annotations
@@ -39,24 +31,27 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import index, itemgetter
+from operator import index
 
-from .arith import BudgetExceeded, Frozen, Record
-from .linalg import (
-    IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, kronecker,
-    mat_compose,
+from .arith import BudgetExceeded, Record
+from .matrices import (
+    INT, SECTIONS_BUDGET, IntMatrix, IntRig, Rig, RigMatrix, SectionsReport, contraction_le_one,
+    direct_sum, format_matrix, global_sections, kronecker, mat_compose, parse_matrix,
+    signed_subperm_matrices,
 )
+from .tables import ZMOD_BUDGET, FiniteCRig, rig_by_name
 
 __all__ = [
-    "Rig", "FiniteCRig", "IntRig", "RationalRig",
+    "Rig", "FiniteCRig", "IntRig", "INT", "RationalRig",
     "TropicalUnitRig", "TropicalNonNegRig", "SquareMatrixRig", "INF",
-    "RigMatrix", "identity", "mat_compose", "direct_sum",
+    "RigMatrix", "IntMatrix", "parse_matrix", "format_matrix", "contraction_le_one",
+    "identity", "mat_compose", "direct_sum",
     "kronecker", "oplus", "perm_matrix", "tau", "sigma",
     "check_rig_laws", "LawReport",
     "check_prop_laws", "PropLawReport",
     "gl_enumerate", "global_sections", "SectionsReport",
-    "signed_subperm_matrices",
-    "rig_by_name",
+    "signed_subperm_matrices", "SECTIONS_BUDGET",
+    "rig_by_name", "ZMOD_BUDGET",
 ]
 
 
@@ -73,270 +68,6 @@ class _Inf:
 
 
 INF = _Inf()
-
-
-class FiniteCRig(Rig, Frozen):
-    """Finite commutative rig given by addition and multiplication tables.
-
-    Elements are indices 0..size-1; ``names`` carries display strings.
-    The tables are validated at construction (commutativity, associativity,
-    units, distributivity, absorbing zero) and a bad table is rejected
-    with a witness.  Two instances are equal when name, tables, zero and
-    one agree.
-    """
-
-    __slots__ = ("size", "add_table", "mul_table", "zero", "one", "names", "name")
-    finite = True
-
-    def __init__(self, add_table, mul_table, zero=0, one=1, names=None, name="rig"):
-        add_t = tuple(tuple(row) for row in add_table)
-        mul_t = tuple(tuple(row) for row in mul_table)
-        size = len(add_t)
-        if any(len(r) != size for r in add_t) or len(mul_t) != size or any(
-            len(r) != size for r in mul_t
-        ):
-            raise ValueError("tables must be square and equally sized")
-        rng = range(size)
-        if any(x not in rng for row in add_t + mul_t for x in row):
-            raise ValueError("table entries must be element indices")
-        if zero not in rng or one not in rng:
-            raise ValueError(f"zero {zero} and one {one} must be element indices below {size}")
-        if names and len(names) != size:
-            raise ValueError(f"{len(names)} names for {size} elements")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "add_table", add_t)
-        object.__setattr__(self, "mul_table", mul_t)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(
-            self, "names", tuple(names) if names else tuple(str(i) for i in rng)
-        )
-        object.__setattr__(self, "name", name)
-        self._validate()
-
-    def _validate(self):
-        """Check the laws in O(n^2 * |G|) table reads.
-
-        Units, zero and both commutativities are checked pointwise.  Every
-        element is reached from 0 by adding generators from G, built
-        greedily (G = {1} for zmod:N).  For g in G and all x, y, Light's
-        test x + (g + y) = (x + g) + y proves + associative (the a that
-        associate include 0 and G and are closed under +).  Then
-        x(y + g) = xy + xg and (xy)g = x(yg), if they hold for w and g, hold
-        for w + g: x(y + (w + g)) = (xy + xw) + xg and (xy)(w + g)
-        = x(yw) + x(yg) = x(y(w + g)); by induction on w they hold for all.
-        A failure falls back to the full scan, which raises the first witness.
-        """
-        rng = range(self.size)
-        A, M = self.add_table, self.mul_table
-        z, e = self.zero, self.one
-        for x in rng:
-            if A[x][z] != x:
-                raise ValueError(f"additive unit fails at {x}")
-            if M[x][e] != x:
-                raise ValueError(f"multiplicative unit fails at {x}")
-            if M[x][z] != z:
-                raise ValueError(f"absorbing zero fails at {x}")
-        if tuple(zip(*A)) != A or tuple(zip(*M)) != M:
-            for x in rng:
-                ax, mx = A[x], M[x]
-                for y in rng:
-                    if ax[y] != A[y][x]:
-                        raise ValueError(f"addition not commutative at {x},{y}")
-                    if mx[y] != M[y][x]:
-                        raise ValueError(f"multiplication not commutative at {x},{y}")
-        gens, reached = [], {z}
-        for x in rng:
-            if x not in reached:
-                gens.append(x)
-                layer = reached
-                while layer:
-                    layer = {A[s][g] for s in layer for g in gens} - reached
-                    reached |= layer
-        # through_a[y](row) is (row[y+w] for w); through_m[y](row) is (row[y*w] for w)
-        through_a = [itemgetter(*row) for row in A]
-        through_m = [itemgetter(*row) for row in M]
-        # rows over y: x + (g + y), x(y + g), x(yg) against (x + g) + y, xy + xg, (xy)g
-        if all(
-            through_a[g](ax) == A[ax[g]]
-            and through_a[g](mx) == through_m[x](A[mx[g]])
-            and through_m[g](mx) == through_m[x](M[g])
-            for g in gens
-            for x, ax, mx in zip(rng, A, M)
-        ):
-            return
-        # Full scan: a pair (x, y) whose rows over w differ is rescanned in the
-        # order (x, y, w), checks as below, so the witness is the first failing
-        # triple and check.  (For one element ``itemgetter`` returns a bare
-        # entry, so every pair is rescanned; the rescan is exact.)
-        for x in rng:
-            ax, mx = A[x], M[x]
-            for y in rng:
-                # rows over w of (x+y)+w, (x*y)*w and x*y + x*w
-                sum_then, prod_then, plus_xw = A[ax[y]], M[mx[y]], A[mx[y]]
-                if (
-                    sum_then == through_a[y](ax)
-                    and prod_then == through_m[y](mx)
-                    and through_a[y](mx) == through_m[x](plus_xw)
-                ):
-                    continue
-                ay, my = A[y], M[y]
-                for w in rng:
-                    if sum_then[w] != ax[ay[w]]:
-                        raise ValueError(f"addition not associative at {x},{y},{w}")
-                    if prod_then[w] != mx[my[w]]:
-                        raise ValueError(f"multiplication not associative at {x},{y},{w}")
-                    if mx[ay[w]] != plus_xw[mx[w]]:
-                        raise ValueError(f"distributivity fails at {x},{y},{w}")
-
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
-
-    def compose(self, f_rows, g_rows, ncols):
-        """Table reads that skip zero entries of f, exactly: construction
-        proved zero absorbing and the additive unit and one the
-        multiplicative unit, so a row's first term is its sum as it stands
-        (A[zero][x] = x) and a term whose entry of f is one is g's row
-        unread (M[one][x] = x).  A permutation or identity factor thus
-        costs no reads; entries are element indices."""
-        A, M, z, e = self.add_table, self.mul_table, self.zero, self.one
-        out = []
-        for f_row in f_rows:
-            acc = None
-            for a, g_row in zip(f_row, g_rows):
-                if a == z:
-                    continue
-                term = g_row if a == e else tuple(map(M[a].__getitem__, g_row))
-                acc = term if acc is None else tuple([A[s][t] for s, t in zip(acc, term)])
-            out.append((z,) * ncols if acc is None else acc)
-        return tuple(out)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.mul_table[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def __contains__(self, x) -> bool:
-        return type(x) is int and 0 <= x < self.size
-
-    def key(self):
-        return (self.name, self.add_table, self.mul_table, self.zero, self.one)
-
-    def element_by_name(self, s: str) -> int:
-        if s in self.names:
-            return self.names.index(s)
-        raise ValueError(f"no element named {s!r} in {self.name}")
-
-    def describe(self, subset) -> str:
-        return "{" + ", ".join(self.names[x] for x in sorted(subset)) + "}"
-
-    def __repr__(self):
-        return f"FiniteCRig({self.name}, size={self.size})"
-
-    @classmethod
-    def zmod(cls, n: int) -> "FiniteCRig":
-        if n < 1:
-            raise ValueError("modulus must be >= 1")
-        rng = range(n)
-        return cls(
-            [[(x + y) % n for y in rng] for x in rng],
-            [[(x * y) % n for y in rng] for x in rng],
-            zero=0,
-            one=1 % n,
-            name=f"zmod:{n}",
-        )
-
-    @classmethod
-    def boolean(cls) -> "FiniteCRig":
-        return cls(
-            [[0, 1], [1, 1]],
-            [[0, 0], [0, 1]],
-            name="boolean",
-        )
-
-    @classmethod
-    def tropical4(cls) -> "FiniteCRig":
-        """Four tropical values 0 < eps < 1 < top with max as addition;
-        eps*eps = 0, eps*top = eps, top*top = top."""
-        order = [0, 1, 2, 3]  # 0, eps, one, top
-        add = [[max(x, y) for y in order] for x in order]
-        mul = [
-            [0, 0, 0, 0],
-            [0, 0, 1, 1],
-            [0, 1, 2, 3],
-            [0, 1, 3, 3],
-        ]
-        return cls(add, mul, zero=0, one=2, names=("0", "eps", "1", "top"), name="tropical4")
-
-    @classmethod
-    def from_text(cls, text: str) -> "FiniteCRig":
-        """Parse the small table format::
-
-            size 2
-            zero 0
-            one 1
-            names 0 1
-            add
-            0 1
-            1 1
-            mul
-            0 0
-            0 1
-
-        The ``names`` line is optional.
-        """
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header: dict[str, str] = {}
-        i = 0
-        while i < len(lines) and lines[i].split()[0] not in ("add", "mul"):
-            key, _, val = lines[i].partition(" ")
-            header[key] = val.strip()
-            i += 1
-
-        def header_int(key, default=None):
-            if key not in header:
-                if default is None:
-                    raise ValueError(f"table file has no {key!r} line")
-                return default
-            try:
-                return int(header[key])
-            except ValueError:
-                raise ValueError(f"{key!r} must be an integer, got {header[key]!r}") from None
-
-        size = header_int("size")
-        if size < 1:
-            raise ValueError(f"'size' must be >= 1, got {size}")
-
-        def read_table(idx):
-            if idx >= len(lines) or lines[idx] not in ("add", "mul"):
-                got = repr(lines[idx]) if idx < len(lines) else "end of file"
-                raise ValueError(f"expected table marker 'add' or 'mul', got {got}")
-            rows = lines[idx + 1 : idx + 1 + size]
-            if len(rows) < size:
-                raise ValueError(f"{lines[idx]} table has {len(rows)} of {size} rows")
-            table = []
-            for row in rows:
-                try:
-                    table.append([int(x) for x in row.split()])
-                except ValueError:
-                    raise ValueError(f"{lines[idx]} table row {row!r} is not all integers") from None
-            return lines[idx], table, idx + 1 + size
-
-        kind1, t1, i = read_table(i)
-        kind2, t2, i = read_table(i)
-        tables = {kind1: t1, kind2: t2}
-        if set(tables) != {"add", "mul"}:
-            raise ValueError("need exactly one add table and one mul table")
-        names = tuple(header["names"].split()) if "names" in header else None
-        return cls(
-            tables["add"],
-            tables["mul"],
-            zero=header_int("zero", 0),
-            one=header_int("one", 1),
-            names=names,
-            name=header.get("name", "custom"),
-        )
 
 
 # the boolean rig is a table like every finite rig; the old class name
@@ -501,34 +232,16 @@ class SquareMatrixRig(Rig):
         for m in all_matrices(self.base, self.size, self.size):
             yield m.entries
 
-
-_RIGS = {
-    "boolean": FiniteCRig.boolean,
-    "tropical4": FiniteCRig.tropical4,
-    "int": IntRig,
-    "rational": RationalRig,
-    "tropical-unit": TropicalUnitRig,
-    "tropical-nonneg": TropicalNonNegRig,
-}
-
-
-def rig_by_name(name: str) -> Rig:
-    """The rig of a name: ``boolean``, ``zmod:N`` and ``tropical4`` are
-    tables (``FiniteCRig``); ``int``, ``rational``, ``tropical-unit`` and
-    ``tropical-nonneg`` are carriers with callable operations.  A
-    ``zmod:N`` whose 2*N^2 table entries exceed ZMOD_BUDGET is refused
-    before anything is built."""
-    if name.startswith("zmod:"):
-        modulus = name[5:]
-        if not modulus.isdecimal():
-            raise ValueError(f"zmod:N needs a positive integer N, got {modulus!r}")
-        n = int(modulus)
-        if 2 * n * n > ZMOD_BUDGET:
-            raise BudgetExceeded(f"zmod:{n} has {2 * n * n} table entries", ZMOD_BUDGET)
-        return FiniteCRig.zmod(n)
-    if name not in _RIGS:
-        raise ValueError(f"unknown rig name {name!r} (use {' | '.join([*_RIGS, 'zmod:N'])})")
-    return _RIGS[name]()
+    def __contains__(self, x) -> bool:
+        """An element is n rows of n entries, as tuples, which is the form
+        add and mul return; each entry must be in the base if the base
+        knows its elements (a table rig, or a matrix rig over one)."""
+        n, base = self.size, self.base
+        return (
+            type(x) is tuple and len(x) == n
+            and all(type(row) is tuple and len(row) == n for row in x)
+            and (not hasattr(base, "__contains__") or all(a in base for row in x for a in row))
+        )
 
 
 def identity(rig: Rig, n: int) -> RigMatrix:
@@ -860,21 +573,6 @@ def gl_enumerate(r: Rig, n: int) -> list[RigMatrix]:
     return units
 
 
-def signed_subperm_matrices(n: int, m: int) -> list[IntMatrix]:
-    """All n-by-m integer matrices with at most one nonzero entry, equal to
-    +-1, in every row and every column."""
-    out = []
-    for k in range(min(n, m) + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.permutations(range(m), k):
-                for signs in itertools.product((1, -1), repeat=k):
-                    e = [[0] * m for _ in range(n)]
-                    for r_, c_, s_ in zip(rows, cols, signs):
-                        e[r_][c_] = s_
-                    out.append(IntMatrix(e))
-    return sorted(out, key=lambda a: a.entries)
-
-
 # gl_enumerate's candidate limit: its closure check composes every pair of
 # units, so zmod:1021 at n = 1 (1020 units) is the slowest accepted table,
 # about 4 s (1x1 matrices over it, a slower product, about 15 s)
@@ -882,63 +580,3 @@ GL_BUDGET = 1024
 # check_prop_laws' limit on a finite carrier, which it lists for its scalars
 # and samples (zmod:1000, the largest rig_by_name builds, is accepted)
 PROP_BUDGET = 1024
-# global_sections' candidate limit (2x3 at bound 3 has 7^6 = 117649)
-SECTIONS_BUDGET = 150_000
-# rig_by_name's limit on the entries of a zmod:N table (zmod:1000 has 2*10^6)
-ZMOD_BUDGET = 2_000_000
-
-
-class SectionsReport(Record):
-    """Exhaustive enumeration of integer norm-contractions of a given shape."""
-
-    _fields = ("rows", "cols", "bound", "matrices", "counterexample")
-    _defaults = {"matrices": [], "counterexample": None}  # counterexample: an IntMatrix
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.ok else f"FAIL (e.g. {self.counterexample!r})"
-        return (
-            f"sections {self.rows}x{self.cols}, entries in [-{self.bound}, {self.bound}]: "
-            f"{len(self.matrices)} contraction matrices; "
-            f"signed sub-permutation characterization: {verdict}"
-        )
-
-
-def global_sections(n: int, m: int, entry_bound: int = 1) -> SectionsReport:
-    """Enumerate integer matrices with bounded entries passing the exact
-    norm-contraction test and compare against the signed sub-permutation
-    matrices of the same shape.  Raises BudgetExceeded if n, m or the
-    (2*entry_bound + 1)^(n*m) candidates exceed SECTIONS_BUDGET, priced
-    from bit lengths before any huge number or range is built."""
-    if entry_bound < 1:
-        raise ValueError("entry bound must be >= 1")
-    for name, size in (("rows", n), ("cols", m)):
-        if size < 0:
-            raise ValueError(f"{name} must be >= 0, got {size}")
-        if size > SECTIONS_BUDGET:
-            raise BudgetExceeded(f"{size} {name}", SECTIONS_BUDGET)
-    base = 2 * entry_bound + 1
-    bits = (base.bit_length() - 1) * n * m  # base^(n*m) >= 2^bits
-    if bits >= 2 * SECTIONS_BUDGET.bit_length():
-        raise BudgetExceeded(f"(2*bound + 1)^({n}*{m}) candidate matrices", SECTIONS_BUDGET)
-    count = base ** (n * m)  # under 2^(2*bits) < 2^72: cheap to form and print
-    if count > SECTIONS_BUDGET:
-        raise BudgetExceeded(f"{count} candidate matrices", SECTIONS_BUDGET)
-    report = SectionsReport(n, m, entry_bound)
-    rng = range(-entry_bound, entry_bound + 1)
-    passed = []
-    for flat in itertools.product(rng, repeat=n * m):
-        a = IntMatrix([flat[i * m : (i + 1) * m] for i in range(n)])
-        if contraction_le_one(a):
-            passed.append(a)
-    report.matrices = sorted(passed, key=lambda a: a.entries)
-    expected = signed_subperm_matrices(n, m)
-    if report.matrices != expected:
-        got = set(report.matrices)
-        want = set(expected)
-        diff = (got - want) | (want - got)
-        report.counterexample = sorted(diff, key=lambda a: a.entries)[0]
-    return report

@@ -1,6 +1,6 @@
 """Prime spectra of finite commutative rigs.
 
-The rigs are ``rigs.FiniteCRig``: operation tables, validated at
+The rigs are ``tables.FiniteCRig``: operation tables, validated at
 construction, behind the same ``Rig`` interface and ``rig_by_name``
 registry as every other carrier.  Ideals are subsets containing 0 and
 closed under sums and arbitrary scaling; a proper ideal is prime when
@@ -16,7 +16,7 @@ import functools
 import itertools
 
 from .arith import FrozenRecord, Record
-from .rigs import FiniteCRig
+from .tables import FiniteCRig
 
 __all__ = [
     "FiniteCRig",

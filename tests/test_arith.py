@@ -1,14 +1,16 @@
 import ast
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cycwitt import lambda_ops, linalg, rigs, spectra, witt
+from cycwitt import lambda_ops, linalg, matrices, rigs, spectra, tables, witt
 from cycwitt.arith import (
     _BASES,
+    _root,
     PROVEN_BOUND,
     RHO_BUDGET,
     TRIAL_LIMIT,
@@ -184,6 +186,46 @@ def test_factor_refuses_past_its_rho_budget():
     message = f"^budget exceeded: modular squarings for factor\\({p * q}\\) > {RHO_BUDGET}$"
     with pytest.raises(BudgetExceeded, match=message):
         factor(p * q)
+
+
+def test_factor_refuses_a_refused_n_again_at_once():
+    n = (10**13 + 37) * (2 * 10**13 + 21)
+    with pytest.raises(BudgetExceeded) as first:
+        factor(n)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as again:
+        factor(n)
+    assert time.perf_counter() - start < 0.01
+    assert str(again.value) == str(first.value)
+    assert str(again.value) == f"budget exceeded: modular squarings for factor({n}) > {RHO_BUDGET}"
+    # the answers stay in the lru_cache, which the benchmark reads
+    assert factor.cache_info().maxsize is None
+
+
+@pytest.mark.parametrize(
+    "base, k",
+    [(10**18 + 3, 3), (10**18 + 3, 6), (10**13 + 37, 2), (2**61 - 1, 5), (1000003, 31),
+     (1009 * 10**18 + 3027, 2)],
+)
+def test_factor_splits_perfect_powers(base, k):
+    # rho would need about sqrt(p) squarings modulo p**k for the prime p
+    # near 10^13 or 10^18; an exact k-th root takes no budget
+    want = dict(factor(base))
+    start = time.perf_counter()
+    got = factor(base**k * 6)
+    assert time.perf_counter() - start < 0.5
+    assert got == tuple(sorted({2: 1, 3: 1, **{p: e * k for p, e in want.items()}}.items()))
+    assert factor(base**k) == tuple((p, e * k) for p, e in want.items())
+
+
+def test_factor_power_test_bounds_k_by_the_trial_limit():
+    # a piece's primes exceed TRIAL_LIMIT >= 2**9, so a piece of b bits is at
+    # most a (b // 9)-th power; the smallest such prime at the largest k
+    p = next(q for q in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime_by_trial(q))
+    for k in (2, 3, 5, 7, 31, 101):
+        assert (p**k).bit_length() // 9 >= k and _root(p**k) == p
+    q = next(q for q in range(p + 1, 2 * p) if is_prime_by_trial(q))
+    assert _root(p * q) is None and _root(p**2 * q) is None
 
 
 @pytest.mark.parametrize("n", list(range(1, 200)) + [720720, 999983])
@@ -469,7 +511,8 @@ def test_record_constructor_refusals(cls, args, name, other):
 
 
 _LIBRARY_RECORDS = [
-    cls for mod in (witt, linalg, lambda_ops, rigs, spectra) for cls in vars(mod).values()
+    cls for mod in (witt, linalg, lambda_ops, matrices, rigs, tables, spectra)
+    for cls in vars(mod).values()
     if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
 ]
 

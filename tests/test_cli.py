@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from cycwitt import spectra
 from cycwitt.arith import BudgetExceeded, divisors, euler_phi
 from cycwitt.cli import (
     ParseError,
+    _parser_for,
     build_parser,
     format_series,
     format_witt,
@@ -437,6 +439,15 @@ def test_cli_frobenius_of_a_huge_index_answers_at_once(argv, out):
     assert time.perf_counter() - start < 10
 
 
+def test_cli_trace_of_a_prime_power_index_answers_at_once():
+    # (10^18 + 3)^3 is no square-free index: factor takes its cube root, where
+    # rho would spend its whole budget and refuse
+    start = time.perf_counter()
+    proc = run_cli_process("trace", f"phi({(10**18 + 3) ** 3})")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and proc.stderr == "" and proc.stdout == "0\n"
+
+
 # 2^89 - 1 is a prime above arith.PROVEN_BOUND, which factor refuses (exit 2)
 _M89 = 2**89 - 1
 
@@ -630,6 +641,49 @@ def test_cli_argv_fuzz_ends_with_a_message(argv):
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
 
 
+def _parse_outcome(parser, argv):
+    # the namespace, or argparse's exit code with what it printed
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _subparser_names(parser):
+    return list(next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_one_subparser_parses_as_every_subparser(argv):
+    # main builds only the subparser of the command it runs
+    lean = _parser_for(argv)
+    assert _subparser_names(lean) == [argv[argv[0] == "--json"]]
+    assert _parse_outcome(lean, argv) == _parse_outcome(build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["--json"], ["nope"], ["-h", "spec"], ["--", "spec", "--rig", "boolean"],
+     ["-5", "spec"], ["--js", "spec", "--rig", "boolean"], ["spec", "--json", "--rig", "boolean"],
+     ["--json", "--json", "sections", "--rows", "1", "--cols", "1", "extra"], ["spec", "-h"],
+     ["theorem1", "--rig", "zmod:6"], ["frob", "x", "phi(4)"]],
+)
+def test_cli_parser_choice_keeps_help_and_errors(argv, monkeypatch):
+    # help, a missing or unknown command and anything before the command
+    # but --json get every subparser; the rest are worded as by all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    every = _subparser_names(build_parser())
+    assert len(every) == 19 and _subparser_names(build_parser(None)) == every
+    first = next((token for token in argv if token != "--json"), None)
+    assert _subparser_names(_parser_for(argv)) == ([first] if first in every else every)
+    assert _parse_outcome(_parser_for(argv), argv) == _parse_outcome(build_parser(), argv)
+
+
 def test_cli_lambda_budget_boundary(monkeypatch, capsys):
     from cycwitt import cli
 
@@ -652,7 +706,7 @@ def test_cli_lambda_budget_boundary(monkeypatch, capsys):
 
 
 def test_cli_cost_check_boundaries(monkeypatch, capsys):
-    from cycwitt import cli, rigs
+    from cycwitt import cli, rigs, tables
 
     # the largest accepted sizes, at or above every golden and benchmark size
     assert 1000 * (1000 + 10) <= cli.RAMANUJAN_BUDGET
@@ -711,7 +765,7 @@ def test_cli_cost_check_boundaries(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "gamma-filtration", "--level", level, "--depth", depth)
         assert code == 2 and out == ""
         assert err == f"error: budget exceeded: {what} gamma products > 900\n"
-    monkeypatch.setattr(rigs, "ZMOD_BUDGET", 72)  # zmod:6 has 2 * 6^2 entries
+    monkeypatch.setattr(tables, "ZMOD_BUDGET", 72)  # zmod:6 has 2 * 6^2 entries
     assert run_cli(capsys, "spec", "--rig", "zmod:6")[0] == 0
     code, out, err = run_cli(capsys, "theorem1", "--rig", "zmod:7", "--s", "2")
     assert code == 2 and out == ""
@@ -781,13 +835,13 @@ def test_cli_wittclass_outside_disc_in_a_fresh_interpreter():
 
 
 _BASE = {"cycwitt", "cycwitt.arith", "cycwitt.witt", "cycwitt.cli"}
-_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg"}
-# the rigs carriers build Fraction constants when rigs is imported
-_RIGS = {"cycwitt.linalg", "cycwitt.rigs", "fractions"}
-_SPECTRA = _RIGS | {"cycwitt.spectra"}
-# costly stdlib imports: no call loads dataclasses or inspect, and only
-# the rigs commands load fractions
-_STDLIB = ("dataclasses", "inspect", "fractions")
+_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg", "cycwitt.matrices"}
+# the rig commands load the matrix core and the table rigs, never linalg or
+# rigs, whose carriers build Fraction constants and whose law checkers load random
+_SECTIONS = {"cycwitt.matrices"}
+_SPECTRA = {"cycwitt.matrices", "cycwitt.tables", "cycwitt.spectra"}
+# costly stdlib imports: no call loads dataclasses, inspect, fractions or random
+_STDLIB = ("dataclasses", "inspect", "fractions", "random")
 
 
 @pytest.mark.parametrize(
@@ -798,11 +852,11 @@ _STDLIB = ("dataclasses", "inspect", "fractions")
         (["--json", "trace", "2*phi(12) - 1"], _BASE),
         (["ramanujan", "--n", "3", "--m-max", "3"], _BASE),
         (["parseval", "12"], _BASE),
-        (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg"}),
-        (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg"}),
+        (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg", "cycwitt.matrices"}),
+        (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg", "cycwitt.matrices"}),
         (["lambda", "6"], _BASE | _LAMBDA),
         (["gamma-filtration", "--level", "6", "--depth", "2"], _BASE | _LAMBDA),
-        (["sections", "--rows", "1", "--cols", "1"], _BASE | _RIGS),
+        (["sections", "--rows", "1", "--cols", "1"], _BASE | _SECTIONS),
         (["spec", "--rig", "zmod:6"], _BASE | _SPECTRA),
         (["radical", "--rig", "zmod:8", "--ideal", "4"], _BASE | _SPECTRA),
         (["theorem1", "--rig", "zmod:6", "--s", "2"], _BASE | _SPECTRA),
@@ -811,15 +865,43 @@ _STDLIB = ("dataclasses", "inspect", "fractions")
          "lambda", "gamma-filtration", "sections", "spec", "radical", "theorem1"],
 )
 def test_cli_call_loads_only_the_modules_its_subcommand_runs(argv, loaded):
-    # a fresh interpreter, since pytest has imported every module here
+    # a fresh interpreter, since pytest has imported every module here, and
+    # without site, whose .pth files may import more (one that loads tempfile
+    # loads random)
     code = "import contextlib, io, sys\nimport cycwitt.cli\n"
     if argv:
         code += "with contextlib.redirect_stdout(io.StringIO()):\n"
         code += f"    cycwitt.cli.main({argv!r})\n"
     code += f"print(*sorted(m for m in sys.modules if m.startswith('cycwitt') or m in {_STDLIB}))\n"
-    proc = run_python("-c", code)
+    proc = run_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == loaded
+
+
+def test_tracing_targets_resolve_once_the_session_modules_are_imported():
+    # the session workloads import these four modules before the benchmark's
+    # tracer wraps its targets in every loaded module; each target but
+    # cli.main must then resolve without a further import
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracing.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    code = (
+        "import sys\n"
+        "import cycwitt.rigs, cycwitt.spectra, cycwitt.linalg, cycwitt.lambda_ops\n"
+        f"for mod, path in {targets!r}:\n"
+        "    obj = sys.modules.get('cycwitt.' + mod)\n"
+        "    if mod == 'cli' and obj is None:\n"
+        "        continue\n"
+        "    for attr in path.split('.'):\n"
+        "        obj = getattr(obj, attr)\n"
+        "    assert callable(obj), (mod, path)\n"
+        "print(len(sys.modules['cycwitt.rigs'].__all__))\n"
+    )
+    assert len(targets) >= 20 and ("rigs", "mat_compose") in targets
+    proc = run_python("-c", code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_cli_unknown_rig(capsys):

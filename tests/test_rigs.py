@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cycwitt import rigs
+from cycwitt import matrices, rigs
 from cycwitt.arith import BudgetExceeded, IntPolynomial
 from cycwitt.lambda_ops import lambda_series
 from cycwitt.linalg import INT, IntMatrix, contraction_le_one, hnf
@@ -126,6 +126,48 @@ def test_traced_benchmark_targets_resolve():
     from cycwitt import rigs, spectra
 
     assert spectra.FiniteCRig is rigs.FiniteCRig
+
+
+def test_moved_names_are_one_object_through_every_module():
+    # the matrix core left linalg for matrices and the table rigs left rigs for
+    # tables; each module that held a name re-exports the one definition
+    from cycwitt import linalg, spectra, tables
+
+    core = {"Rig", "IntRig", "INT", "RigMatrix", "mat_compose", "direct_sum", "kronecker",
+            "IntMatrix", "parse_matrix", "format_matrix", "contraction_le_one"}
+    assert core < set(matrices.__all__) and core < set(linalg.__all__)
+    assert {"global_sections", "SectionsReport", "signed_subperm_matrices",
+            "SECTIONS_BUDGET"} < set(matrices.__all__)
+    assert set(tables.__all__) == {"FiniteCRig", "rig_by_name", "ZMOD_BUDGET"}
+    for module in (matrices, tables):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(rigs, name) is obj, name
+            assert name not in core or getattr(linalg, name) is obj, name
+            assert name in rigs.__all__, name
+    assert spectra.FiniteCRig is tables.FiniteCRig and rigs.BooleanRig == tables.FiniteCRig.boolean
+    for name in ("rational", "tropical-unit", "tropical-nonneg"):
+        assert type(rig_by_name(name)).__module__ == "cycwitt.rigs"
+
+
+def test_matrix_rig_refuses_an_entry_that_is_not_a_matrix_over_its_base():
+    control = SquareMatrixRig(FiniteCRig.boolean(), 2)
+    for bad in (5, ((1, 0),), ((1, 0), (0,)), [[1, 0], [0, 1]], ((1, 0), (0, 2)), ((1, 0), [0, 1])):
+        with pytest.raises(ValueError, match=r"^matrix entry .* is not an element of mat2:boolean$"):
+            RigMatrix(control, [[control.one], [bad]])
+    assert RigMatrix(control, [[control.one, control.zero]]).cols == 2
+    assert all(x in control for x in control.elements())
+    # a base that does not list its elements leaves only the shape to check
+    over_int = SquareMatrixRig(INT, 2)
+    assert RigMatrix(over_int, [[((1, -2), (3, 40))]]).rows == 1
+    with pytest.raises(ValueError, match="is not an element of mat2:int"):
+        RigMatrix(over_int, [[((1, 2),)]])
+    # a matrix rig over a matrix rig asks its base
+    nested = SquareMatrixRig(control, 1)
+    assert RigMatrix(nested, [[((((1, 0), (0, 1)),),)]]).cols == 1
+    for bad in (((((1, 0), (0, 2)),),), (((1, 0), (0, 1)),)):
+        with pytest.raises(ValueError, match="is not an element of mat1:mat2:boolean"):
+            RigMatrix(nested, [[bad]])
 
 
 def test_broken_rig_fails_with_witness():
@@ -503,8 +545,8 @@ def test_global_sections_examples():
 
 def test_global_sections_reports_a_counterexample(monkeypatch):
     # a contraction test that also accepts (1 1) breaks the characterization
-    real = rigs.contraction_le_one
-    monkeypatch.setattr(rigs, "contraction_le_one", lambda a: real(a) or a.entries == ((1, 1),))
+    real = matrices.contraction_le_one
+    monkeypatch.setattr(matrices, "contraction_le_one", lambda a: real(a) or a.entries == ((1, 1),))
     rep = global_sections(1, 2, 1)
     assert not rep.ok
     assert rep.counterexample == IntMatrix([[1, 1]])
