@@ -23,7 +23,6 @@ __all__ = [
     "Record",
     "FrozenRecord",
     "factor",
-    "prime_factors",
     "divisors",
     "mobius",
     "euler_phi",
@@ -286,11 +285,6 @@ def _root(m: int) -> int | None:
         if r**k == m:
             return r
     return None
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct primes dividing n, ascending."""
-    return tuple(p for p, _ in factor(n))
 
 
 @lru_cache(maxsize=None)

@@ -350,17 +350,17 @@ def _cmd_parseval(args):
 
 
 def _cmd_charpoly(args):
-    from . import linalg
+    from . import linalg, matrices
 
-    a = linalg.parse_matrix(args.matrix)
+    a = matrices.parse_matrix(args.matrix)
     p = linalg.charpoly_rev(a)
     return [p.pretty("x")], {"coefficients": list(p.coeffs)}
 
 
 def _cmd_wittclass(args):
-    from . import linalg
+    from . import linalg, matrices
 
-    a = linalg.parse_matrix(args.matrix)
+    a = matrices.parse_matrix(args.matrix)
     w = linalg.witt_class(a)
     return [format_witt(w)], {"result": w.to_pairs()}
 

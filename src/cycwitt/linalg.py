@@ -1,12 +1,8 @@
-"""Exact integer matrix algebra.
+"""Exact integer matrix algebra on ``matrices.IntMatrix``.
 
-The matrices themselves live in ``matrices``: ``RigMatrix`` over any
-``Rig``, with ``mat_compose``, ``direct_sum`` and ``kronecker``, and
-``IntMatrix``, the ``RigMatrix`` over the integers, with
-``parse_matrix``, ``format_matrix`` and the exact test for operator norm
-<= 1, ``contraction_le_one``.  They are imported and re-exported here.
-
-Hermite-normal-form lattices with decidable membership, reversed
+The matrices themselves, with their products, sums, text form and the
+exact test for operator norm <= 1, live in ``matrices``.  This module
+adds Hermite-normal-form lattices with decidable membership, reversed
 characteristic polynomials det(1 - x*A) by Berkowitz's division-free
 algorithm (each Krylov product packed into one big integer by Kronecker
 substitution whenever its entries provably fit 64-bit slots), and
@@ -27,30 +23,15 @@ from itertools import count
 
 from .arith import (FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi,
                     times_cyclotomic)
-from .matrices import (
-    INT, IntMatrix, IntRig, Rig, RigMatrix, contraction_le_one, direct_sum, format_matrix, kronecker,
-    mat_compose, parse_matrix,
-)
+from .matrices import IntMatrix, direct_sum
 from .witt import WittElement
 
 __all__ = [
-    "Rig",
-    "IntRig",
-    "INT",
-    "RigMatrix",
-    "mat_compose",
-    "direct_sum",
-    "kronecker",
-    "IntMatrix",
-    "parse_matrix",
-    "format_matrix",
     "HnfLattice",
     "hnf",
     "charpoly_rev",
-    "contraction_le_one",
     "SpectrumVerdict",
     "spectrum_in_unit_disc",
-    "NotUnitSpectrum",
     "witt_class",
     "companion",
     "companion_blocks",
@@ -87,9 +68,6 @@ class HnfLattice(FrozenRecord):
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
-
-    def includes(self, other: "HnfLattice") -> bool:
-        return all(self.contains(r) for r in other.basis)
 
     def __repr__(self):
         return f"HnfLattice(ambient={self.ambient}, rank={self.rank})"

@@ -225,10 +225,6 @@ class IntMatrix(RigMatrix):
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int, m: int) -> "IntMatrix":
-        return cls([[0] * m for _ in range(n)])
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -253,9 +249,6 @@ class IntMatrix(RigMatrix):
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    direct_sum = direct_sum
-    kron = kronecker
 
     def __repr__(self):
         return f"IntMatrix({format_matrix(self)!r})"

@@ -4,25 +4,23 @@ The carriers here are the rationals and the exact-rational tropical
 carriers [0,1] and [0,inf] with max as addition and ordinary product,
 and ``SquareMatrixRig``, the n-by-n matrices over a base rig, the
 noncommutative control of the law checks.  The matrix core (``Rig``,
-``IntRig``, ``RigMatrix``, ``mat_compose``, ``direct_sum``,
-``kronecker``, ``IntMatrix`` and ``global_sections``) lives in
+``RigMatrix``, ``mat_compose``, ``direct_sum``, ``kronecker``) lives in
 ``matrices``, and the table rigs (``FiniteCRig`` and ``rig_by_name``,
-the one registry of rig names) in ``tables``; both are imported and
-re-exported here.  Each rig has one product kernel, ``compose``.  The
-one shared by ``TropicalUnitRig`` and ``TropicalNonNegRig`` takes the
-largest term, since max never lowers a sum that starts at zero; it
-orders ``Fraction`` terms by integer cross-multiplication, exact because
-their denominators are positive, and builds only the winning product;
-entries of any other type take ``Rig.compose``, the literal fold.  Every
-other carrier kernel (``IntRig``'s dot products among them) folds every
-term, so a bad zero or one still shows.  ``perm_matrix``, ``tau`` and
-``sigma`` are memoized in bounded caches.  The law checkers verify the
-rig axioms, over tables of interned values (exact for operations that
-depend only on the values), and the matrix-category laws (symmetry
-under block swap, centrality of scalars, the interleaving permutation
-that exchanges the two Kronecker orders) either exhaustively or by
-seeded sampling.  The module also enumerates unit groups of matrix
-monoids.
+the one registry of rig names) in ``tables``.  Each rig has one product
+kernel, ``compose``.  The one shared by ``TropicalUnitRig`` and
+``TropicalNonNegRig`` takes the largest term, since max never lowers a
+sum that starts at zero; it orders ``Fraction`` terms by integer
+cross-multiplication, exact because their denominators are positive, and
+builds only the winning product; entries of any other type take
+``Rig.compose``, the literal fold.  Every other carrier kernel
+(``IntRig``'s dot products among them) folds every term, so a bad zero
+or one still shows.  ``perm_matrix``, ``tau`` and ``sigma`` are memoized
+in bounded caches.  The law checkers verify the rig axioms, over tables
+of interned values (exact for operations that depend only on the
+values), and the matrix-category laws (symmetry under block swap,
+centrality of scalars, the interleaving permutation that exchanges the
+two Kronecker orders) either exhaustively or by seeded sampling.  The
+module also enumerates unit groups of matrix monoids.
 """
 
 from __future__ import annotations
@@ -34,24 +32,16 @@ from functools import lru_cache
 from operator import index
 
 from .arith import BudgetExceeded, Record
-from .matrices import (
-    INT, SECTIONS_BUDGET, IntMatrix, IntRig, Rig, RigMatrix, SectionsReport, contraction_le_one,
-    direct_sum, format_matrix, global_sections, kronecker, mat_compose, parse_matrix,
-    signed_subperm_matrices,
-)
-from .tables import ZMOD_BUDGET, FiniteCRig, rig_by_name
+from .matrices import Rig, RigMatrix, direct_sum, kronecker, mat_compose
+from .tables import FiniteCRig
+from .tables import rig_by_name  # read as rigs.rig_by_name by the finite-rigs benchmark
 
 __all__ = [
-    "Rig", "FiniteCRig", "IntRig", "INT", "RationalRig",
-    "TropicalUnitRig", "TropicalNonNegRig", "SquareMatrixRig", "INF",
-    "RigMatrix", "IntMatrix", "parse_matrix", "format_matrix", "contraction_le_one",
-    "identity", "mat_compose", "direct_sum",
-    "kronecker", "oplus", "perm_matrix", "tau", "sigma",
+    "RationalRig", "TropicalUnitRig", "TropicalNonNegRig", "SquareMatrixRig", "INF",
+    "identity", "oplus", "perm_matrix", "tau", "sigma",
     "check_rig_laws", "LawReport",
     "check_prop_laws", "PropLawReport",
-    "gl_enumerate", "global_sections", "SectionsReport",
-    "signed_subperm_matrices", "SECTIONS_BUDGET",
-    "rig_by_name", "ZMOD_BUDGET",
+    "gl_enumerate",
 ]
 
 
@@ -71,7 +61,7 @@ INF = _Inf()
 
 
 # the boolean rig is a table like every finite rig; the old class name
-# stays callable for existing callers
+# stays callable for the finite-rigs benchmark, which reads rigs.BooleanRig
 BooleanRig = FiniteCRig.boolean
 
 

@@ -13,7 +13,7 @@ import math
 from functools import reduce
 
 from .arith import Frozen, IntPolynomial, cyclotomic_poly, euler_phi
-from .witt import WittElement, phi
+from .witt import WittElement
 
 __all__ = [
     "RootMultiset",

@@ -19,7 +19,6 @@ from .arith import FrozenRecord, Record
 from .tables import FiniteCRig
 
 __all__ = [
-    "FiniteCRig",
     "Ideal",
     "ideal_generated",
     "all_ideals",

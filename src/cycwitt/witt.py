@@ -171,13 +171,6 @@ class WittElement(Frozen):
     def to_pairs(self) -> list[list[int]]:
         return [[n, v] for n, v in self.items()]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "WittElement":
-        c = {}
-        for n, v in pairs:
-            c[n] = c.get(n, 0) + v
-        return cls(c)
-
     def __repr__(self):
         if not self._c:
             return "WittElement(0)"

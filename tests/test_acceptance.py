@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cycwitt import cli, lambda_ops, linalg, rigs, roots, spectra, witt
+from cycwitt import cli, lambda_ops, linalg, matrices, roots, spectra, tables, witt
 from cycwitt.arith import (
     euler_phi,
     mobius,
@@ -208,9 +208,9 @@ def test_criterion_08_matrix_bridge():
         if deg[a] + deg[b] <= 8
     ]
     for a, b in pairs:
-        if linalg.witt_class(mats[a].direct_sum(mats[b])) != cls[a] + cls[b]:
+        if linalg.witt_class(matrices.direct_sum(mats[a], mats[b])) != cls[a] + cls[b]:
             bad.append(("sum", a, b))
-        if linalg.witt_class(mats[a].kron(mats[b])) != mul(cls[a], cls[b]):
+        if linalg.witt_class(matrices.kronecker(mats[a], mats[b])) != mul(cls[a], cls[b]):
             bad.append(("product", a, b))
     for ms in multisets:
         for m in range(1, 7):
@@ -228,7 +228,7 @@ def test_criterion_09_global_sections():
     bad = []
     counts = {}
     for shape in [(1, 1), (2, 1), (2, 2), (2, 3)]:
-        rep = rigs.global_sections(*shape, entry_bound=2)
+        rep = matrices.global_sections(*shape, entry_bound=2)
         counts[shape] = len(rep.matrices)
         if not rep.ok:
             bad.append((shape, rep.counterexample))
@@ -244,7 +244,7 @@ def test_criterion_09_global_sections():
 def test_criterion_10_spectrum_suite():
     bad = []
     for n in range(1, 31):
-        r = spectra.FiniteCRig.zmod(n)
+        r = tables.FiniteCRig.zmod(n)
         sp = spectra.spec(r)
         for elems in spectra.all_ideals(r):
             try:
@@ -261,14 +261,14 @@ def test_criterion_10_spectrum_suite():
             missing = sorted(q for q in sp.primes if not (q & s_set))
             if pulled != missing:
                 bad.append(("homeomorphism", n, p))
-    t4 = spectra.FiniteCRig.tropical4()
+    t4 = tables.FiniteCRig.tropical4()
     for elems in spectra.all_ideals(t4):
         try:
             spectra.radical(t4, spectra.Ideal(t4, elems))
         except spectra.RadicalMismatch as exc:
             bad.append(("radical", "tropical4", str(exc)))
     for n in (6, 12):
-        r = spectra.FiniteCRig.zmod(n)
+        r = tables.FiniteCRig.zmod(n)
         for s in r.elements():
             rep = spectra.theorem1_check(r, s)
             if not rep.ok:

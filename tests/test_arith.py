@@ -440,7 +440,7 @@ def test_poly_pretty():
     assert IntPolynomial((0, 2)).pretty("x") == "2*x"
 
 
-_Z6 = rigs.FiniteCRig.zmod(6)
+_Z6 = tables.FiniteCRig.zmod(6)
 # every result class: constructor arguments, then a field and another value for it
 _RECORDS = [
     (witt.ParsevalReport, (12,), "pairs_checked", 1),
@@ -450,7 +450,7 @@ _RECORDS = [
     (lambda_ops.GradedReport, (6, 2, 3), "lambda_checked", 1),
     (rigs.LawReport, ("boolean", True), "cases", 5),
     (rigs.PropLawReport, ("boolean",), "failures", [("law", ())]),
-    (rigs.SectionsReport, (2, 2, 1), "counterexample", linalg.IntMatrix([[2]])),
+    (matrices.SectionsReport, (2, 2, 1), "counterexample", matrices.IntMatrix([[2]])),
     (spectra.Ideal, (_Z6, frozenset({0})), "elements", frozenset({0, 3})),
     (spectra.SpecSpace, (_Z6, ()), "primes", (frozenset({0, 2, 4}),)),
     (spectra.Localization, (_Z6, frozenset({1}), _Z6, {}), "denominators", frozenset({1, 5})),

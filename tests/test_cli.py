@@ -162,7 +162,7 @@ def test_cli_json_random_roundtrip(capsys):
         # "--" keeps expressions with a leading minus out of flag parsing
         code, out, _ = run_cli(capsys, "--json", "mul", "--", format_witt(w), "1")
         assert code == 0
-        assert WittElement.from_pairs(json.loads(out)["result"]) == w
+        assert WittElement(dict(json.loads(out)["result"])) == w
 
 
 def test_cli_gamma_filtration(capsys):
@@ -706,13 +706,13 @@ def test_cli_lambda_budget_boundary(monkeypatch, capsys):
 
 
 def test_cli_cost_check_boundaries(monkeypatch, capsys):
-    from cycwitt import cli, rigs, tables
+    from cycwitt import cli, tables
 
     # the largest accepted sizes, at or above every golden and benchmark size
     assert 1000 * (1000 + 10) <= cli.RAMANUJAN_BUDGET
     taus = {n: len(divisors(n)) for n in (5040, 20000)}
     assert max((t + 12) * t * n for n, t in taus.items()) <= cli.PARSEVAL_BUDGET
-    assert 2 * 1000**2 <= rigs.ZMOD_BUDGET
+    assert 2 * 1000**2 <= tables.ZMOD_BUDGET
     assert cli.MATRIX_BUDGET >= 20  # the largest matrix-bridge dimension
     # gamma-filtration 12 3 in the benchmark, and level and depth up to 12 in the fuzz
     assert len(divisors(12)) ** 2 * (12 + 2) ** 2 <= cli.GAMMA_BUDGET

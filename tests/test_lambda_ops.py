@@ -245,7 +245,7 @@ def test_gamma_filtration_levels():
 def test_gamma_filtration_nested():
     filt = gamma_filtration(12, 4)
     for k in range(filt.depth):
-        assert filt.lattices[k].includes(filt.lattices[k + 1])
+        assert all(map(filt.lattices[k].contains, filt.lattices[k + 1].basis))
 
 
 def test_gamma_filtration_degree_two_generators_suffice_at_4():

@@ -12,25 +12,26 @@ import pytest
 
 import cycwitt
 from cycwitt import linalg
-from cycwitt.arith import IntPolynomial, cyclotomic_poly, euler_phi
+from cycwitt.arith import IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
 from cycwitt.linalg import (
-    IntMatrix,
-    IntRig,
-    NotUnitSpectrum,
-    RigMatrix,
     charpoly_rev,
     companion,
     companion_blocks,
-    contraction_le_one,
-    direct_sum,
-    format_matrix,
     hnf,
-    kronecker,
-    mat_compose,
-    parse_matrix,
     SpectrumVerdict,
     spectrum_in_unit_disc,
     witt_class,
+)
+from cycwitt.matrices import (
+    IntMatrix,
+    IntRig,
+    RigMatrix,
+    contraction_le_one,
+    direct_sum,
+    format_matrix,
+    kronecker,
+    mat_compose,
+    parse_matrix,
 )
 from cycwitt.witt import ONE, frobenius, mul, phi, trace
 
@@ -59,7 +60,7 @@ def test_hnf_idempotent_and_inclusion_antisymmetric():
         lat = hnf(rows, ambient=5)
         assert hnf(lat.basis, ambient=5) == lat
         other = hnf(rows + [[rng.randint(-9, 9) for _ in range(5)]], ambient=5)
-        if lat.includes(other) and other.includes(lat):
+        if all(map(lat.contains, other.basis)) and all(map(other.contains, lat.basis)):
             assert lat == other
 
 
@@ -194,7 +195,7 @@ def _laplace_det(cells):
 
 
 def test_charpoly_examples():
-    assert charpoly_rev(IntMatrix.zeros(3, 3)) == IntPolynomial((1,))
+    assert charpoly_rev(IntMatrix([[0] * 3] * 3)) == IntPolynomial((1,))
     assert charpoly_rev(IntMatrix([[0, 1], [1, 0]])) == IntPolynomial((1, 0, -1))
     c6 = companion(cyclotomic_poly(6))
     assert c6 == IntMatrix([[0, -1], [1, 1]])
@@ -212,7 +213,7 @@ def _singular_matrices(rng):
         yield IntMatrix(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
         cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         yield IntMatrix([row[:-1] + [0] for row in cols])
-    yield IntMatrix.zeros(4, 4)
+    yield IntMatrix([[0] * 4] * 4)
 
 
 def test_charpoly_against_laplace_expansion():
@@ -345,9 +346,9 @@ def test_charpoly_multiplicative_on_blocks():
         a = _dense(rng, 2)
         b = _dense(rng, 3)
         c = _nilpotent(rng, 3)
-        hidden = _permuted(rng, a.direct_sum(b).direct_sum(c))
+        hidden = _permuted(rng, direct_sum(direct_sum(a, b), c))
         assert charpoly_rev(hidden) == charpoly_rev(a) * charpoly_rev(b)
-        assert charpoly_rev(_permuted(rng, b.direct_sum(a))) == charpoly_rev(a) * charpoly_rev(b)
+        assert charpoly_rev(_permuted(rng, direct_sum(b, a))) == charpoly_rev(a) * charpoly_rev(b)
 
 
 def _parent_berkowitz(m) -> list[int]:
@@ -448,7 +449,7 @@ def test_contraction_examples():
     assert not contraction_le_one(IntMatrix([[1, 1]]))
     assert not contraction_le_one(IntMatrix([[1], [1]]))
     assert contraction_le_one(IntMatrix([[0, 1], [-1, 0]]))
-    assert contraction_le_one(IntMatrix.zeros(2, 3))
+    assert contraction_le_one(IntMatrix([[0] * 3] * 2))
     assert not contraction_le_one(IntMatrix([[2]]))
 
 
@@ -497,9 +498,9 @@ LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
         IntMatrix([[0, -1], [1, 3]]),
         IntMatrix([[1, 1], [1, 0]]),
         companion(LEHMER),
-        companion(LEHMER).direct_sum(companion_blocks((3, 4))),
+        direct_sum(companion(LEHMER), companion_blocks((3, 4))),
         companion(IntPolynomial((-1, -1, 0, 1))),  # x^3 - x - 1, smallest Pisot root
-        IntMatrix([[0, 1], [0, 0]]).direct_sum(IntMatrix([[2, 1], [1, 1]])),
+        direct_sum(IntMatrix([[0, 1], [0, 0]]), IntMatrix([[2, 1], [1, 1]])),
     ],
 )
 def test_outside_witness_is_least_growing_trace(a):
@@ -555,13 +556,13 @@ _SPECTRUM_CASES = {
     "conjugate-100": lambda rng: _permuted(rng, direct_sum(
         _conjugated(rng, _block_sum(rng, 50)), _conjugated(rng, _block_sum(rng, 50)))),
     "expanding": lambda rng: _permuted(
-        rng, _block_sum(rng, rng.randint(1, 90)).direct_sum(rng.choice(_EXPANDING))
+        rng, direct_sum(_block_sum(rng, rng.randint(1, 90)), rng.choice(_EXPANDING))
     ),
     "expanding-conjugate": lambda rng: _conjugated(
-        rng, _block_sum(rng, rng.randint(1, 20)).direct_sum(rng.choice(_EXPANDING))
+        rng, direct_sum(_block_sum(rng, rng.randint(1, 20)), rng.choice(_EXPANDING))
     ),
     "nilpotent-padding": lambda rng: _permuted(
-        rng, _block_sum(rng, rng.randint(1, 90)).direct_sum(_nilpotent(rng, rng.randint(2, 10)))
+        rng, direct_sum(_block_sum(rng, rng.randint(1, 90)), _nilpotent(rng, rng.randint(2, 10)))
     ),
     "expanding-nilpotent-conjugate": lambda rng: _conjugated(rng, reduce(direct_sum, [
         _block_sum(rng, 12), rng.choice(_EXPANDING), _nilpotent(rng, 4)])),
@@ -592,8 +593,8 @@ def test_witt_class_examples():
 def test_bridge_small_sample():
     for da, db in itertools.product([(1,), (2, 3), (4,), (6, 1)], repeat=2):
         a, b = companion_blocks(da), companion_blocks(db)
-        assert witt_class(a.direct_sum(b)) == witt_class(a) + witt_class(b)
-        assert witt_class(a.kron(b)) == mul(witt_class(a), witt_class(b))
+        assert witt_class(direct_sum(a, b)) == witt_class(a) + witt_class(b)
+        assert witt_class(kronecker(a, b)) == mul(witt_class(a), witt_class(b))
     a = companion_blocks((4, 3))
     for m in range(1, 7):
         assert witt_class(a**m) == frobenius(m, witt_class(a))
@@ -619,7 +620,7 @@ def test_int_matrix_is_the_rig_matrix_over_the_integers():
             for i in range(a.rows)
         ]
         assert a * b == IntMatrix(want), (a, b)
-        for c in (a * b, a.direct_sum(b), direct_sum(a, b), a.kron(b), kronecker(a, b)):
+        for c in (a * b, direct_sum(a, b), kronecker(a, b)):
             assert type(c) is IntMatrix
         rows = [list(r) for r in a.entries]
         assert a == RigMatrix(IntRig(), rows) and hash(a) == hash(RigMatrix(IntRig(), rows))

@@ -1,10 +1,14 @@
+import ast
 import collections
 import importlib
 import importlib.util
 import itertools
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,35 +18,38 @@ import pytest
 from cycwitt import matrices, rigs
 from cycwitt.arith import BudgetExceeded, IntPolynomial
 from cycwitt.lambda_ops import lambda_series
-from cycwitt.linalg import INT, IntMatrix, contraction_le_one, hnf
-from cycwitt.rigs import (
-    INF,
-    FiniteCRig,
+from cycwitt.linalg import hnf, witt_class
+from cycwitt.matrices import (
+    INT,
+    IntMatrix,
     IntRig,
-    LawReport,
     Rig,
     RigMatrix,
+    contraction_le_one,
+    direct_sum,
+    global_sections,
+    kronecker,
+    mat_compose,
+    signed_subperm_matrices,
+)
+from cycwitt.rigs import (
+    INF,
+    LawReport,
     SquareMatrixRig,
     TropicalNonNegRig,
     TropicalUnitRig,
     check_prop_laws,
     check_rig_laws,
-    direct_sum,
     gl_enumerate,
-    global_sections,
     identity,
-    kronecker,
-    mat_compose,
     oplus,
     perm_matrix,
-    rig_by_name,
     sigma,
-    signed_subperm_matrices,
     tau,
 )
 from cycwitt.roots import RootMultiset
+from cycwitt.tables import FiniteCRig, rig_by_name
 from cycwitt.witt import frobenius, phi
-from cycwitt.linalg import witt_class
 
 SHIPPED = ["boolean", "int", "rational", "tropical-unit", "tropical-nonneg", "zmod:6"]
 
@@ -128,26 +135,75 @@ def test_traced_benchmark_targets_resolve():
     assert spectra.FiniteCRig is rigs.FiniteCRig
 
 
-def test_moved_names_are_one_object_through_every_module():
-    # the matrix core left linalg for matrices and the table rigs left rigs for
-    # tables; each module that held a name re-exports the one definition
-    from cycwitt import linalg, spectra, tables
+_PACKAGE = Path(matrices.__file__).resolve().parent
+_MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
 
-    core = {"Rig", "IntRig", "INT", "RigMatrix", "mat_compose", "direct_sum", "kronecker",
-            "IntMatrix", "parse_matrix", "format_matrix", "contraction_le_one"}
-    assert core < set(matrices.__all__) and core < set(linalg.__all__)
-    assert {"global_sections", "SectionsReport", "signed_subperm_matrices",
-            "SECTIONS_BUDGET"} < set(matrices.__all__)
-    assert set(tables.__all__) == {"FiniteCRig", "rig_by_name", "ZMOD_BUDGET"}
-    for module in (matrices, tables):
-        for name in module.__all__:
+
+def _benchmark_reads():
+    """Every (module, attribute) that perfbench reads on a module it imports
+    from cycwitt, found by scanning its sources without running them."""
+    reads = set()
+    for path in sorted((_PACKAGE.parent.parent / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "cycwitt"
+                   for alias in node.names}
+        reads |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules}
+    return reads
+
+
+def test_each_public_name_has_one_home():
+    # the module that defines a name is the one that lists it and the one
+    # callers import it from
+    homes, foreign = collections.defaultdict(list), []
+    for mod_name in _MODULES:
+        module = importlib.import_module(f"cycwitt.{mod_name}")
+        for name in getattr(module, "__all__", ()):
+            homes[name].append(mod_name)
             obj = getattr(module, name)
-            assert getattr(rigs, name) is obj, name
-            assert name not in core or getattr(linalg, name) is obj, name
-            assert name in rigs.__all__, name
-    assert spectra.FiniteCRig is tables.FiniteCRig and rigs.BooleanRig == tables.FiniteCRig.boolean
+            if callable(obj) and obj.__module__ != module.__name__:
+                foreign.append((mod_name, name))
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+    assert foreign == []
+    # the registry in tables builds the callable carriers from rigs
     for name in ("rational", "tropical-unit", "tropical-nonneg"):
         assert type(rig_by_name(name)).__module__ == "cycwitt.rigs"
+    assert rigs.BooleanRig() == FiniteCRig.boolean()
+
+
+def test_benchmark_reads_resolve_in_a_fresh_interpreter():
+    # a name dropped from a module the benchmark reads fails here rather than
+    # in the benchmark run
+    reads = sorted(_benchmark_reads())
+    assert {"linalg", "rigs", "spectra"} <= {mod_name for mod_name, _ in reads}
+    code = ("import importlib\n"
+            f"reads = {reads!r}\n"
+            "print([f'{m}.{a}' for m, a in reads\n"
+            "       if not hasattr(importlib.import_module('cycwitt.' + m), a)])\n")
+    path = [str(_PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_unused_sibling_imports():
+    # a name imported from a sibling module is run by the importer, or read
+    # through it by the benchmark; otherwise it is a second home for the name
+    read = _benchmark_reads()
+    unused = []
+    for mod_name in _MODULES:
+        tree = ast.parse((_PACKAGE / f"{mod_name}.py").read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(mod_name, name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for name in (alias.asname or alias.name for alias in node.names)
+                   if name not in used and (mod_name, name) not in read]
+    assert unused == []
 
 
 def test_matrix_rig_refuses_an_entry_that_is_not_a_matrix_over_its_base():

@@ -5,9 +5,7 @@ import re
 import pytest
 
 from cycwitt import spectra
-from cycwitt.rigs import rig_by_name
 from cycwitt.spectra import (
-    FiniteCRig,
     Ideal,
     RadicalMismatch,
     SpecSpace,
@@ -20,6 +18,7 @@ from cycwitt.spectra import (
     spec,
     theorem1_check,
 )
+from cycwitt.tables import FiniteCRig, rig_by_name
 
 
 def test_construction_validates_tables():
