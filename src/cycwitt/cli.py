@@ -1,17 +1,15 @@
 """Command-line front end.
 
-Witt elements are written in a small expression grammar::
-
-    expression := ['+'|'-'] term (('+'|'-') term)*
-    term       := [unsigned-integer '*']? 'phi(' positive-integer ')'
-                | unsigned-integer          # a multiple of phi(1)
-
-Whitespace is insignificant.  The printer emits the canonical form
-(terms ascending by index, zero omitted, bare integers for phi(1)
-multiples), and printing then parsing is the identity on canonical
-elements.  Matrices are written 'a,b;c,d'.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 internal error (a cross-check
-or invariant inside the library failed: a bug, not a verdict).
+Each subcommand is one row of ``_COMMANDS``: its arguments, its price (a
+cost check that runs before any work) and where its handler lives.  A
+call imports only its handler's module (``cli_elements`` for the
+Witt-element commands, ``cli_lambda``, ``cli_matrices`` or ``cli_rigs``)
+and what that module imports, so that, without cached bytecode, it
+compiles only the code its subcommand runs.  Witt elements are written in
+the grammar of ``cli_elements``, matrices as 'a,b;c,d'.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 internal error (a
+cross-check or invariant inside the library failed: a bug, not a
+verdict).
 """
 
 from __future__ import annotations
@@ -19,173 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import namedtuple
-from functools import partial
-from typing import TYPE_CHECKING
+from importlib import import_module
 
-# witt and arith are loaded with the package; every other module is imported
-# by the handler that needs it, so a call loads (and, without cached
-# bytecode, compiles) only what its subcommand runs
-from . import witt
-from .arith import BudgetExceeded, NotUnitSpectrum, divisors, euler_phi, join_signed, ramanujan_sum
-from .witt import WittElement
-
-if TYPE_CHECKING:
-    from . import lambda_ops, tables
-
-class ParseError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-def parse_witt(text: str) -> WittElement:
-    """Parse the expression grammar into a canonical element."""
-    i = 0
-    n = len(text)
-    coeffs: dict[int, int] = {}
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def read_int() -> int:
-        nonlocal i
-        start = i
-        while i < n and text[i].isdigit():
-            i += 1
-        if i == start:
-            raise ParseError("expected an integer", start)
-        return int(text[start:i])
-
-    def read_term(sign: int):
-        nonlocal i
-        skip_ws()
-        start = i
-        if i < n and text[i].isdigit():
-            value = read_int()
-            skip_ws()
-            if i < n and text[i] == "*":
-                i += 1
-                skip_ws()
-                idx = read_phi(start)
-                coeffs[idx] = coeffs.get(idx, 0) + sign * value
-            else:
-                coeffs[1] = coeffs.get(1, 0) + sign * value
-        elif text.startswith("phi", i):
-            idx = read_phi(start)
-            coeffs[idx] = coeffs.get(idx, 0) + sign
-        else:
-            raise ParseError("expected a term", i)
-
-    def read_phi(term_start: int) -> int:
-        nonlocal i
-        if not text.startswith("phi", i):
-            raise ParseError("expected 'phi('", i)
-        i += 3
-        skip_ws()
-        if i >= n or text[i] != "(":
-            raise ParseError("expected '(' after 'phi'", i)
-        i += 1
-        skip_ws()
-        idx = read_int()
-        if idx < 1:
-            raise ParseError("phi() index must be a positive integer", term_start)
-        skip_ws()
-        if i >= n or text[i] != ")":
-            raise ParseError("expected ')'", i)
-        i += 1
-        return idx
-
-    skip_ws()
-    if i == n:
-        raise ParseError("empty expression", 0)
-    sign = 1
-    if text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    read_term(sign)
-    skip_ws()
-    while i < n:
-        if text[i] not in "+-":
-            raise ParseError("expected '+' or '-'", i)
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-        read_term(sign)
-        skip_ws()
-    return WittElement(coeffs)
-
-
-def _signed_terms(items, bare_one: bool = True):
-    # (negative, body) pairs; bare_one writes phi(1) multiples as integers
-    for n, c in items:
-        mag = abs(c)
-        if n == 1 and bare_one:
-            body = str(mag)
-        elif mag == 1:
-            body = f"phi({n})"
-        else:
-            body = f"{mag}*phi({n})"
-        yield c < 0, body
-
-
-def format_witt(w: WittElement) -> str:
-    """Canonical text: ascending indices, phi(1) multiples as bare integers."""
-    return join_signed(_signed_terms(w.items()))
-
-
-def format_series(s: lambda_ops.WittSeries) -> str:
-    """Series display with explicit signs, powers of t ascending."""
-
-    def body(k: int, shown: WittElement) -> str:
-        if k == 0:
-            return format_witt(shown)
-        power = "t" if k == 1 else f"t^{k}"
-        items = shown.items()
-        if items == ((1, 1),):
-            return power
-        if len(items) == 1 and items[0][0] == 1:
-            return f"{power}*{items[0][1]}"
-        if len(items) == 1 and items[0][1] == 1:
-            return f"{power}*phi({items[0][0]})"
-        # inside series coefficients the display follows the classical
-        # table: indices descending, phi(1) written explicitly
-        descending = sorted(items, reverse=True)
-        return f"{power}*({join_signed(_signed_terms(descending, bare_one=False))})"
-
-    terms = []
-    for k in range(s.degree + 1):
-        c = s[k]
-        if c.is_zero():
-            continue
-        negative = all(v < 0 for _, v in c.items())
-        terms.append((negative, body(k, -c if negative else c)))
-    return join_signed(terms)
-
-
-def ramanujan_table(rows: list[list[int]]) -> list[str]:
-    """Text lines of a table of Ramanujan sums, rows[n-1][m-1] = c_n(m)."""
-    n_max, m_max = len(rows), len(rows[0])
-    width = max(len(str(v)) for row in rows for v in row)
-    width = max(width, len(str(m_max)))
-    label = "n\\m"
-    label_w = max(len(label), len(str(n_max)))
-    header = f"{label:>{label_w}} |" + "".join(f" {m:>{width}}" for m in range(1, m_max + 1))
-    lines = [header, "-" * len(header)]
-    for n, row in enumerate(rows, start=1):
-        lines.append(f"{n:>{label_w}} |" + "".join(f" {v:>{width}}" for v in row))
-    return lines
-
-
-def _cmd_witt(op: str, args):
-    # op is looked up on witt at call time, so that a wrapper installed on the
-    # module is seen; the index m is an int, every other operand an element
-    keys = args.cmd.arguments
-    operands = [args.m if key == "m:int" else parse_witt(getattr(args, key)) for key in keys]
-    out = getattr(witt, op)(*operands)
-    if isinstance(out, WittElement):
-        return [format_witt(out)], {"result": out.to_pairs()}
-    return [str(out)], {"value": out}
+from .arith import BudgetExceeded, NotUnitSpectrum, divisors, euler_phi
 
 
 # The largest euler_phi(n) whose lambda series the lambda commands expand;
@@ -218,6 +52,8 @@ MATRIX_BUDGET = 100
 
 def _mul_cost(args) -> None:
     # the operands are parsed, which factors nothing, and parsed again to run
+    from .cli_elements import parse_witt
+
     sizes = [len(parse_witt(text).support) for text in (args.a, args.b)]
     if sizes[0] * sizes[1] > MUL_BUDGET:
         raise BudgetExceeded(f"{sizes[0]}*{sizes[1]} basis products", MUL_BUDGET)
@@ -282,204 +118,47 @@ def _matrix_cost(args) -> None:
         raise BudgetExceeded(what, f"{MATRIX_BUDGET}^4")
 
 
-def _lambda_series(n: int) -> lambda_ops.WittSeries:
-    from . import lambda_ops
-
-    return lambda_ops.lambda_series(witt.phi(n), euler_phi(n))
-
-
-def _series_pairs(series: lambda_ops.WittSeries) -> list:
-    return [series[k].to_pairs() for k in range(series.degree + 1)]
-
-
-def _cmd_lambda(args):
-    series = _lambda_series(args.n)
-    return [format_series(series)], {"n": args.n, "coefficients": _series_pairs(series)}
-
-
-def _cmd_lambda_table(args):
-    if args.max < 1:
-        raise ValueError("lambda-table needs max >= 1")
-    table = [(n, _lambda_series(n)) for n in range(1, args.max + 1)]
-    lines = [f"lambda_t(phi({n})) = {format_series(series)}" for n, series in table]
-    obj = {"table": [{"n": n, "coefficients": _series_pairs(series)} for n, series in table]}
-    return lines, obj
-
-
-def _cmd_gamma_filtration(args):
-    from . import lambda_ops
-
-    filt = lambda_ops.gamma_filtration(args.level, args.depth)
-    lines = [
-        f"gamma filtration on the divisor span of {args.level} "
-        f"(divisors {list(filt.divisors)}), depth {args.depth}"
-    ]
-    for k, lat in enumerate(filt.lattices):
-        lines.append(f"I_{k}: rank {lat.rank}")
-        for row in lat.basis:
-            lines.append("  " + str(list(row)))
-    obj = {
-        "level": args.level,
-        "depth": args.depth,
-        "divisors": list(filt.divisors),
-        "lattices": [
-            {"index": k, "rank": lat.rank, "basis": [list(r) for r in lat.basis]}
-            for k, lat in enumerate(filt.lattices)
-        ],
-    }
-    return lines, obj
-
-
-def _cmd_ramanujan(args):
-    if args.n < 1 or args.m_max < 1:
-        raise ValueError("ramanujan needs --n >= 1 and --m-max >= 1")
-    rows = [[ramanujan_sum(n, m) for m in range(1, args.m_max + 1)] for n in range(1, args.n + 1)]
-    obj = {"n_max": args.n, "m_max": args.m_max, "rows": rows}
-    return ramanujan_table(rows), obj
-
-
-def _cmd_parseval(args):
-    report = witt.parseval_check(args.N)
-    obj = {
-        "N": args.N,
-        "ok": report.ok,
-        "pairs_checked": report.pairs_checked,
-        "failures": [[n, m, str(l), str(r)] for n, m, l, r in report.failures],
-    }
-    return [report.summary()], obj, report.ok
-
-
-def _cmd_charpoly(args):
-    from . import linalg, matrices
-
-    a = matrices.parse_matrix(args.matrix)
-    p = linalg.charpoly_rev(a)
-    return [p.pretty("x")], {"coefficients": list(p.coeffs)}
-
-
-def _cmd_wittclass(args):
-    from . import linalg, matrices
-
-    a = matrices.parse_matrix(args.matrix)
-    w = linalg.witt_class(a)
-    return [format_witt(w)], {"result": w.to_pairs()}
-
-
-def _cmd_sections(args):
-    from . import matrices
-
-    report = matrices.global_sections(args.rows, args.cols, args.bound)
-    obj = {
-        "rows": args.rows,
-        "cols": args.cols,
-        "bound": args.bound,
-        "count": len(report.matrices),
-        "ok": report.ok,
-        "matrices": [[list(r) for r in m.entries] for m in report.matrices],
-    }
-    return [report.summary()], obj, report.ok
-
-
-def _load_finite_rig(name: str) -> tables.FiniteCRig:
-    from . import tables
-
-    if name.startswith("file:"):
-        with open(name[5:], encoding="utf-8") as f:
-            return tables.FiniteCRig.from_text(f.read())
-    r = tables.rig_by_name(name)
-    if not isinstance(r, tables.FiniteCRig):
-        raise ValueError(
-            f"unknown finite rig {name!r} (use boolean | zmod:N | tropical4, "
-            f"or load a table file)"
-        )
-    return r
-
-
-def _cmd_spec(args):
-    from . import spectra
-
-    r = _load_finite_rig(args.rig)
-    sp = spectra.spec(r)
-    lines = [f"spec {r.name}: {len(sp.primes)} prime(s)"]
-    lines += ["  " + r.describe(p) for p in sp.primes]
-    obj = {"rig": r.name, "primes": [sorted(p) for p in sp.primes]}
-    return lines, obj
-
-
-def _cmd_radical(args):
-    from . import spectra
-
-    r = _load_finite_rig(args.rig)
-    seed = [r.element_by_name(s.strip()) for s in args.ideal.split(",")] if args.ideal else []
-    ideal = spectra.ideal_generated(r, seed)
-    rad = spectra.radical(r, ideal)
-    lines = [
-        f"radical over {r.name} of ideal {r.describe(ideal.elements)}: "
-        f"{r.describe(rad.elements)} (power test == prime intersection)"
-    ]
-    obj = {
-        "rig": r.name,
-        "ideal": sorted(ideal.elements),
-        "radical": sorted(rad.elements),
-        "agrees": True,
-    }
-    return lines, obj
-
-
-def _cmd_theorem1(args):
-    from . import spectra
-
-    r = _load_finite_rig(args.rig)
-    s = r.element_by_name(args.s)
-    report = spectra.theorem1_check(r, s)
-    obj = {
-        "rig": r.name,
-        "s": s,
-        "ok": report.ok,
-        "opens": [sorted(p) for p in report.opens],
-        "fractions": report.loc_size,
-        "local_families": report.local_families,
-    }
-    return [report.summary()], obj, report.ok
-
-
 # A subcommand.  An argument is written NAME[:int][=DEFAULT]: a --NAME option
-# is required unless it has a default, any other NAME is positional.  main
-# runs the cost check, which raises BudgetExceeded, before the handler; the
-# handler returns its text lines, its JSON object and, for a check, whether
-# it passed.
+# is required unless it has a default, any other NAME is positional.  The
+# handler is named, not imported: run is (module, function, leading
+# arguments...), and main imports the module only to call it.  main runs the
+# cost check, which raises BudgetExceeded, before the handler; the handler
+# returns its text lines, its JSON object and, for a check, whether it passed.
 _Command = namedtuple("_Command", "name help arguments run cost", defaults=(None,))
 
+_ELEMENTS = "cli_elements", "cmd_witt"
 
 _COMMANDS = (
-    _Command("mul", "product of two elements", ("a", "b"), partial(_cmd_witt, "mul"), _mul_cost),
-    _Command("inner", "inner product of two elements", ("a", "b"), partial(_cmd_witt, "inner")),
-    _Command("trace", "trace projection", ("a",), partial(_cmd_witt, "trace")),
-    _Command("f0", "root-count projection", ("a",), partial(_cmd_witt, "f0")),
-    _Command("integral", "coefficient of phi(1)", ("a",), partial(_cmd_witt, "integral")),
-    _Command("frob", "power operator F_m", ("m:int", "a"), partial(_cmd_witt, "frobenius")),
-    _Command("versch", "index multiplication V_m", ("m:int", "a"),
-             partial(_cmd_witt, "verschiebung")),
+    _Command("mul", "product of two elements", ("a", "b"), (*_ELEMENTS, "mul"), _mul_cost),
+    _Command("inner", "inner product of two elements", ("a", "b"), (*_ELEMENTS, "inner")),
+    _Command("trace", "trace projection", ("a",), (*_ELEMENTS, "trace")),
+    _Command("f0", "root-count projection", ("a",), (*_ELEMENTS, "f0")),
+    _Command("integral", "coefficient of phi(1)", ("a",), (*_ELEMENTS, "integral")),
+    _Command("frob", "power operator F_m", ("m:int", "a"), (*_ELEMENTS, "frobenius")),
+    _Command("versch", "index multiplication V_m", ("m:int", "a"), (*_ELEMENTS, "verschiebung")),
     _Command("tm", "trace of F_m (Ramanujan sums on the basis)", ("m:int", "a"),
-             partial(_cmd_witt, "t_m")),
-    _Command("lambda", "lambda_t series of phi(n)", ("n:int",), _cmd_lambda, _lambda_cost),
-    _Command("lambda-table", "lambda_t table for n = 1..max", ("max:int",), _cmd_lambda_table,
-             _lambda_table_cost),
+             (*_ELEMENTS, "t_m")),
+    _Command("lambda", "lambda_t series of phi(n)", ("n:int",), ("cli_lambda", "cmd_lambda"),
+             _lambda_cost),
+    _Command("lambda-table", "lambda_t table for n = 1..max", ("max:int",),
+             ("cli_lambda", "cmd_lambda_table"), _lambda_table_cost),
     _Command("gamma-filtration", "gamma filtration lattices", ("--level:int", "--depth:int"),
-             _cmd_gamma_filtration, _gamma_filtration_cost),
-    _Command("ramanujan", "table of Ramanujan sums", ("--n:int", "--m-max:int"), _cmd_ramanujan,
-             _ramanujan_cost),
-    _Command("parseval", "finite Fourier orthogonality check", ("N:int",), _cmd_parseval,
-             _parseval_cost),
-    _Command("charpoly", "det(1 - x*A) of an integer matrix", ("matrix",), _cmd_charpoly,
-             _matrix_cost),
-    _Command("wittclass", "orbit classes of a unit-spectrum matrix", ("matrix",), _cmd_wittclass,
-             _matrix_cost),
+             ("cli_lambda", "cmd_gamma_filtration"), _gamma_filtration_cost),
+    _Command("ramanujan", "table of Ramanujan sums", ("--n:int", "--m-max:int"),
+             ("cli_elements", "cmd_ramanujan"), _ramanujan_cost),
+    _Command("parseval", "finite Fourier orthogonality check", ("N:int",),
+             ("cli_elements", "cmd_parseval"), _parseval_cost),
+    _Command("charpoly", "det(1 - x*A) of an integer matrix", ("matrix",),
+             ("cli_matrices", "cmd_charpoly"), _matrix_cost),
+    _Command("wittclass", "orbit classes of a unit-spectrum matrix", ("matrix",),
+             ("cli_matrices", "cmd_wittclass"), _matrix_cost),
     _Command("sections", "integer norm-contractions of a shape",
-             ("--rows:int", "--cols:int", "--bound:int=1"), _cmd_sections),
-    _Command("spec", "primes of a finite rig", ("--rig",), _cmd_spec),
-    _Command("radical", "radical of an ideal in a finite rig", ("--rig", "--ideal="), _cmd_radical),
-    _Command("theorem1", "structure sheaf check on a basic open", ("--rig", "--s"), _cmd_theorem1),
+             ("--rows:int", "--cols:int", "--bound:int=1"), ("cli_matrices", "cmd_sections")),
+    _Command("spec", "primes of a finite rig", ("--rig",), ("cli_rigs", "cmd_spec")),
+    _Command("radical", "radical of an ideal in a finite rig", ("--rig", "--ideal="),
+             ("cli_rigs", "cmd_radical")),
+    _Command("theorem1", "structure sheaf check on a basic open", ("--rig", "--s"),
+             ("cli_rigs", "cmd_theorem1")),
 )
 
 
@@ -525,7 +204,9 @@ def main(argv=None) -> int:
     try:
         if args.cmd.cost:
             args.cmd.cost(args)
-        lines, obj, *passed = args.cmd.run(args)
+        module, function, *leading = args.cmd.run
+        run = getattr(import_module(f"{__package__}.{module}"), function)
+        lines, obj, *passed = run(*leading, args)
         if args.json:
             import json
 

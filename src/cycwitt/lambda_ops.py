@@ -40,9 +40,9 @@ import math
 import operator
 from functools import lru_cache
 
-from .arith import (FrozenRecord, Record, cyclotomic_binomials, divisors, euler_phi, factor,
-                    frobenius_basis, ramanujan_sum, times_binomial)
+from .arith import FrozenRecord, Record, divisors, euler_phi, factor, frobenius_basis, ramanujan_sum
 from .linalg import hnf
+from .poly import cyclotomic_binomials, times_binomial
 from .witt import ONE, WittElement, frobenius, mul, phi
 
 __all__ = [

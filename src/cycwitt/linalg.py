@@ -10,7 +10,7 @@ conversion of unit-spectrum integer matrices to Witt classes. By
 Kronecker's theorem an integer matrix whose eigenvalues all lie in the
 closed unit disc has characteristic polynomial x**a times a product of
 cyclotomics, so the class is read off an exact factorization, by series
-division through arith.times_cyclotomic, and a failed factorization
+division through poly.times_cyclotomic, and a failed factorization
 proves an eigenvalue outside the disc.
 """
 
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import operator
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import count
 
-from .arith import (FrozenRecord, IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi,
-                    times_cyclotomic)
-from .matrices import IntMatrix, direct_sum
+from .arith import FrozenRecord, NotUnitSpectrum, euler_phi
+from .matrices import IntMatrix
+from .poly import IntPolynomial, times_cyclotomic
 from .witt import WittElement
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "spectrum_in_unit_disc",
     "witt_class",
     "companion",
-    "companion_blocks",
 ]
 
 
@@ -311,11 +310,3 @@ def companion(p: IntPolynomial) -> IntMatrix:
     for i in range(n):
         rows[i][n - 1] = -p[i]
     return IntMatrix(rows)
-
-
-def companion_blocks(indices) -> IntMatrix:
-    """Direct sum of companion matrices of cyclotomic polynomials."""
-    mats = [companion(cyclotomic_poly(d)) for d in indices]
-    if not mats:
-        raise ValueError("need at least one block")
-    return reduce(direct_sum, mats)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .arith import Frozen, IntPolynomial, cyclotomic_poly, euler_phi
+from .arith import Frozen, cyclotomic_poly, euler_phi
+from .poly import IntPolynomial
 from .witt import WittElement
 
 __all__ = [

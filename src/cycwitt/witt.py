@@ -60,13 +60,14 @@ from .arith import (
     euler_phi,
     factor,
     frobenius_basis,
+    join_signed,
     mobius,
     phi_mu_tables,
     ramanujan_sum,
 )
 
 __all__ = [
-    "WittElement", "phi", "ZERO", "ONE",
+    "WittElement", "phi", "ZERO", "ONE", "format_witt", "signed_terms",
     "basis_mul", "mul",
     "frobenius", "verschiebung", "trace", "t_m", "f0", "integral", "inner",
     "parseval_check", "ParsevalReport",
@@ -156,18 +157,6 @@ class WittElement(Frozen):
             return self * other
         return NotImplemented
 
-    def divexact(self, k: int) -> "WittElement":
-        """Divide every coefficient by k; inexactness is an internal error."""
-        c = {}
-        for n, v in self._c.items():
-            q, r = divmod(v, k)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division of {v}*phi({n}) by {k}: implementation bug"
-                )
-            c[n] = q
-        return WittElement(c)
-
     def to_pairs(self) -> list[list[int]]:
         return [[n, v] for n, v in self.items()]
 
@@ -187,6 +176,25 @@ def phi(n: int) -> WittElement:
 
 ZERO = WittElement()
 ONE = phi(1)
+
+
+def signed_terms(items, bare_one: bool = True):
+    """(negative, body) pairs of (index, coefficient) items for join_signed;
+    bare_one writes phi(1) multiples as integers."""
+    for n, c in items:
+        mag = abs(c)
+        if n == 1 and bare_one:
+            body = str(mag)
+        elif mag == 1:
+            body = f"phi({n})"
+        else:
+            body = f"{mag}*phi({n})"
+        yield c < 0, body
+
+
+def format_witt(w: WittElement) -> str:
+    """Canonical text: ascending indices, phi(1) multiples as bare integers."""
+    return join_signed(signed_terms(w.items()))
 
 
 def _gcd_mul(n: int, m: int, g: int) -> dict[int, int]:

@@ -9,16 +9,10 @@ from hypothesis import given, strategies as st
 
 from cycwitt import lambda_ops, linalg, matrices, rigs, spectra, tables, witt
 from cycwitt.arith import (
-    _BASES,
-    _root,
-    PROVEN_BOUND,
-    RHO_BUDGET,
     TRIAL_LIMIT,
     BudgetExceeded,
     FrozenRecord,
-    IntPolynomial,
     Record,
-    cyclotomic_binomials,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -27,10 +21,11 @@ from cycwitt.arith import (
     mobius,
     phi_mu_tables,
     ramanujan_sum,
-    ramanujan_sum_divisor_form,
-    times_binomial,
-    times_cyclotomic,
 )
+from cycwitt.bigfactor import _BASES, _root, PROVEN_BOUND, RHO_BUDGET
+from cycwitt.poly import IntPolynomial, cyclotomic_binomials, times_binomial, times_cyclotomic
+
+from oracles import ramanujan_sum_divisor_form
 
 
 def naive_factor(n):

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -16,17 +18,11 @@ from hypothesis import given, settings, strategies as st
 import cycwitt
 from cycwitt import spectra
 from cycwitt.arith import BudgetExceeded, divisors, euler_phi
-from cycwitt.cli import (
-    ParseError,
-    _parser_for,
-    build_parser,
-    format_series,
-    format_witt,
-    main,
-    parse_witt,
-)
+from cycwitt.cli import _parser_for, build_parser, main
+from cycwitt.cli_elements import ParseError, parse_witt
+from cycwitt.cli_lambda import format_series
 from cycwitt.lambda_ops import lambda_series
-from cycwitt.witt import ONE, WittElement, phi
+from cycwitt.witt import ONE, WittElement, format_witt, phi
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(cycwitt.__file__).resolve().parent.parent)
@@ -227,8 +223,8 @@ _ZEROS_101 = ";".join([",".join(["0"] * 101)] * 101)
 # 100 x 100 with 10-digit entries (120 KB, within one argument's size limit):
 # Berkowitz on it takes 7-8 s
 _TEN_DIGITS_100 = ";".join([",".join(["-1234567890"] * 100)] * 100)
-# 2^89 - 1 is prime and above arith.PROVEN_BOUND, so factoring refuses it as
-# unproven; (10^13 + 37)*(2*10^13 + 21) is refused past arith.RHO_BUDGET
+# 2^89 - 1 is prime and above bigfactor.PROVEN_BOUND, so factoring refuses it as
+# unproven; (10^13 + 37)*(2*10^13 + 21) is refused past bigfactor.RHO_BUDGET
 _M89 = str(2**89 - 1)
 _UNPROVEN = f"budget exceeded: probable prime {_M89} of factor({_M89}) > 3317044064679887385961980"
 _SEMIPRIME = str((10**13 + 37) * (2 * 10**13 + 21))
@@ -411,7 +407,7 @@ def test_cli_known_faults_exit_2_with_one_error_line(table, argv, message, tmp_p
     start = time.perf_counter()
     proc = run_cli_process(*argv)
     # a refusal comes before the work or, for factoring, at once for a
-    # probable prime above the proven bound and within arith.RHO_BUDGET
+    # probable prime above the proven bound and within bigfactor.RHO_BUDGET
     # squarings (0.4-0.7 s) for a composite rho cannot split
     assert time.perf_counter() - start < 2
     lines = proc.stderr.strip().splitlines()
@@ -448,7 +444,7 @@ def test_cli_trace_of_a_prime_power_index_answers_at_once():
     assert proc.returncode == 0 and proc.stderr == "" and proc.stdout == "0\n"
 
 
-# 2^89 - 1 is a prime above arith.PROVEN_BOUND, which factor refuses (exit 2)
+# 2^89 - 1 is a prime above bigfactor.PROVEN_BOUND, which factor refuses (exit 2)
 _M89 = 2**89 - 1
 
 
@@ -834,48 +830,94 @@ def test_cli_wittclass_outside_disc_in_a_fresh_interpreter():
     ]
 
 
-_BASE = {"cycwitt", "cycwitt.arith", "cycwitt.witt", "cycwitt.cli"}
-_LAMBDA = {"cycwitt.lambda_ops", "cycwitt.linalg", "cycwitt.matrices"}
+# cli itself runs as __main__ and is never imported as cycwitt.cli: a handler
+# module that imported it would compile it a second time
+_BASE = {"cycwitt", "cycwitt.arith"}
+_ELEMENTS = _BASE | {"cycwitt.cli_elements", "cycwitt.witt"}
+_POLY = {"cycwitt.linalg", "cycwitt.matrices", "cycwitt.poly", "cycwitt.witt"}
+_LAMBDA = _BASE | _POLY | {"cycwitt.cli_lambda", "cycwitt.lambda_ops"}
+_LINALG = _BASE | _POLY | {"cycwitt.cli_matrices"}
 # the rig commands load the matrix core and the table rigs, never linalg or
 # rigs, whose carriers build Fraction constants and whose law checkers load random
-_SECTIONS = {"cycwitt.matrices"}
-_SPECTRA = {"cycwitt.matrices", "cycwitt.tables", "cycwitt.spectra"}
+_SECTIONS = _BASE | {"cycwitt.cli_matrices", "cycwitt.matrices"}
+_SPECTRA = _BASE | {"cycwitt.cli_rigs", "cycwitt.matrices", "cycwitt.tables", "cycwitt.spectra"}
 # costly stdlib imports: no call loads dataclasses, inspect, fractions or random
 _STDLIB = ("dataclasses", "inspect", "fractions", "random")
+# 999983 * 1000003 is left to bigfactor by trial division
+_BIG = "phi(999985999949)"
+
+# (id, argv, the cycwitt modules the call loads, a ceiling about 10 % over
+# the code tokens of cli.py and those modules)
+_CALLS = [
+    ("import", [], _BASE, 2700),
+    ("mul", ["mul", "phi(4)", "phi(6)"], _ELEMENTS, 6000),
+    ("trace-json", ["--json", "trace", "2*phi(12) - 1"], _ELEMENTS, 6000),
+    ("trace-big", ["trace", _BIG], _ELEMENTS | {"cycwitt.bigfactor"}, 6700),
+    ("ramanujan", ["ramanujan", "--n", "3", "--m-max", "3"], _ELEMENTS, 6000),
+    ("parseval", ["parseval", "12"], _ELEMENTS, 6000),
+    ("charpoly", ["charpoly", "0,-1;1,1"], _LINALG, 10200),
+    ("wittclass", ["wittclass", "0,-1;1,3"], _LINALG, 10200),
+    ("lambda", ["lambda", "6"], _LAMBDA, 13400),
+    ("gamma-filtration", ["gamma-filtration", "--level", "6", "--depth", "2"], _LAMBDA, 13400),
+    ("sections", ["sections", "--rows", "1", "--cols", "1"], _SECTIONS, 5100),
+    ("spec", ["spec", "--rig", "zmod:6"], _SPECTRA, 9500),
+    ("radical", ["radical", "--rig", "zmod:8", "--ideal", "4"], _SPECTRA, 9500),
+    ("theorem1", ["theorem1", "--rig", "zmod:6", "--s", "2"], _SPECTRA, 9500),
+]
 
 
-@pytest.mark.parametrize(
-    "argv,loaded",
-    [
-        ([], _BASE),
-        (["mul", "phi(4)", "phi(6)"], _BASE),
-        (["--json", "trace", "2*phi(12) - 1"], _BASE),
-        (["ramanujan", "--n", "3", "--m-max", "3"], _BASE),
-        (["parseval", "12"], _BASE),
-        (["charpoly", "0,-1;1,1"], _BASE | {"cycwitt.linalg", "cycwitt.matrices"}),
-        (["wittclass", "0,-1;1,3"], _BASE | {"cycwitt.linalg", "cycwitt.matrices"}),
-        (["lambda", "6"], _BASE | _LAMBDA),
-        (["gamma-filtration", "--level", "6", "--depth", "2"], _BASE | _LAMBDA),
-        (["sections", "--rows", "1", "--cols", "1"], _BASE | _SECTIONS),
-        (["spec", "--rig", "zmod:6"], _BASE | _SPECTRA),
-        (["radical", "--rig", "zmod:8", "--ideal", "4"], _BASE | _SPECTRA),
-        (["theorem1", "--rig", "zmod:6", "--s", "2"], _BASE | _SPECTRA),
-    ],
-    ids=["import", "mul", "trace-json", "ramanujan", "parseval", "charpoly", "wittclass",
-         "lambda", "gamma-filtration", "sections", "spec", "radical", "theorem1"],
-)
-def test_cli_call_loads_only_the_modules_its_subcommand_runs(argv, loaded):
-    # a fresh interpreter, since pytest has imported every module here, and
-    # without site, whose .pth files may import more (one that loads tempfile
-    # loads random)
-    code = "import contextlib, io, sys\nimport cycwitt.cli\n"
-    if argv:
-        code += "with contextlib.redirect_stdout(io.StringIO()):\n"
-        code += f"    cycwitt.cli.main({argv!r})\n"
-    code += f"print(*sorted(m for m in sys.modules if m.startswith('cycwitt') or m in {_STDLIB}))\n"
+@functools.lru_cache(maxsize=None)
+def _fresh_call(argv: tuple) -> dict:
+    """{module: source file} of the cycwitt modules, and the names of the
+    _STDLIB modules, that `python -m cycwitt.cli ARGV` loads besides cli.
+    The interpreter is fresh, since pytest has imported every module here,
+    and runs without site, whose .pth files may import more (one that loads
+    tempfile loads random)."""
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['cycwitt', *{list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('cycwitt.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "for m in sorted(sys.modules):\n"
+    )
+    code += f"    if m.startswith('cycwitt') or m in {_STDLIB}:\n"
+    code += "        print(m, sys.modules[m].__file__)\n"
     proc = run_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == loaded
+    return dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+
+
+_LAYOUT = {tokenize.COMMENT, tokenize.STRING, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_tokens(path: str) -> int:
+    """The tokens of a source file other than comments, strings and layout,
+    an f-string counted as a string on every Python version."""
+    count = depth = 0
+    with open(path, "rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            kind = tokenize.tok_name[tok.type]
+            depth += (kind == "FSTRING_START") - (kind == "FSTRING_END")
+            count += not depth and kind != "FSTRING_END" and tok.type not in _LAYOUT
+    return count
+
+
+@pytest.mark.parametrize("argv,loaded", [c[1:3] for c in _CALLS], ids=[c[0] for c in _CALLS])
+def test_cli_call_loads_only_the_modules_its_subcommand_runs(argv, loaded):
+    assert set(_fresh_call(tuple(argv))) == loaded
+
+
+@pytest.mark.parametrize("argv,ceiling", [(c[1], c[3]) for c in _CALLS],
+                         ids=[c[0] for c in _CALLS])
+def test_cli_call_compiles_at_most_its_token_budget(argv, ceiling):
+    # without cached bytecode every module a call loads is compiled, at a cost
+    # that grows with its code tokens
+    files = [f for m, f in _fresh_call(tuple(argv)).items() if m.startswith("cycwitt")]
+    assert sum(map(_code_tokens, files + [str(Path(SRC, "cycwitt", "cli.py"))])) <= ceiling
 
 
 def test_tracing_targets_resolve_once_the_session_modules_are_imported():
@@ -902,6 +944,64 @@ def test_tracing_targets_resolve_once_the_session_modules_are_imported():
     assert len(targets) >= 20 and ("rigs", "mat_compose") in targets
     proc = run_python("-c", code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+# Each session workload imports these modules in its set-up and then runs
+# calls of these kinds in timed tasks; lazy loading must not reach a task.
+_SESSIONS = {
+    "witt-algebra": (
+        "from cycwitt import lambda_ops, roots, witt",
+        "a = witt.WittElement({4: 2, 6: -1, 9: 3})\n"
+        "witt.mul(a, a)\n"
+        "witt.frobenius(6, a)\n"
+        "lambda_ops.lambda_series(witt.phi(12), 4)\n"
+        "lambda_ops.gamma_filtration(12, 2)\n"
+        "lambda_ops.graded_frobenius_check(12, 1, 2)\n",
+    ),
+    "matrix-bridge": (
+        "from cycwitt import linalg",
+        "linalg.charpoly_rev(linalg.IntMatrix([[0, -1], [1, 1]]))\n"
+        "linalg.witt_class(linalg.IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]]))\n"
+        "try:\n"
+        "    linalg.witt_class(linalg.IntMatrix([[0, -1], [1, 3]]))\n"
+        "except linalg.NotUnitSpectrum:\n"
+        "    pass\n",
+    ),
+    "finite-rigs": (
+        "from cycwitt import rigs, spectra",
+        "for name in ('boolean', 'zmod:6', 'tropical-unit', 'tropical-nonneg', 'int'):\n"
+        "    rigs.check_rig_laws(rigs.rig_by_name(name), budget=8)\n"
+        "    rigs.check_prop_laws(rigs.rig_by_name(name), max_rows=1, max_cols=1, samples=1)\n"
+        "r = spectra.FiniteCRig.zmod(12)\n"
+        "spectra.spec(r)\n"
+        "spectra.radical(r, spectra.ideal_generated(r, [4]))\n"
+        "spectra.localize(r, frozenset({1, 5, 7, 11}))\n"
+        "spectra.theorem1_check(r, 2)\n"
+        "spectra.theorem1_check(spectra.FiniteCRig.tropical4(), 2)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("imports,calls", _SESSIONS.values(), ids=_SESSIONS)
+def test_session_tasks_import_no_module_their_set_up_did_not(imports, calls):
+    code = f"import sys\n{imports}\nbefore = set(sys.modules)\n{calls}"
+    code += "print(sorted(m for m in set(sys.modules) - before if m.startswith('cycwitt')))\n"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule_and_names_resolve_to_their_homes():
+    code = "import sys, cycwitt\nprint(sorted(m for m in sys.modules if m.startswith('cycwitt')))\n"
+    proc = run_python("-S", "-c", code)
+    assert proc.returncode == 0 and proc.stdout == "['cycwitt']\n", proc.stderr
+    for name in cycwitt.__all__:
+        obj = getattr(cycwitt, name)
+        if name != "__version__":
+            home = sys.modules[f"cycwitt.{cycwitt._HOMES[name]}"]
+            assert obj is getattr(home, name) and name in home.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        cycwitt.nothing
 
 
 def test_cli_unknown_rig(capsys):

@@ -12,11 +12,10 @@ import pytest
 
 import cycwitt
 from cycwitt import linalg
-from cycwitt.arith import IntPolynomial, NotUnitSpectrum, cyclotomic_poly, euler_phi
+from cycwitt.arith import NotUnitSpectrum, cyclotomic_poly, euler_phi
 from cycwitt.linalg import (
     charpoly_rev,
     companion,
-    companion_blocks,
     hnf,
     SpectrumVerdict,
     spectrum_in_unit_disc,
@@ -33,7 +32,10 @@ from cycwitt.matrices import (
     mat_compose,
     parse_matrix,
 )
+from cycwitt.poly import IntPolynomial
 from cycwitt.witt import ONE, frobenius, mul, phi, trace
+
+from oracles import companion_blocks
 
 SRC = str(Path(cycwitt.__file__).resolve().parent.parent)
 
@@ -631,8 +633,9 @@ def test_int_matrix_is_the_rig_matrix_over_the_integers():
 
 
 def test_linalg_does_not_import_rigs():
-    # rigs imports linalg; the reverse would make every user of integer
-    # matrices or the Witt ring load and compile rig code it never runs
+    # linalg and rigs share only the matrix core in matrices; an import of
+    # rigs here would make every user of integer matrices or the Witt ring
+    # load and compile rig code it never runs
     code = (
         "import sys, cycwitt.linalg, cycwitt.lambda_ops\n"
         "print('cycwitt.rigs' in sys.modules)\n"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cycwitt import matrices, rigs
-from cycwitt.arith import BudgetExceeded, IntPolynomial
+from cycwitt.arith import BudgetExceeded
 from cycwitt.lambda_ops import lambda_series
 from cycwitt.linalg import hnf, witt_class
 from cycwitt.matrices import (
@@ -32,6 +32,7 @@ from cycwitt.matrices import (
     mat_compose,
     signed_subperm_matrices,
 )
+from cycwitt.poly import IntPolynomial
 from cycwitt.rigs import (
     INF,
     LawReport,
