@@ -28,7 +28,6 @@ __all__ = [
     "euler_phi",
     "frobenius_basis",
     "ramanujan_sum",
-    "phi_mu_tables",
     "cyclotomic_poly",
     "join_signed",
 ]
@@ -227,27 +226,6 @@ def ramanujan_sum(n: int, m: int) -> int:
         raise ValueError(f"ramanujan_sum() requires m >= 0, got {m}")
     k, q = frobenius_basis(m, n)
     return mobius(k) * q
-
-
-def phi_mu_tables(limit: int) -> tuple[list[int], list[int]]:
-    """Sieve euler_phi and mobius for all 1 <= n <= limit.
-
-    Returns (phi, mu) lists indexed by n (index 0 unused).
-    """
-    phi = list(range(limit + 1))
-    mu = [1] * (limit + 1)
-    spf = [0] * (limit + 1)  # smallest prime factor
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            for j in range(i, limit + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
-    for i in range(2, limit + 1):
-        p = spf[i]
-        j = i // p
-        phi[i] = phi[j] * p if j % p == 0 else phi[j] * (p - 1)
-        mu[i] = 0 if j % p == 0 else -mu[j]
-    return phi, mu
 
 
 def join_signed(terms) -> str:

@@ -243,6 +243,24 @@ def _gamma_from_lambda(col: list[int], degree: int) -> list[int]:
     return out
 
 
+# Unbounded, like the arith caches: an entry is bound + 1 integers, and the
+# keys a process meets are the (d/gcd(d, c), euler_phi(d)) pairs of the levels
+# it filters, at a handful of bounds.
+@lru_cache(maxsize=None)
+def _atom_column(q: int, f: int, bound: int) -> tuple[int, ...]:
+    """t_1 of gamma_t((f/euler_phi(q)) phi(q) - f) to degree bound.
+
+    This is coordinate c of gamma_t(phi(d) - euler_phi(d)) for q = d/gcd(d, c)
+    and f = euler_phi(d): t_c = t_1 o F_c, F_c commutes with gamma_t (it is a
+    lambda-ring map), and F_c sends phi(d) - f to (f/euler_phi(q)) phi(q) - f,
+    since frobenius_basis(c, d) = (q, f/euler_phi(q)).  So every level's gamma
+    filtration reads the same column for the same key, computed once per
+    process.
+    """
+    col = _trace_lambda(phi(q) * (f // euler_phi(q)) - ONE * f, bound, (1,))[0]
+    return tuple(_gamma_from_lambda(col, bound))
+
+
 def _series(cols: list[list[int]], coords: _TraceCoords) -> WittSeries:
     return WittSeries([_unvec(v, coords.ds) for v in coords.solve(zip(*cols))])
 
@@ -334,11 +352,12 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
 
     All of it runs in the trace coordinates over divisors(N), where a
     product is pointwise.  Coordinate c of gamma_t(phi(d) - euler_phi(d))
-    depends only on d/gcd(d, c) and euler_phi(d), so each distinct column
-    is computed once.  The trace map is injective and Z-linear, so a
-    Hermite basis there spans the image of the same lattice; its rows map
-    back exactly, and a second Hermite form in phi coordinates gives the
-    unique basis.
+    depends only on d/gcd(d, c) and euler_phi(d), so every atom is read
+    from _atom_column, which computes each distinct column once per
+    process, whatever level first asks for it.  The trace map is injective
+    and Z-linear, so a Hermite basis there spans the image of the same
+    lattice; its rows map back exactly, and a second Hermite form in phi
+    coordinates gives the unique basis.
     """
     bound = monomial_bound if monomial_bound is not None else depth + 2
     if N < 1 or depth < 1 or bound < 0:
@@ -351,14 +370,11 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
 
     coords = _trace_coords(N)
     atoms: dict[int, list[list[int]]] = {e: [] for e in range(1, bound + 1)}  # gamma^e(b)
-    cols: dict[tuple[int, int], list[int]] = {}  # t_c(gamma_t(b)) by (d/gcd(d, c), euler_phi(d))
-    for d, b in zip(ds[1:], basis):
-        keys = [(d // math.gcd(d, c), euler_phi(d)) for c in ds]
-        new = {key: c for key, c in zip(keys, ds) if key not in cols}
-        for key, col in zip(new, _trace_lambda(b, bound, tuple(new.values()))):
-            cols[key] = _gamma_from_lambda(col, bound)
+    for d in ds[1:]:
+        f = euler_phi(d)
+        cols = [_atom_column(d // math.gcd(d, c), f, bound) for c in ds]  # t_c(gamma_t(phi(d) - f))
         for e in atoms:
-            v = [-cols[key][e] if e % 2 else cols[key][e] for key in keys]
+            v = [-col[e] if e % 2 else col[e] for col in cols]
             if any(v):
                 atoms[e].append(v)
     spans = [[[1] * r]]  # spans[t]: Hermite basis of S_t, in trace coordinates

@@ -77,7 +77,9 @@ def hnf(generators, ambient: int | None = None) -> HnfLattice:
 
     Distinct nonzero generators are kept once, in first-seen order.  Per
     column, Euclid runs among the rows nonzero there until one is left, the
-    pivot; rows it zeroes wait for the next column, or leave if all zero.
+    pivot; rows it zeroes go back to the pending rows untested, since one
+    that became all zero is nonzero in no later column, never pivots and
+    drops out at the end.
     The Hermite form of a lattice is unique (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4.2), so any elimination order gives this basis.
     """
@@ -103,10 +105,7 @@ def hnf(generators, ambient: int | None = None) -> HnfLattice:
                 if row is not piv:
                     q = row[col] // p
                     row = [a - q * b for a, b in zip(row, piv)]
-                    if row[col]:
-                        rest.append(row)
-                    elif any(row):
-                        live.append(row)
+                    (rest if row[col] else live).append(row)
             nz = rest
         piv = nz[0] if nz[0][col] > 0 else [-x for x in nz[0]]
         for i, row in enumerate(basis):

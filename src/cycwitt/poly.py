@@ -12,6 +12,8 @@ so it lives apart from ``arith``, which every computation loads.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .arith import Frozen, divisors, join_signed, mobius
 
 __all__ = ["IntPolynomial", "times_binomial", "cyclotomic_binomials", "times_cyclotomic"]
@@ -144,15 +146,23 @@ def times_binomial(col: list[int], e: int, k: int) -> list[int]:
     return out
 
 
+# Unbounded, like the arith caches: an entry is a few small int pairs, and a
+# process meets only the n whose Phi_n it factors or whose lambda coordinates
+# it reads.
+@lru_cache(maxsize=None)
+def _cyclotomic_factors(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((d, mu) for d in divisors(n) if (mu := mobius(n // d)))
+
+
 def cyclotomic_binomials(n: int, top: int):
     """The (d, mobius(n/d)) with d | n, d <= top and mobius(n/d) != 0, d
     ascending: reversed Phi_n is the product of (1 - t**d)**mobius(n/d) over
-    d | n, and a factor with d > top is 1 to degree top."""
-    for d in divisors(n):
+    d | n, and a factor with d > top is 1 to degree top.  The factors of each
+    n are listed once per process, as a tuple keyed by n."""
+    for d, mu in _cyclotomic_factors(n):
         if d > top:
             break
-        if mu := mobius(n // d):
-            yield d, mu
+        yield d, mu
 
 
 def times_cyclotomic(col: list[int], n: int, k: int) -> list[int]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cycwitt import cli, lambda_ops, linalg, matrices, roots, spectra, tables, witt
+from cycwitt import characters, cli, lambda_ops, linalg, matrices, roots, spectra, tables, witt
 from cycwitt.arith import (
     euler_phi,
     mobius,
@@ -172,7 +172,7 @@ def test_criterion_06_finite_parseval():
 
 def test_criterion_07_zeta_truncations():
     t0 = time.perf_counter()
-    reports = [witt.zeta_partial_check(m, 3, 100_000, 1e-3) for m in (1, 6, 12)]
+    reports = [characters.zeta_partial_check(m, 3, 100_000, 1e-3) for m in (1, 6, 12)]
     elapsed = time.perf_counter() - t0
     ok = all(r.ok for r in reports) and elapsed < 30.0
     detail = "; ".join(f"m={r.m} |diff|={r.difference:.2e}" for r in reports)
@@ -303,7 +303,7 @@ def test_criterion_12_hom_classification():
     bad = []
     for p in (2, 3, 5):
         for k in (1, 2, 3):
-            homs = witt.hom_classify(p**k)  # raises if a character breaks a product
+            homs = characters.hom_classify(p**k)  # raises if a character breaks a product
             if len(homs) != k + 1:
                 bad.append((p, k, len(homs)))
             expected = set()

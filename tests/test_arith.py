@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cycwitt import lambda_ops, linalg, matrices, rigs, spectra, tables, witt
+from cycwitt import characters, lambda_ops, linalg, matrices, rigs, spectra, tables, witt
 from cycwitt.arith import (
     TRIAL_LIMIT,
     BudgetExceeded,
@@ -19,9 +19,9 @@ from cycwitt.arith import (
     factor,
     frobenius_basis,
     mobius,
-    phi_mu_tables,
     ramanujan_sum,
 )
+from cycwitt.characters import phi_mu_tables
 from cycwitt.bigfactor import _BASES, _root, PROVEN_BOUND, RHO_BUDGET
 from cycwitt.poly import IntPolynomial, cyclotomic_binomials, times_binomial, times_cyclotomic
 
@@ -439,7 +439,7 @@ _Z6 = tables.FiniteCRig.zmod(6)
 # every result class: constructor arguments, then a field and another value for it
 _RECORDS = [
     (witt.ParsevalReport, (12,), "pairs_checked", 1),
-    (witt.ZetaReport, (2, 3, 100, 1e-6, 0.5, 0.5, 1e-4), "tol", 1e-9),
+    (characters.ZetaReport, (2, 3, 100, 1e-6, 0.5, 0.5, 1e-4), "tol", 1e-9),
     (linalg.SpectrumVerdict, ("unit_roots", ((1, 2),), 1), "witness", (1, 3)),
     (lambda_ops.GammaFiltration, (6, 2, (1, 2, 3, 6), []), "depth", 3),
     (lambda_ops.GradedReport, (6, 2, 3), "lambda_checked", 1),
@@ -506,7 +506,7 @@ def test_record_constructor_refusals(cls, args, name, other):
 
 
 _LIBRARY_RECORDS = [
-    cls for mod in (witt, linalg, lambda_ops, matrices, rigs, tables, spectra)
+    cls for mod in (witt, characters, linalg, lambda_ops, matrices, rigs, tables, spectra)
     for cls in vars(mod).values()
     if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
 ]

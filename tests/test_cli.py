@@ -849,20 +849,20 @@ _BIG = "phi(999985999949)"
 # (id, argv, the cycwitt modules the call loads, a ceiling about 10 % over
 # the code tokens of cli.py and those modules)
 _CALLS = [
-    ("import", [], _BASE, 2700),
-    ("mul", ["mul", "phi(4)", "phi(6)"], _ELEMENTS, 6000),
-    ("trace-json", ["--json", "trace", "2*phi(12) - 1"], _ELEMENTS, 6000),
-    ("trace-big", ["trace", _BIG], _ELEMENTS | {"cycwitt.bigfactor"}, 6700),
-    ("ramanujan", ["ramanujan", "--n", "3", "--m-max", "3"], _ELEMENTS, 6000),
-    ("parseval", ["parseval", "12"], _ELEMENTS, 6000),
-    ("charpoly", ["charpoly", "0,-1;1,1"], _LINALG, 10200),
-    ("wittclass", ["wittclass", "0,-1;1,3"], _LINALG, 10200),
-    ("lambda", ["lambda", "6"], _LAMBDA, 13400),
-    ("gamma-filtration", ["gamma-filtration", "--level", "6", "--depth", "2"], _LAMBDA, 13400),
-    ("sections", ["sections", "--rows", "1", "--cols", "1"], _SECTIONS, 5100),
-    ("spec", ["spec", "--rig", "zmod:6"], _SPECTRA, 9500),
-    ("radical", ["radical", "--rig", "zmod:8", "--ideal", "4"], _SPECTRA, 9500),
-    ("theorem1", ["theorem1", "--rig", "zmod:6", "--s", "2"], _SPECTRA, 9500),
+    ("import", [], _BASE, 2500),
+    ("mul", ["mul", "phi(4)", "phi(6)"], _ELEMENTS, 5200),
+    ("trace-json", ["--json", "trace", "2*phi(12) - 1"], _ELEMENTS, 5200),
+    ("trace-big", ["trace", _BIG], _ELEMENTS | {"cycwitt.bigfactor"}, 5900),
+    ("ramanujan", ["ramanujan", "--n", "3", "--m-max", "3"], _ELEMENTS, 5200),
+    ("parseval", ["parseval", "12"], _ELEMENTS, 5200),
+    ("charpoly", ["charpoly", "0,-1;1,1"], _LINALG, 9500),
+    ("wittclass", ["wittclass", "0,-1;1,3"], _LINALG, 9500),
+    ("lambda", ["lambda", "6"], _LAMBDA, 12700),
+    ("gamma-filtration", ["gamma-filtration", "--level", "6", "--depth", "2"], _LAMBDA, 12700),
+    ("sections", ["sections", "--rows", "1", "--cols", "1"], _SECTIONS, 4900),
+    ("spec", ["spec", "--rig", "zmod:6"], _SPECTRA, 9300),
+    ("radical", ["radical", "--rig", "zmod:8", "--ideal", "4"], _SPECTRA, 9300),
+    ("theorem1", ["theorem1", "--rig", "zmod:6", "--s", "2"], _SPECTRA, 9300),
 ]
 
 

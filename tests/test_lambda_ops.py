@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from cycwitt import roots
+from cycwitt import poly, roots
 from cycwitt.arith import Record, cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
     GammaFiltration,
     WittSeries,
+    _atom_column,
     _gamma_from_lambda,
     _level,
     _trace_coords,
@@ -401,6 +402,26 @@ def test_trace_coordinate_is_cyclotomic_power(n):
         for _ in range(top // euler_phi(m)):
             expected = expected * cyclotomic_poly(m).reversed_coeffs()
         assert col == [expected[k] for k in range(top + 1)], (n, d)
+
+
+def test_atom_column_is_the_direct_gamma_coordinate():
+    # coordinate c of gamma_t(phi(d) - euler_phi(d)), computed for that d and
+    # c, against the cached column of its key, cold; every d, c | N for N <= 60
+    # covers the filtration levels of the witt-algebra benchmark (12 ... 60)
+    _atom_column.cache_clear()
+    pairs = sorted({(d, c) for n in range(1, 61) for d in divisors(n) for c in divisors(n)})
+    assert len(pairs) > 500
+    for d, c in pairs:
+        b = phi(d) - ONE * euler_phi(d)
+        for bound in range(6):
+            direct = _gamma_from_lambda(_trace_lambda(b, bound, (c,))[0], bound)
+            col = _atom_column(d // math.gcd(d, c), euler_phi(d), bound)
+            # a cached list that a caller mutated would corrupt every later call
+            assert type(col) is tuple and col == tuple(direct), (d, c, bound)
+    assert _atom_column.cache_info().hits > 0
+    factors = poly._cyclotomic_factors(12)
+    assert type(factors) is tuple and factors == ((2, 1), (4, -1), (6, -1), (12, 1))
+    assert all(type(pair) is tuple for pair in factors)
 
 
 @pytest.mark.parametrize("level", (1, 2, 12, 30, 60, 97, 360, 30030))

@@ -165,7 +165,7 @@ def test_hnf_matches_oneshot_elimination():
 
 @pytest.mark.parametrize("level,depth", [(60, 2), (48, 3)])
 def test_hnf_matches_oneshot_on_gamma_filtration_spans(level, depth, monkeypatch):
-    from cycwitt import lambda_ops
+    from cycwitt import lambda_ops, poly
 
     inputs = []
 
@@ -175,10 +175,21 @@ def test_hnf_matches_oneshot_on_gamma_filtration_spans(level, depth, monkeypatch
         return hnf(gens, ambient)
 
     monkeypatch.setattr(lambda_ops, "hnf", recording)
+    lambda_ops._atom_column.cache_clear()
+    poly._cyclotomic_factors.cache_clear()
     lambda_ops.gamma_filtration(level, depth)
     assert len(inputs) > depth
     for gens, ambient in inputs:
         assert hnf(gens, ambient) == _oneshot_hnf(gens, ambient)
+    # the same hnf work once filtrations at other levels have filled the
+    # column and factor caches: every column of the level is one of 2*level
+    cold = inputs[:]
+    for other in (12, 2 * level):
+        lambda_ops.gamma_filtration(other, depth)
+    misses = lambda_ops._atom_column.cache_info().misses
+    inputs.clear()
+    lambda_ops.gamma_filtration(level, depth)
+    assert lambda_ops._atom_column.cache_info().misses == misses and inputs == cold
 
 
 def _laplace_det(cells):

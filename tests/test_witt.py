@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycwitt import roots, witt
+from cycwitt import characters, roots, witt
 from cycwitt.arith import euler_phi, factor, mobius, ramanujan_sum
 from cycwitt.witt import (
     ONE,
@@ -13,7 +13,6 @@ from cycwitt.witt import (
     basis_mul,
     f0,
     frobenius,
-    hom_classify,
     inner,
     integral,
     mul,
@@ -22,8 +21,8 @@ from cycwitt.witt import (
     t_m,
     trace,
     verschiebung,
-    zeta_partial_check,
 )
+from cycwitt.characters import hom_classify, zeta_partial_check
 
 elements = st.dictionaries(
     st.integers(min_value=1, max_value=36),
@@ -376,9 +375,9 @@ def test_hom_classify_matches_hand_table(p):
 def test_hom_classify_raises_on_a_solution_that_breaks_a_product(monkeypatch):
     # a wrong phi(9)*phi(9) makes every solution a non-homomorphism, as a
     # solver fault would make one; the check names it instead of dropping it
-    real = witt.basis_mul
+    real = characters.basis_mul
     monkeypatch.setattr(
-        witt, "basis_mul", lambda n, m: real(n, m) + ONE if n == m == 9 else real(n, m)
+        characters, "basis_mul", lambda n, m: real(n, m) + ONE if n == m == 9 else real(n, m)
     )
     with pytest.raises(
         ArithmeticError,
@@ -388,14 +387,14 @@ def test_hom_classify_raises_on_a_solution_that_breaks_a_product(monkeypatch):
 
 
 def test_hom_classify_raises_on_a_product_outside_the_level_or_equal_characters(monkeypatch):
-    real_mul, real_sum = witt.basis_mul, witt.ramanujan_sum
+    real_mul, real_sum = characters.basis_mul, characters.ramanujan_sum
     with monkeypatch.context() as m:
-        m.setattr(witt, "basis_mul", lambda n, k: phi(5) if n == k == 2 else real_mul(n, k))
+        m.setattr(characters, "basis_mul", lambda n, k: phi(5) if n == k == 2 else real_mul(n, k))
         leaves = r"N=4: phi\(2\)\*phi\(2\) = .* leaves the level"
         with pytest.raises(ArithmeticError, match=leaves):
             hom_classify(4)
     # every t_d read as t_1: each respects every product, but they coincide
-    monkeypatch.setattr(witt, "ramanujan_sum", lambda n, d: real_sum(n, 1))
+    monkeypatch.setattr(characters, "ramanujan_sum", lambda n, d: real_sum(n, 1))
     with pytest.raises(ArithmeticError, match=r"N=4: .* are not 3 distinct unital maps"):
         hom_classify(4)
 
@@ -422,9 +421,9 @@ def test_hom_classify_matches_the_root_model(N):
 def test_hom_classify_raises_on_a_wrong_ramanujan_sum(monkeypatch):
     # c_4(2) = -2; with 5 instead, t_2 first breaks phi(3)*phi(4) = phi(12):
     # c_3(2)*5 = -5, but c_12(2) = 2
-    real = witt.ramanujan_sum
+    real = characters.ramanujan_sum
     monkeypatch.setattr(
-        witt, "ramanujan_sum", lambda n, d: 5 if (n, d) == (4, 2) else real(n, d)
+        characters, "ramanujan_sum", lambda n, d: 5 if (n, d) == (4, 2) else real(n, d)
     )
     broken = r"N=12: character \(1, 1, -1, 5, -1, 2\) breaks phi\(3\)\*phi\(4\)$"
     with pytest.raises(ArithmeticError, match=broken):
