@@ -200,8 +200,11 @@ class _TraceCoords:
         return out
 
 
-# Bounded, unlike the arith caches: each entry holds tau(L)**2 integers, and
-# lambda_series asks for one level per support it meets.
+# Bounded, unlike the arith caches.  An entry is small: O(tau(L)) integers
+# (ds, _slot, _dens) plus one (e + 1)**2 table per p**e || L.  But its key is
+# the lcm of whatever support lambda_series meets, not one of a few levels,
+# so an unbounded cache would keep every level a long session ever touched;
+# 32 entries hold the levels a filtration or a lambda table revisits.
 @lru_cache(maxsize=32)
 def _trace_coords(L: int) -> _TraceCoords:
     return _TraceCoords(L)
@@ -259,6 +262,28 @@ def _atom_column(q: int, f: int, bound: int) -> tuple[int, ...]:
     """
     col = _trace_lambda(phi(q) * (f // euler_phi(q)) - ONE * f, bound, (1,))[0]
     return tuple(_gamma_from_lambda(col, bound))
+
+
+def _gamma_atoms(ds: tuple[int, ...], bound: int) -> dict[int, list[list[int]]]:
+    """The nonzero trace vectors of gamma^e(phi(d) - euler_phi(d)), d in ds[1:],
+    for each degree 1 <= e <= bound: coordinate c read from _atom_column."""
+    atoms: dict[int, list[list[int]]] = {e: [] for e in range(1, bound + 1)}
+    for d in ds[1:]:
+        f = euler_phi(d)
+        cols = [_atom_column(d // math.gcd(d, c), f, bound) for c in ds]  # t_c(gamma_t(phi(d) - f))
+        for e in atoms:
+            v = [-col[e] if e % 2 else col[e] for col in cols]
+            if any(v):
+                atoms[e].append(v)
+    return atoms
+
+
+# Unbounded, like _atom_column: (N, t) -> the Hermite basis of S_t at level N
+# in trace coordinates, at most tau(N) rows of tau(N) integers.  It does not
+# depend on the monomial bound (coefficient e of an atom column is the same
+# at every truncation past e), so a filtration at N reuses the S_t of every
+# earlier one there, and the keys grow only with the levels and depths filtered.
+_SPANS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def _series(cols: list[list[int]], coords: _TraceCoords) -> WittSeries:
@@ -348,7 +373,11 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     degree <= bound has at most bound factors and needs no separate
     length bound.  Each S_t has rank <= tau(N), so the work is
     O(bound**2 tau(N)**2) products, not one per monomial (a count
-    exponential in the bound).
+    exponential in the bound).  S_t depends on N and t alone, not on the
+    bound, so each one is formed once per process and kept in _SPANS:
+    a later filtration at N, at any depth or bound, and the filtration
+    that graded_frobenius_check builds, form only the S_t past the
+    highest t met there before, and read no atom when there are none.
 
     All of it runs in the trace coordinates over divisors(N), where a
     product is pointwise.  Coordinate c of gamma_t(phi(d) - euler_phi(d))
@@ -368,25 +397,21 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     basis = [phi(d) - ONE * euler_phi(d) for d in ds if d > 1]
     lattices.append(hnf([_vec(b, ds) for b in basis], ambient=r))
 
-    coords = _trace_coords(N)
-    atoms: dict[int, list[list[int]]] = {e: [] for e in range(1, bound + 1)}  # gamma^e(b)
-    for d in ds[1:]:
-        f = euler_phi(d)
-        cols = [_atom_column(d // math.gcd(d, c), f, bound) for c in ds]  # t_c(gamma_t(phi(d) - f))
-        for e in atoms:
-            v = [-col[e] if e % 2 else col[e] for col in cols]
-            if any(v):
-                atoms[e].append(v)
-    spans = [[[1] * r]]  # spans[t]: Hermite basis of S_t, in trace coordinates
+    spans = [((1,) * r,)]  # spans[t]: Hermite basis of S_t, in trace coordinates
+    atoms = None
     for t in range(1, bound + 1):
-        gens = [[x * y for x, y in zip(v, a)]
-                for e in range(1, t + 1) for a in atoms[e] for v in spans[t - e]]
-        spans.append(list(hnf(gens, ambient=r).basis))
+        if (N, t) not in _SPANS:
+            atoms = atoms or _gamma_atoms(ds, bound)
+            gens = [[x * y for x, y in zip(v, a)]
+                    for e in range(1, t + 1) for a in atoms[e] for v in spans[t - e]]
+            _SPANS[N, t] = hnf(gens, ambient=r).basis
+        spans.append(_SPANS[N, t])
 
-    ideal: list = []  # Hermite basis of I_k in trace coordinates, from I_{k+1} + S_k
+    coords = _trace_coords(N)
+    ideal: tuple = ()  # Hermite basis of I_k in trace coordinates, from I_{k+1} + S_k
     upper = []  # the I_k with k <= depth, descending, in phi coordinates
     for k in range(bound, 1, -1):
-        ideal = list(hnf(ideal + spans[k], ambient=r).basis)
+        ideal = hnf(ideal + spans[k], ambient=r).basis
         if k <= depth:
             upper.append(hnf(coords.solve(ideal), ambient=r))
     empty = hnf([], ambient=r)

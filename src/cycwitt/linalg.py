@@ -21,7 +21,7 @@ import sys
 from functools import lru_cache
 from itertools import count
 
-from .arith import FrozenRecord, NotUnitSpectrum, euler_phi
+from .arith import FrozenRecord, NotUnitSpectrum
 from .matrices import IntMatrix
 from .poly import IntPolynomial, times_cyclotomic
 from .witt import WittElement
@@ -233,11 +233,29 @@ class SpectrumVerdict(FrozenRecord):
 
 
 # Unbounded on purpose: one entry per matrix dimension asked about, and
-# each entry lists the d with euler_phi(d) <= deg.
+# each entry lists the pairs (d, euler_phi(d)) with euler_phi(d) <= deg.
 @lru_cache(maxsize=None)
-def _cyclo_candidates(deg: int) -> tuple[int, ...]:
-    # euler_phi(d) >= sqrt(d/2), so d <= 2*deg**2 suffices
-    return tuple(d for d in range(1, 2 * deg * deg + 2) if euler_phi(d) <= deg)
+def _cyclo_candidates(deg: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, euler_phi(d)) with euler_phi(d) <= deg, ascending in d.
+
+    A prime p | d has p - 1 | euler_phi(d), so p <= deg + 1.  The d are
+    built prime by prime over those p (inverse totient): each d found so
+    far is coprime to p, so d * p**k has totient euler_phi(d) p**(k-1) (p - 1).
+    """
+    pairs = [(1, 1)] if deg >= 1 else []
+    primes: list[int] = []
+    for p in range(2, deg + 2):
+        if any(p % q == 0 for q in primes):
+            continue
+        primes.append(p)
+        grown = []
+        for d, f in pairs:
+            dp, fp = d * p, f * (p - 1)
+            while fp <= deg:
+                grown.append((dp, fp))
+                dp, fp = dp * p, fp * p
+        pairs += grown
+    return tuple(sorted(pairs))
 
 
 def _growth_witness(rev: IntPolynomial, dim: int) -> tuple[int, int]:
@@ -269,13 +287,13 @@ def spectrum_in_unit_disc(a: IntMatrix) -> SpectrumVerdict:
     rev = charpoly_rev(a)
     c = list(rev.coeffs)
     factors: dict[int, int] = {}
-    for d in _cyclo_candidates(rev.degree):
+    for d, f in _cyclo_candidates(rev.degree):
         if len(c) == 1:
             break
-        head = len(c) - euler_phi(d)
+        head = len(c) - f
         while head >= 1 and not any((q := times_cyclotomic(c, d, -1))[head:]):
             factors[d] = factors.get(d, 0) + 1
-            c, head = q[:head], head - euler_phi(d)
+            c, head = q[:head], head - f
     if c == [1]:
         return SpectrumVerdict("unit_roots", tuple(sorted(factors.items())), a.rows - rev.degree)
     return SpectrumVerdict("outside", witness=_growth_witness(rev, a.rows))

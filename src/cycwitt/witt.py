@@ -16,7 +16,10 @@ so ``basis_mul`` works gcd first: g = 1 gives ``phi(n*m)``; otherwise
 it starts from ``phi(lcm(n, m))`` and factors g alone.  A prime p^e || g
 whose exponents in n and m differ multiplies the coefficient by
 ``euler_phi(p^e)``; one with equal exponents e expands the index's p^e
-part into the local sum above.
+part into the local sum above.  The exponents differ exactly at the
+primes of h = gcd(g, lcm/g), so the product is sum of c_s phi(lcm/s)
+over (s, c_s) pairs that depend on g and h alone: ``mul`` and
+``basis_mul`` expand each such shape once per process.
 
 The operator family F_m ("take m-th powers of roots") acts by
 
@@ -210,12 +213,30 @@ def _gcd_mul(n: int, m: int, g: int) -> dict[int, int]:
     return out
 
 
+# Unbounded, like the arith caches: an entry is a few pairs of small ints,
+# and a process meets one key per gcd shape of the products it takes.
+@lru_cache(maxsize=None)
+def _mul_pattern(g: int, h: int) -> tuple[tuple[int, int], ...]:
+    """The (s, c_s) pairs of phi(n) * phi(m) = sum of c_s phi(L/s), L = lcm(n, m),
+    for g = gcd(n, m) > 1 and h = gcd(g, L/g).
+
+    _gcd_mul treats p**e || g as unequal exponents exactly when p divides
+    L/g, that is when p | h, and every index it makes is L over a divisor
+    of g; so the pairs depend on g and h alone, and (g, g*h) is a
+    representative with the same g and h.
+    """
+    return tuple(sorted((g * h // u, c) for u, c in _gcd_mul(g, g * h, g).items()))
+
+
 def basis_mul(n: int, m: int) -> WittElement:
     """Product phi(n) * phi(m) as an integer combination of basis classes."""
     if n < 1 or m < 1:
         raise ValueError("basis_mul() requires positive indices")
     g = math.gcd(n, m)
-    return WittElement._of({n * m: 1} if g == 1 else _gcd_mul(n, m, g))
+    if g == 1:
+        return WittElement._of({n * m: 1})
+    lcm = n // g * m
+    return WittElement._of({lcm // s: c for s, c in _mul_pattern(g, math.gcd(g, lcm // g))})
 
 
 def mul(a: WittElement, b: WittElement) -> WittElement:
@@ -231,8 +252,10 @@ def mul(a: WittElement, b: WittElement) -> WittElement:
                 k = n * m
                 acc[k] = get(k, 0) + c
             else:
-                for k, ck in _gcd_mul(n, m, g).items():
-                    acc[k] = get(k, 0) + c * ck
+                lcm = n // g * m
+                for s, cs in _mul_pattern(g, gcd(g, lcm // g)):
+                    k = lcm // s
+                    acc[k] = get(k, 0) + c * cs
     return WittElement._of(acc)
 
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 import operator
 import random
 
 import pytest
 
-from cycwitt import poly, roots
+from cycwitt import lambda_ops, poly, roots
 from cycwitt.arith import Record, cyclotomic_poly, divisors, euler_phi
 from cycwitt.lambda_ops import (
     GammaFiltration,
@@ -267,6 +268,48 @@ def test_gamma_filtration_degree_two_generators_suffice_at_4():
         return [w.coeff(d) for d in ds]
 
     assert filt.lattices[2] == hnf([vec(g) for g in gens], ambient=len(ds))
+
+
+_SPAN_REQUESTS = (
+    (gamma_filtration, (12, 2)),
+    (gamma_filtration, (12, 1, 5)),
+    (gamma_filtration, (30, 3)),
+    (gamma_filtration, (30, 2, 1)),
+    (graded_frobenius_check, (12, 2, 3)),
+)
+
+
+def test_gamma_filtration_is_independent_of_the_order_of_requests(monkeypatch):
+    # S_t at level N is kept by (N, t) across depths and bounds; every order
+    # of the requests, each answered cold as the reference, gives the same
+    # lattices, the graded check after or before a filtration at its level
+    def cold(fn, args):
+        lambda_ops._SPANS.clear()
+        return fn(*args)
+
+    reference = [cold(fn, args) for fn, args in _SPAN_REQUESTS]
+    for order in itertools.permutations(range(len(_SPAN_REQUESTS))):
+        lambda_ops._SPANS.clear()
+        for i in order:
+            fn, args = _SPAN_REQUESTS[i]
+            assert fn(*args) == reference[i], (order, i)
+
+    calls = []
+
+    def counting(generators, ambient=None):
+        calls.append(ambient)
+        return hnf(generators, ambient)
+
+    monkeypatch.setattr(lambda_ops, "hnf", counting)
+    for N, depth in ((12, 3), (30, 2), (60, 2)):
+        first = cold(gamma_filtration, (N, depth))
+        formed, atoms = len(calls), _atom_column.cache_info()
+        calls.clear()
+        # warm: no S_t is formed (one hnf call fewer for each degree
+        # 1 ... depth + 2) and no atom column is read
+        assert gamma_filtration(N, depth) == first
+        assert len(calls) == formed - (depth + 2) and _atom_column.cache_info() == atoms
+        calls.clear()
 
 
 @pytest.mark.parametrize("big_n", (4, 8))

@@ -177,6 +177,7 @@ def test_hnf_matches_oneshot_on_gamma_filtration_spans(level, depth, monkeypatch
     monkeypatch.setattr(lambda_ops, "hnf", recording)
     lambda_ops._atom_column.cache_clear()
     poly._cyclotomic_factors.cache_clear()
+    lambda_ops._SPANS.clear()
     lambda_ops.gamma_filtration(level, depth)
     assert len(inputs) > depth
     for gens, ambient in inputs:
@@ -188,6 +189,7 @@ def test_hnf_matches_oneshot_on_gamma_filtration_spans(level, depth, monkeypatch
         lambda_ops.gamma_filtration(other, depth)
     misses = lambda_ops._atom_column.cache_info().misses
     inputs.clear()
+    lambda_ops._SPANS.clear()  # else the level's S_t forms are read, not formed again
     lambda_ops.gamma_filtration(level, depth)
     assert lambda_ops._atom_column.cache_info().misses == misses and inputs == cold
 
@@ -500,6 +502,16 @@ def test_spectrum_examples():
     assert v.ok and v.factors == () and v.nilpotent == 2
 
 
+def test_cyclo_candidates_match_the_totient_scan():
+    # every d with euler_phi(d) <= deg lies below 2*deg**2 + 2, since
+    # euler_phi(d) >= sqrt(d/2): the scan that the inverse totient replaces
+    for deg in range(61):
+        scan = tuple((d, euler_phi(d)) for d in range(1, 2 * deg * deg + 2) if euler_phi(d) <= deg)
+        assert linalg._cyclo_candidates(deg) == scan, deg
+    assert linalg._cyclo_candidates(0) == ()
+    assert linalg._cyclo_candidates(2) == ((1, 1), (2, 1), (3, 2), (4, 2), (6, 2))
+
+
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
 
@@ -534,7 +546,7 @@ def _spectrum_by_long_division(a):
     rev = charpoly_rev(a)
     mono = rev.reversed_coeffs()
     factors = {}
-    for d in linalg._cyclo_candidates(mono.degree):
+    for d, _ in linalg._cyclo_candidates(mono.degree):
         if mono.degree < 1:
             break
         phi_d = cyclotomic_poly(d)

@@ -118,6 +118,43 @@ def test_oracle_equivalence_small():
             assert closed == literal, (n, m)
 
 
+def _uncached_product(n, m):
+    g = math.gcd(n, m)
+    return WittElement({n * m: 1} if g == 1 else witt._gcd_mul(n, m, g))
+
+
+def test_cached_product_pattern_matches_the_uncached_expansion():
+    witt._mul_pattern.cache_clear()
+    rng = random.Random(33)
+    # large shared prime powers, with equal and unequal exponents per prime
+    big = [rng.choice((2, 3, 5, 7, 11)) ** rng.randint(1, 9) * rng.choice((1, 2, 3, 6, 35, 143))
+           for _ in range(60)]
+    pairs = [(n, m) for n in range(1, 301) for m in range(n, 301)]
+    pairs += [(a * rng.choice((1, 2, 9, 25)), b) for a in big for b in rng.sample(big, 10)]
+    for n, m in pairs:
+        expected = _uncached_product(n, m)
+        assert basis_mul(n, m) == basis_mul(m, n) == expected, (n, m)
+        assert mul(phi(n), phi(m)) == expected, (n, m)
+    small = [(n, m) for n in range(1, 25) for m in range(n, 25)]
+    for n, m in small:
+        literal = roots.to_witt(roots.product(roots.orbit(n), roots.orbit(m)))
+        assert mul(phi(n), phi(m)) == basis_mul(n, m) == literal, (n, m)
+    info = witt._mul_pattern.cache_info()
+    # one entry per (g, h) shape, and every shape is read again
+    assert 0 < info.currsize < len(pairs) and info.hits > info.misses
+    for g, h in [(4, 2), (12, 1), (36, 6), (2**9, 2)]:
+        pattern = witt._mul_pattern(g, h)
+        # a cached list that a caller mutated would corrupt every later product
+        assert type(pattern) is tuple and all(type(pair) is tuple for pair in pattern)
+    # a coefficient times the pattern, summed over a combination
+    a, b = 3 * phi(12) - phi(8) + 2 * ONE, phi(18) + 5 * phi(4)
+    expected = WittElement()
+    for n, cn in a.items():
+        for m, cm in b.items():
+            expected = expected + _uncached_product(n, m) * (cn * cm)
+    assert mul(a, b) == expected
+
+
 def test_products_stay_inside_divisor_span():
     # the span of the divisor classes of N is closed under multiplication
     from cycwitt.arith import divisors
