@@ -32,7 +32,7 @@ def format_series(s: lambda_ops.WittSeries) -> str:
     terms = []
     for k in range(s.degree + 1):
         c = s[k]
-        if c.is_zero():
+        if not c:
             continue
         negative = all(v < 0 for _, v in c.items())
         terms.append((negative, body(k, -c if negative else c)))

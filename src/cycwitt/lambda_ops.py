@@ -280,9 +280,9 @@ def _gamma_atoms(ds: tuple[int, ...], bound: int) -> dict[int, list[list[int]]]:
 
 # Unbounded, like _atom_column: (N, t) -> the Hermite basis of S_t at level N
 # in trace coordinates, at most tau(N) rows of tau(N) integers.  It does not
-# depend on the monomial bound (coefficient e of an atom column is the same
-# at every truncation past e), so a filtration at N reuses the S_t of every
-# earlier one there, and the keys grow only with the levels and depths filtered.
+# depend on the depth (coefficient e of an atom column is the same at every
+# truncation past e), so a filtration at N reuses the S_t of every earlier
+# one there, and the keys grow only with the levels and depths filtered.
 _SPANS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -357,13 +357,13 @@ class GammaFiltration(Record):
         return [_unvec(row, self.divisors) for row in self.lattices[k].basis]
 
 
-def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> GammaFiltration:
+def gamma_filtration(N: int, depth: int) -> GammaFiltration:
     """Lattices I_0 (everything), I_1 (kernel of f0, spanned by
     phi(d) - euler_phi(d) for d | N, d > 1), and for k >= 2 the span of
     gamma-monomials gamma^{n_1}(a_1)...gamma^{n_l}(a_l) over the fixed
-    I_1 basis with k <= n_1 + ... + n_l <= monomial_bound (default
-    depth + 2).  Enlarging the bound can only grow the lattices, so
-    downstream membership checks stay valid for sublattices.
+    I_1 basis with k <= n_1 + ... + n_l <= bound = depth + 2.  A larger
+    bound could only grow the lattices, so downstream membership checks
+    stay valid for sublattices.
 
     A dynamic program over gamma degree: S_t, the span of the monomials
     of degree exactly t, is spanned by s * gamma^e(b) for 1 <= e <= t and
@@ -374,8 +374,8 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     length bound.  Each S_t has rank <= tau(N), so the work is
     O(bound**2 tau(N)**2) products, not one per monomial (a count
     exponential in the bound).  S_t depends on N and t alone, not on the
-    bound, so each one is formed once per process and kept in _SPANS:
-    a later filtration at N, at any depth or bound, and the filtration
+    depth, so each one is formed once per process and kept in _SPANS:
+    a later filtration at N, at any depth, and the filtration
     that graded_frobenius_check builds, form only the S_t past the
     highest t met there before, and read no atom when there are none.
 
@@ -388,9 +388,9 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
     lattice; its rows map back exactly, and a second Hermite form in phi
     coordinates gives the unique basis.
     """
-    bound = monomial_bound if monomial_bound is not None else depth + 2
-    if N < 1 or depth < 1 or bound < 0:
-        raise ValueError("gamma_filtration() requires N >= 1, depth >= 1 and monomial_bound >= 0")
+    if N < 1 or depth < 1:
+        raise ValueError("gamma_filtration() requires N >= 1 and depth >= 1")
+    bound = depth + 2
     ds = divisors(N)
     r = len(ds)
     lattices = [hnf([[int(i == j) for j in range(r)] for i in range(r)])]
@@ -414,8 +414,7 @@ def gamma_filtration(N: int, depth: int, monomial_bound: int | None = None) -> G
         ideal = hnf(ideal + spans[k], ambient=r).basis
         if k <= depth:
             upper.append(hnf(coords.solve(ideal), ambient=r))
-    empty = hnf([], ambient=r)
-    lattices += upper[::-1] + [empty] * (depth - max(bound, 1))
+    lattices += upper[::-1]
     return GammaFiltration(N, depth, ds, lattices)
 
 

@@ -12,14 +12,14 @@ prime it reads:
   ``euler_phi(p^a) * (phi(p^a) + ... + phi(1)) - p^(a-1) * phi(p^a)``.
 
 Only the primes of g = gcd(n, m) do anything beyond the coprime rule,
-so ``basis_mul`` works gcd first: g = 1 gives ``phi(n*m)``; otherwise
-it starts from ``phi(lcm(n, m))`` and factors g alone.  A prime p^e || g
-whose exponents in n and m differ multiplies the coefficient by
-``euler_phi(p^e)``; one with equal exponents e expands the index's p^e
-part into the local sum above.  The exponents differ exactly at the
-primes of h = gcd(g, lcm/g), so the product is sum of c_s phi(lcm/s)
-over (s, c_s) pairs that depend on g and h alone: ``mul`` and
-``basis_mul`` expand each such shape once per process.
+so the product is sum of c_s phi(L/s), L = lcm(n, m), over (s, c_s)
+pairs that depend on g and h = gcd(g, L/g) alone: the primes of h are
+those where n and m have unequal exponents.  Each p^e || g, with q = p^e
+and t = euler_phi(q), contributes the local pairs (1, t) when p | h, and
+otherwise (p^k, t) for 1 <= k <= e plus (1, t - q/p) when that is
+nonzero (p odd); the pairs of g are the products of these.  ``mul``
+reads each shape's pairs from ``_mul_pattern``, once per process, and
+``basis_mul`` is ``mul`` of two basis classes.
 
 The operator family F_m ("take m-th powers of roots") acts by
 
@@ -109,9 +109,6 @@ class WittElement(Frozen):
     def coeff(self, n: int) -> int:
         return self._c.get(n, 0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __bool__(self):
         return bool(self._c)
 
@@ -137,10 +134,7 @@ class WittElement(Frozen):
     def __sub__(self, other):
         if not isinstance(other, WittElement):
             return NotImplemented
-        c = dict(self._c)
-        for n, v in other._c.items():
-            c[n] = c.get(n, 0) - v
-        return WittElement._of(c)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -192,55 +186,41 @@ def format_witt(w: WittElement) -> str:
     return join_signed(signed_terms(w.items()))
 
 
-def _gcd_mul(n: int, m: int, g: int) -> dict[int, int]:
-    """phi(n) * phi(m) for g = gcd(n, m) > 1, factoring g alone."""
-    out = {n // g * m: 1}
-    for p, e in factor(g):
-        q = p**e
-        tot = q - q // p
-        if not (n // q) % p or not (m // q) % p:  # unequal exponents: p^e is the smaller power
-            out = {u: c * tot for u, c in out.items()}
-            continue
-        top = tot - q // p  # coefficient of the full p^e; zero for p = 2
-        expanded = {}
-        for u, c in out.items():
-            base = u // q
-            for j in range(e):
-                expanded[base * p**j] = c * tot
-            if top:
-                expanded[u] = c * top
-        out = expanded
-    return out
-
-
 # Unbounded, like the arith caches: an entry is a few pairs of small ints,
 # and a process meets one key per gcd shape of the products it takes.
 @lru_cache(maxsize=None)
 def _mul_pattern(g: int, h: int) -> tuple[tuple[int, int], ...]:
-    """The (s, c_s) pairs of phi(n) * phi(m) = sum of c_s phi(L/s), L = lcm(n, m),
-    for g = gcd(n, m) > 1 and h = gcd(g, L/g).
+    """The sorted (s, c_s) pairs of phi(n) * phi(m) = sum of c_s phi(L/s),
+    L = lcm(n, m), for g = gcd(n, m) > 1 and h = gcd(g, L/g).
 
-    _gcd_mul treats p**e || g as unequal exponents exactly when p divides
-    L/g, that is when p | h, and every index it makes is L over a divisor
-    of g; so the pairs depend on g and h alone, and (g, g*h) is a
-    representative with the same g and h.
+    They are the products of local pairs, one factor per p**e || g, with
+    q = p**e and t = euler_phi(q): (1, t) when p | h; otherwise (p**k, t)
+    for 1 <= k <= e, plus (1, t - q/p) unless that is 0 (p = 2).
     """
-    return tuple(sorted((g * h // u, c) for u, c in _gcd_mul(g, g * h, g).items()))
+    pairs = [(1, 1)]
+    for p, e in factor(g):
+        q = p**e
+        t = q - q // p
+        if h % p == 0:
+            local = [(1, t)]
+        else:
+            local = [(p**k, t) for k in range(1, e + 1)]
+            if t != q // p:
+                local.append((1, t - q // p))
+        pairs = [(s * u, c * v) for s, c in pairs for u, v in local]
+    return tuple(sorted(pairs))
 
 
 def basis_mul(n: int, m: int) -> WittElement:
     """Product phi(n) * phi(m) as an integer combination of basis classes."""
     if n < 1 or m < 1:
         raise ValueError("basis_mul() requires positive indices")
-    g = math.gcd(n, m)
-    if g == 1:
-        return WittElement._of({n * m: 1})
-    lcm = n // g * m
-    return WittElement._of({lcm // s: c for s, c in _mul_pattern(g, math.gcd(g, lcm // g))})
+    return mul(WittElement._of({n: 1}), WittElement._of({m: 1}))
 
 
 def mul(a: WittElement, b: WittElement) -> WittElement:
-    """Bilinear extension of basis_mul."""
+    """Product of two elements, bilinear over the basis products: a coprime
+    pair of indices gives phi(n*m), any other pair its _mul_pattern."""
     acc: dict[int, int] = {}
     get = acc.get
     gcd = math.gcd
@@ -259,18 +239,13 @@ def mul(a: WittElement, b: WittElement) -> WittElement:
     return WittElement._of(acc)
 
 
-# Unbounded on purpose: one entry of two small ints per distinct (m, n)
-# asked for, and F_m of an element only asks for the indices it holds.
-_frobenius_basis = lru_cache(maxsize=None)(frobenius_basis)
-
-
 def frobenius(m: int, a: WittElement) -> WittElement:
     """The m-th power operator F_m, additively extended; m = 0 gives f0(a)*phi(1)."""
     if m < 0:
         raise ValueError(f"frobenius() requires m >= 0, got {m}")
     acc: dict[int, int] = {}
     for n, c in a.items():
-        tgt, k = _frobenius_basis(m, n)
+        tgt, k = frobenius_basis(m, n)
         acc[tgt] = acc.get(tgt, 0) + c * k
     return WittElement(acc)
 

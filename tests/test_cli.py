@@ -477,17 +477,15 @@ def test_cli_inner_is_linear_in_the_terms():
 
 
 def test_cli_inexact_frobenius_quotient_exits_3(monkeypatch, capsys):
-    from cycwitt import arith, witt
+    from cycwitt import arith
 
     real = arith.euler_phi
     monkeypatch.setattr(arith, "euler_phi", lambda n: 3 if n == 2 else real(n))
-    witt._frobenius_basis.cache_clear()
     for argv in (["frob", "6", "phi(12000036)"], ["tm", "6", "phi(12000036)"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "Traceback" not in err
         assert err.splitlines() == [
             "internal error: inexact F_6 coefficient of phi(12000036): implementation bug"]
-    witt._frobenius_basis.cache_clear()
 
 
 def test_cli_inexact_frobenius_quotient_exits_3_under_python_O():

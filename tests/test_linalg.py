@@ -12,7 +12,7 @@ import pytest
 
 import cycwitt
 from cycwitt import linalg
-from cycwitt.arith import NotUnitSpectrum, cyclotomic_poly, euler_phi
+from cycwitt.arith import NotUnitSpectrum, cyclotomic_poly, divisors, euler_phi, mobius
 from cycwitt.linalg import (
     charpoly_rev,
     companion,
@@ -534,6 +534,18 @@ def test_outside_witness_is_least_growing_trace(a):
     k, tr = v.witness
     assert (a**k).trace() == tr and abs(tr) > a.rows
     assert all(abs((a**j).trace()) <= a.rows for j in range(1, k))
+
+
+def test_dold_congruence_on_traces_of_powers():
+    # n divides sum of mobius(n/d) tr(A^d) over d | n for every integer
+    # matrix (Dold, Invent. Math. 74, 1983): the matrix face of the Frobenius lifts
+    rng = random.Random(34)
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+        tr = {d: (a**d).trace() for d in range(1, 25)}
+        for n in range(1, 25):
+            assert sum(mobius(n // d) * tr[d] for d in divisors(n)) % n == 0, (a, n)
 
 
 def test_lehmer_witness():

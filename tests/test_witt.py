@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycwitt import characters, roots, witt
-from cycwitt.arith import euler_phi, factor, mobius, ramanujan_sum
+from cycwitt.arith import divisors, euler_phi, factor, mobius, ramanujan_sum
 from cycwitt.witt import (
     ONE,
     ZERO,
@@ -118,12 +118,8 @@ def test_oracle_equivalence_small():
             assert closed == literal, (n, m)
 
 
-def _uncached_product(n, m):
-    g = math.gcd(n, m)
-    return WittElement({n * m: 1} if g == 1 else witt._gcd_mul(n, m, g))
-
-
 def test_cached_product_pattern_matches_the_uncached_expansion():
+    # the uncached expansion is the prime fold: one local product per prime
     witt._mul_pattern.cache_clear()
     rng = random.Random(33)
     # large shared prime powers, with equal and unequal exponents per prime
@@ -132,7 +128,7 @@ def test_cached_product_pattern_matches_the_uncached_expansion():
     pairs = [(n, m) for n in range(1, 301) for m in range(n, 301)]
     pairs += [(a * rng.choice((1, 2, 9, 25)), b) for a in big for b in rng.sample(big, 10)]
     for n, m in pairs:
-        expected = _uncached_product(n, m)
+        expected = _prime_fold_basis_mul(n, m)
         assert basis_mul(n, m) == basis_mul(m, n) == expected, (n, m)
         assert mul(phi(n), phi(m)) == expected, (n, m)
     small = [(n, m) for n in range(1, 25) for m in range(n, 25)]
@@ -151,8 +147,51 @@ def test_cached_product_pattern_matches_the_uncached_expansion():
     expected = WittElement()
     for n, cn in a.items():
         for m, cm in b.items():
-            expected = expected + _uncached_product(n, m) * (cn * cm)
+            expected = expected + _prime_fold_basis_mul(n, m) * (cn * cm)
     assert mul(a, b) == expected
+
+
+def _necklace(n):
+    """mu_n = sum of phi(d) over d | n: all n-th roots of unity, the
+    necklace class Z/n (Metropolis and Rota, Adv. Math. 50, 1983)."""
+    return WittElement(dict.fromkeys(divisors(n), 1))
+
+
+def test_necklace_basis_obeys_the_gcd_lcm_rules():
+    # Z/a x Z/b is gcd(a, b) orbits of size lcm(a, b), one fixed point
+    # each, and the m-th power map folds Z/a onto Z/(a/g) g to one
+    mu = {n: _necklace(n) for n in range(1, 61)}
+    for a in range(1, 61):
+        for b in range(1, 61):
+            g, lcm = math.gcd(a, b), math.lcm(a, b)
+            assert mul(mu[a], mu[b]) == _necklace(lcm) * g, (a, b)
+            assert inner(mu[a], mu[b]) == g, (a, b)
+        for m in range(1, 13):
+            g = math.gcd(m, a)
+            assert frobenius(m, mu[a]) == mu[a // g] * g, (m, a)
+
+
+def _power(a, k):
+    out = ONE
+    for _ in range(k):
+        out = mul(out, a)
+    return out
+
+
+def _congruent(x, y, p):
+    return all(c % p == 0 for _, c in (x - y).items())
+
+
+def test_frobenius_lifts_the_p_th_power():
+    # F_p(a) == a^p modulo p, coefficient by coefficient: F_p is a Frobenius lift
+    rng = random.Random(34)
+    cases = [WittElement({rng.randint(1, 30): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+             for _ in range(300)]
+    for p in (2, 3, 5, 7):
+        for a in cases:
+            assert _congruent(frobenius(p, a), _power(a, p), p), (p, a)
+    # the check can fail: a^3 is not F_2 a modulo 3
+    assert not all(_congruent(frobenius(2, a), _power(a, 3), 3) for a in cases)
 
 
 def test_products_stay_inside_divisor_span():
