@@ -30,8 +30,9 @@ injective, so the Hermite form of trace vectors spans the image of the
 same lattice: its rows map back exactly, and a second Hermite form in
 phi coordinates yields the unique basis the phi-coordinate products
 would have given.  The tests cross-check all of it against Newton's
-identities over Witt elements, the series ring operations of WittSeries
-and the monomial walk.
+identities over Witt elements, the monomial walk and a second series
+ring that convolves Witt coefficients through witt.mul; that ring is an
+oracle only, so it lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 from .arith import FrozenRecord, Record, divisors, euler_phi, factor, frobenius_basis, ramanujan_sum
 from .linalg import hnf
 from .poly import cyclotomic_binomials, times_binomial
-from .witt import ONE, WittElement, frobenius, mul, phi
+from .witt import ONE, WittElement, frobenius, phi
 
 __all__ = [
     "WittSeries",
@@ -61,8 +62,8 @@ __all__ = [
 class WittSeries(FrozenRecord):
     """Truncated power series in t with Witt-element coefficients.
 
-    The truncation degree is explicit and arithmetic never reads past
-    it.  Values of lambda_t / gamma_t have constant term phi(1).
+    The truncation degree is explicit and indexing past it raises.
+    Values of lambda_t / gamma_t have constant term phi(1).
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -85,49 +86,6 @@ class WittSeries(FrozenRecord):
         """lambda^k, i.e. (-1)**k times the t**k coefficient."""
         c = self[k]
         return c if k % 2 == 0 else -c
-
-    @classmethod
-    def one(cls, degree: int) -> "WittSeries":
-        return cls([ONE] + [WittElement()] * degree)
-
-    def __mul__(self, other):
-        if not isinstance(other, WittSeries):
-            return NotImplemented
-        deg = min(self.degree, other.degree)
-        out = []
-        for k in range(deg + 1):
-            acc = WittElement()
-            for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if a and b:
-                    acc = acc + mul(a, b)
-            out.append(acc)
-        return WittSeries(out)
-
-    def inverse(self) -> "WittSeries":
-        if self.coeffs[0] != ONE:
-            raise ValueError("only series with constant term phi(1) are inverted")
-        inv = [ONE]
-        for k in range(1, self.degree + 1):
-            acc = WittElement()
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + mul(self.coeffs[i], inv[k - i])
-            inv.append(-acc)
-        return WittSeries(inv)
-
-    def pow(self, e: int) -> "WittSeries":
-        """self**e by square-and-multiply; e < 0 inverts first."""
-        base = self if e >= 0 else self.inverse()
-        out = WittSeries.one(self.degree)
-        e = abs(e)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
 
     def __repr__(self):
         return f"WittSeries(degree={self.degree}, {list(self.coeffs)!r})"

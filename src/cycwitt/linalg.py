@@ -33,7 +33,6 @@ __all__ = [
     "SpectrumVerdict",
     "spectrum_in_unit_disc",
     "witt_class",
-    "companion",
 ]
 
 
@@ -315,15 +314,3 @@ def witt_class(a: IntMatrix) -> WittElement:
         )
     return WittElement(dict(verdict.factors))
 
-
-def companion(p: IntPolynomial) -> IntMatrix:
-    """Companion matrix of a monic polynomial (degree >= 1)."""
-    n = p.degree
-    if n < 1 or p[n] != 1:
-        raise ValueError("companion() needs a monic polynomial of degree >= 1")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -p[i]
-    return IntMatrix(rows)

@@ -853,10 +853,10 @@ _CALLS = [
     ("trace-big", ["trace", _BIG], _ELEMENTS | {"cycwitt.bigfactor"}, 5900),
     ("ramanujan", ["ramanujan", "--n", "3", "--m-max", "3"], _ELEMENTS, 5200),
     ("parseval", ["parseval", "12"], _ELEMENTS, 5200),
-    ("charpoly", ["charpoly", "0,-1;1,1"], _LINALG, 9500),
-    ("wittclass", ["wittclass", "0,-1;1,3"], _LINALG, 9500),
-    ("lambda", ["lambda", "6"], _LAMBDA, 12700),
-    ("gamma-filtration", ["gamma-filtration", "--level", "6", "--depth", "2"], _LAMBDA, 12700),
+    ("charpoly", ["charpoly", "0,-1;1,1"], _LINALG, 9400),
+    ("wittclass", ["wittclass", "0,-1;1,3"], _LINALG, 9400),
+    ("lambda", ["lambda", "6"], _LAMBDA, 12300),
+    ("gamma-filtration", ["gamma-filtration", "--level", "6", "--depth", "2"], _LAMBDA, 12300),
     ("sections", ["sections", "--rows", "1", "--cols", "1"], _SECTIONS, 4900),
     ("spec", ["spec", "--rig", "zmod:6"], _SPECTRA, 9300),
     ("radical", ["radical", "--rig", "zmod:8", "--ideal", "4"], _SPECTRA, 9300),

@@ -15,7 +15,6 @@ from cycwitt import linalg
 from cycwitt.arith import NotUnitSpectrum, cyclotomic_poly, divisors, euler_phi, mobius
 from cycwitt.linalg import (
     charpoly_rev,
-    companion,
     hnf,
     SpectrumVerdict,
     spectrum_in_unit_disc,
@@ -31,11 +30,12 @@ from cycwitt.matrices import (
     kronecker,
     mat_compose,
     parse_matrix,
+    signed_subperm_matrices,
 )
 from cycwitt.poly import IntPolynomial
-from cycwitt.witt import ONE, frobenius, mul, phi, trace
+from cycwitt.witt import ONE, WittElement, frobenius, mul, phi, trace
 
-from oracles import companion_blocks
+from oracles import companion, companion_blocks, fraction_det, necklace
 
 SRC = str(Path(cycwitt.__file__).resolve().parent.parent)
 
@@ -320,25 +320,6 @@ _BENCHMARK_SIZES = {
 }
 
 
-def _fraction_det(rows):
-    # independent reference: Gaussian elimination over the rationals
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(len(m)):
-        p = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 @pytest.mark.parametrize("kind", list(_BENCHMARK_SIZES))
 def test_charpoly_against_fraction_elimination_at_benchmark_sizes(kind):
     a = _BENCHMARK_SIZES[kind](random.Random(list(_BENCHMARK_SIZES).index(kind)))
@@ -351,7 +332,7 @@ def test_charpoly_against_fraction_elimination_at_benchmark_sizes(kind):
         one_minus_ka = [
             [int(i == j) - k * x for j, x in enumerate(row)] for i, row in enumerate(a.entries)
         ]
-        assert p(k) == _fraction_det(one_minus_ka), (kind, k)
+        assert p(k) == fraction_det(one_minus_ka), (kind, k)
 
 
 def test_charpoly_multiplicative_on_blocks():
@@ -432,7 +413,7 @@ def test_packed_berkowitz_falls_back_when_a_slot_could_overflow(monkeypatch):
     p = IntPolynomial(p)
     for k in range(21):
         one_minus_ka = [[int(i == j) - k * x for j, x in enumerate(row)] for i, row in enumerate(m)]
-        assert p(k) == _fraction_det(one_minus_ka), k
+        assert p(k) == fraction_det(one_minus_ka), k
     assert charpoly_rev(a) == p
 
 
@@ -625,6 +606,40 @@ def test_witt_class_examples():
         witt_class(IntMatrix([[2]]))
     nil = IntMatrix([[0, 1], [0, 0]])
     assert witt_class(nil) == phi(1) * 0
+
+
+def _signed_cycles(a):
+    """(length, sign product) of each closed cycle of a signed
+    sub-permutation matrix, which sends e_c to v*e_r for each nonzero
+    entry v at (r, c); the open chains are left out."""
+    step = {c: (r, v) for r, row in enumerate(a.entries) for c, v in enumerate(row) if v}
+    out = []
+    for start in range(a.cols):
+        c, walked, sign = start, [], 1
+        while c in step and c not in walked:
+            walked.append(c)
+            c, v = step[c]
+            sign *= v
+        if walked and c == start and min(walked) == start:
+            out.append((len(walked), sign))
+    return out
+
+
+def test_signed_cycle_classes():
+    # an L-cycle with sign product +1 has the L-th roots of unity as
+    # eigenvalues (mu_L), with -1 the roots of x^L + 1 (mu_2L - mu_L);
+    # an open chain is nilpotent and contributes 0
+    mats = [a for n in range(1, 5) for a in signed_subperm_matrices(n, n)]
+    assert len(mats) == 1632
+    unsigned_misses = 0
+    for a in mats:
+        cycles = _signed_cycles(a)
+        signed = sum((necklace(L) if s > 0 else necklace(2 * L) - necklace(L) for L, s in cycles),
+                     WittElement())
+        assert witt_class(a) == signed, format_matrix(a)
+        unsigned_misses += witt_class(a) != sum((necklace(L) for L, _ in cycles), WittElement())
+    # control: reading every cycle as unsigned is wrong wherever a cycle has sign -1
+    assert unsigned_misses == 780
 
 
 def test_bridge_small_sample():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycwitt import characters, roots, witt
-from cycwitt.arith import divisors, euler_phi, factor, mobius, ramanujan_sum
+from cycwitt.arith import euler_phi, factor, mobius, ramanujan_sum
 from cycwitt.witt import (
     ONE,
     ZERO,
@@ -23,6 +23,8 @@ from cycwitt.witt import (
     verschiebung,
 )
 from cycwitt.characters import hom_classify, zeta_partial_check
+
+from oracles import necklace
 
 elements = st.dictionaries(
     st.integers(min_value=1, max_value=36),
@@ -151,20 +153,14 @@ def test_cached_product_pattern_matches_the_uncached_expansion():
     assert mul(a, b) == expected
 
 
-def _necklace(n):
-    """mu_n = sum of phi(d) over d | n: all n-th roots of unity, the
-    necklace class Z/n (Metropolis and Rota, Adv. Math. 50, 1983)."""
-    return WittElement(dict.fromkeys(divisors(n), 1))
-
-
 def test_necklace_basis_obeys_the_gcd_lcm_rules():
     # Z/a x Z/b is gcd(a, b) orbits of size lcm(a, b), one fixed point
     # each, and the m-th power map folds Z/a onto Z/(a/g) g to one
-    mu = {n: _necklace(n) for n in range(1, 61)}
+    mu = {n: necklace(n) for n in range(1, 61)}
     for a in range(1, 61):
         for b in range(1, 61):
             g, lcm = math.gcd(a, b), math.lcm(a, b)
-            assert mul(mu[a], mu[b]) == _necklace(lcm) * g, (a, b)
+            assert mul(mu[a], mu[b]) == necklace(lcm) * g, (a, b)
             assert inner(mu[a], mu[b]) == g, (a, b)
         for m in range(1, 13):
             g = math.gcd(m, a)
