@@ -19,7 +19,6 @@ from __future__ import annotations
 import operator
 import sys
 from functools import lru_cache
-from itertools import count
 
 from .arith import FrozenRecord, NotUnitSpectrum
 from .matrices import IntMatrix
@@ -257,18 +256,24 @@ def _cyclo_candidates(deg: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
+# least witnesses measured: 13 for Lehmer's polynomial (dim 10, or beside I_90
+# at dim 100), 16 for a degree-18 Salem one, so a search past this missed a factor
+_WITNESS_LIMIT = 10_000
+
+
 def _growth_witness(rev: IntPolynomial, dim: int) -> tuple[int, int]:
     # Newton's identity turns the coefficients c_i of det(1 - x*A) into the
     # power sums p_k = tr(A^k); an eigenvalue outside the disc makes them
-    # unbounded, so the search ends.
+    # unbounded, so the search ends unless the spectrum was misjudged.
     c = rev.coeffs
     p = [0]
-    for k in count(1):
+    for k in range(1, _WITNESS_LIMIT + 1):
         pk = -k * (c[k] if k < len(c) else 0)
         pk -= sum(c[i] * p[k - i] for i in range(1, min(k, len(c))))
         if abs(pk) > dim:
             return k, pk
         p.append(pk)
+    raise ArithmeticError(f"no trace witness up to k = {_WITNESS_LIMIT} for an outside spectrum")
 
 
 def spectrum_in_unit_disc(a: IntMatrix) -> SpectrumVerdict:

@@ -43,9 +43,9 @@ __all__ = [
 class Rig:
     """A carrier with 0, 1, add and mul.
 
-    Subclasses set ``finite`` and either enumerate the carrier or
-    provide a sampler; law conformance is checked by
-    ``rigs.check_rig_laws``, not assumed.  Two rigs are equal when their
+    A finite subclass enumerates its carrier, which the law checkers list
+    and draw from; any other provides a sampler.  Law conformance is checked
+    by ``rigs.check_rig_laws``, not assumed.  Two rigs are equal when their
     ``key()`` agrees; a key determines the name, so a rig hashes its name.
     """
 
@@ -88,9 +88,6 @@ class Rig:
         raise NotImplementedError(f"{self.name} has no enumerable carrier")
 
     def sample(self, rng, k: int) -> list:
-        if self.finite:
-            elems = list(self.elements())
-            return [rng.choice(elems) for _ in range(k)]
         raise NotImplementedError(f"{self.name} has no sampler")
 
     def key(self):

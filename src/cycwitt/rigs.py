@@ -219,8 +219,9 @@ class SquareMatrixRig(Rig):
         return self.base.compose(x, y, self.size)
 
     def elements(self):
-        for m in all_matrices(self.base, self.size, self.size):
-            yield m.entries
+        n = self.size
+        for flat in itertools.product(self.base.elements(), repeat=n * n):
+            yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
     def __contains__(self, x) -> bool:
         """An element is n rows of n entries, as tuples, which is the form
@@ -294,10 +295,9 @@ def perm_matrix(rig: Rig, perm) -> RigMatrix:
     return m
 
 
-def all_matrices(rig: Rig, n: int, m: int, elems=None):
-    """Every n-by-m matrix over a finite rig, row-major lexicographic, with
-    entries from elems (the listed carrier when elems is None)."""
-    elems = list(rig.elements()) if elems is None else elems
+def all_matrices(rig: Rig, n: int, m: int, elems):
+    """Every n-by-m matrix over a finite rig with entries from elems, the
+    listed carrier, row-major lexicographic."""
     for flat in itertools.product(elems, repeat=n * m):
         yield RigMatrix(rig, [flat[i * m : (i + 1) * m] for i in range(n)])
 
@@ -332,8 +332,9 @@ class _Table(dict):
 def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
     """Verify associativity, units, commutative addition, distributivity and
     the absorbing zero over at most budget^2 triples: exhaustive on a small
-    finite carrier, else over round(budget^(2/3)) sampled elements (over
-    max(8, round(budget^(1/3))) when the carrier cannot be listed).
+    finite carrier, else over round(budget^(2/3)) elements drawn from its one
+    listing, which stops and refuses (BudgetExceeded) past budget^2 elements
+    (over max(8, round(budget^(1/3))) sampled when it cannot be listed).
 
     The laws run over index tables.  The elements, zero and one are interned
     once, equal values sharing an index, and A[x][y] and M[x][y] are the
@@ -343,13 +344,16 @@ def check_rig_laws(r: Rig, budget: int = 512, seed: int = 0) -> LawReport:
     equation between indices holds exactly when the literal equation between
     values does, so the cases, failures and their witnesses, mapped back to
     values, are the literal checker's."""
+    rng = random.Random(seed)
     if r.finite:
-        elems = list(r.elements())
+        elems = list(itertools.islice(r.elements(), budget**2 + 1))
+        if len(elems) > budget**2:
+            raise BudgetExceeded(f"|{r.name}| elements", budget**2)
         exhaustive = len(elems) ** 3 <= budget**2
         if not exhaustive:
-            elems = Rig.sample(r, random.Random(seed), round(budget ** (2 / 3)))
+            elems = [rng.choice(elems) for _ in range(round(budget ** (2 / 3)))]
     else:
-        elems = r.sample(random.Random(seed), max(8, round(budget ** (1 / 3))))
+        elems = r.sample(rng, max(8, round(budget ** (1 / 3))))
         exhaustive = False
     report = LawReport(r.name, exhaustive)
     vals, index = [], {}
@@ -435,7 +439,7 @@ def check_prop_laws(
         raise BudgetExceeded(f"|{r.name}| elements", PROP_BUDGET)
     exhaustive = r.finite and len(elems) ** (max_rows * max_cols) <= 4096
 
-    def draw(k):  # a finite carrier is drawn from as Rig.sample does
+    def draw(k):  # a finite carrier is drawn from its listing, as check_rig_laws does
         return [rng.choice(elems) for _ in range(k)] if r.finite else r.sample(rng, k)
 
     def mats(n, m):

@@ -258,20 +258,16 @@ class Theorem1Report(Record):
     """Literal check that fractions over s give exactly the families of
     stalk elements on the basic open of s that are locally fractions."""
 
-    _fields = ("rig", "s", "opens", "loc_size", "families", "local_families",
-               "bijective", "preserves_ops", "empty_case", "failures")
-    _defaults = {
-        "opens": (), "loc_size": 0, "families": 0, "local_families": 0, "bijective": False,
-        "preserves_ops": False, "empty_case": False, "failures": [],
-    }
+    _fields = ("rig", "s", "opens", "loc_size", "families", "local_families", "failures")
+    _defaults = {"opens": (), "loc_size": 0, "families": 0, "local_families": 0, "failures": []}
 
     @property
     def ok(self) -> bool:
-        return self.bijective and self.preserves_ops and not self.failures
+        return not self.failures
 
     def summary(self) -> str:
         verdict = "PASS" if self.ok else f"FAIL {self.failures[:2]}"
-        if self.empty_case:
+        if not self.opens:
             return (
                 f"structure sheaf over {self.rig}, s={self.s}: empty basic open, "
                 f"localization has {self.loc_size} element(s): {verdict}"
@@ -297,7 +293,7 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
     opens = sp.basic_open(s)
     loc = localize(r, multiplicative_closure(r, {s}))
     k = loc.rig.size
-    report = Theorem1Report(r.name, s, opens, k, empty_case=not opens)
+    report = Theorem1Report(r.name, s, opens, k)
     stalks = [localize(r, frozenset(x for x in r.elements() if x not in p)) for p in opens]
     everywhere = range(len(opens))
 
@@ -336,7 +332,6 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
             report.local_families += 1
             if fam not in image_fams:
                 missing.append(fam)
-    report.bijective = len(image_fams) == k and not missing
     if missing:
         report.failures.append(("families not hit by fractions", missing))
     if len(image_fams) < k:
@@ -351,5 +346,4 @@ def theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
         fam_prod = tuple(st.rig.mul_table[a][b] for st, a, b in at)
         if image[loc_add[c1][c2]] != fam_sum or image[loc_mul[c1][c2]] != fam_prod:
             report.failures.append(("operations disagree", c1, c2))
-    report.preserves_ops = not any(f[0] == "operations disagree" for f in report.failures)
     return report

@@ -447,7 +447,7 @@ _RECORDS = [
     (spectra.Ideal, (_Z6, frozenset({0})), "elements", frozenset({0, 3})),
     (spectra.SpecSpace, (_Z6, ()), "primes", (frozenset({0, 2, 4}),)),
     (spectra.Localization, (_Z6, frozenset({1}), _Z6, {}), "denominators", frozenset({1, 5})),
-    (spectra.Theorem1Report, ("zmod:6", 2), "empty_case", True),
+    (spectra.Theorem1Report, ("zmod:6", 2), "local_families", 1),
 ]
 _RECORD_IDS = [cls.__name__ for cls, *_ in _RECORDS]
 
@@ -532,8 +532,9 @@ def test_record_defaults_and_repr():
     verdict = linalg.SpectrumVerdict("outside", witness=(1, 3))
     assert (verdict.factors, verdict.nilpotent, verdict.witness) == ((), 0, (1, 3))
     assert not verdict.ok
-    report = spectra.Theorem1Report("zmod:6", 0, empty_case=True)
-    assert report.empty_case and report.failures == [] and not report.ok
+    report = spectra.Theorem1Report("zmod:6", 0)
+    assert report.opens == () and report.failures == [] and report.ok
+    assert not spectra.Theorem1Report("zmod:6", 0, failures=[("operations disagree", 0, 0)]).ok
     assert repr(witt.ParsevalReport(12)) == "ParsevalReport(N=12, pairs_checked=0, failures=[])"
     assert repr(verdict) == (
         "SpectrumVerdict(status='outside', factors=(), nilpotent=0, witness=(1, 3))"

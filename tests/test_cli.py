@@ -488,6 +488,22 @@ def test_cli_inexact_frobenius_quotient_exits_3(monkeypatch, capsys):
             "internal error: inexact F_6 coefficient of phi(12000036): implementation bug"]
 
 
+def test_cli_missed_cyclotomic_factor_exits_3(monkeypatch, capsys):
+    from cycwitt import linalg
+
+    phi7 = ("0,0,0,0,0,-1;1,0,0,0,0,-1;0,1,0,0,0,-1;"  # the companion of Phi_7
+            "0,0,1,0,0,-1;0,0,0,1,0,-1;0,0,0,0,1,-1")
+    assert run_cli(capsys, "wittclass", phi7)[:2] == (0, "phi(7)\n")
+    real = linalg._cyclo_candidates
+    monkeypatch.setattr(linalg, "_cyclo_candidates", lambda deg: tuple(
+        (d, f) for d, f in real(deg) if d != 7))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wittclass", phi7)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.splitlines() == [
+        "internal error: no trace witness up to k = 10000 for an outside spectrum"]
+
+
 def test_cli_inexact_frobenius_quotient_exits_3_under_python_O():
     # python -O strips assert statements; the guard is a raise and stays
     code = ("import sys\nfrom cycwitt import arith, cli\nreal = arith.euler_phi\n"

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -531,6 +532,18 @@ def test_dold_congruence_on_traces_of_powers():
 
 def test_lehmer_witness():
     assert spectrum_in_unit_disc(companion(LEHMER)).witness == (13, 12)
+
+
+def test_a_missed_cyclotomic_factor_raises_past_the_witness_limit(monkeypatch):
+    # Phi_7 left undivided looks like an outside spectrum whose traces never
+    # grow: the search stops at the limit instead of running forever
+    real = linalg._cyclo_candidates
+    monkeypatch.setattr(linalg, "_cyclo_candidates", lambda deg: tuple(
+        (d, f) for d, f in real(deg) if d != 7))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"^no trace witness up to k = 10000 "):
+        witt_class(companion(cyclotomic_poly(7)))
+    assert time.perf_counter() - start < 1.0
 
 
 def _spectrum_by_long_division(a):

@@ -1,5 +1,6 @@
 import ast
 import collections
+import functools
 import importlib
 import importlib.util
 import itertools
@@ -531,7 +532,7 @@ def test_gl_enumeration_examples():
 
 def _units_pairwise(r, n):
     """Reference: the candidates with a two-sided inverse among all candidates."""
-    mats = list(rigs.all_matrices(r, n, n))
+    mats = list(rigs.all_matrices(r, n, n, list(r.elements())))
     one = identity(r, n)
     return [
         f for f in mats
@@ -569,13 +570,17 @@ class _CountedMatrices(SquareMatrixRig):
             yield m
 
 
-def test_prop_laws_refuse_a_large_carrier_from_a_prefix():
+@pytest.mark.parametrize("check,limit", [
+    (check_prop_laws, rigs.PROP_BUDGET),
+    (functools.partial(check_rig_laws, budget=64), 64**2),
+], ids=["prop", "rig"])
+def test_law_checks_refuse_a_large_carrier_from_a_prefix(check, limit):
     big = _CountedMatrices(FiniteCRig.boolean(), 5)  # 2^25 elements
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"^budget exceeded: \|mat5:boolean\| elements > 1024$"):
-        check_prop_laws(big)
+    with pytest.raises(BudgetExceeded, match=rf"^budget exceeded: \|mat5:boolean\| elements > {limit}$"):
+        check(big)
     assert time.perf_counter() - start < 1.0
-    assert big.drawn == rigs.PROP_BUDGET + 1
+    assert big.drawn == limit + 1
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -1032,7 +1037,8 @@ def _literal_check_rig_laws(r, budget=512, seed=0):
     elems = list(r.elements())
     exhaustive = len(elems) ** 3 <= budget**2
     if not exhaustive:
-        elems = Rig.sample(r, random.Random(seed), round(budget ** (2 / 3)))
+        rng = random.Random(seed)
+        elems = [rng.choice(elems) for _ in range(round(budget ** (2 / 3)))]
     report = LawReport(r.name, exhaustive)
 
     def fail(law, *witness):

@@ -622,7 +622,7 @@ def test_theorem1_examples():
     rep = theorem1_check(z6, 2)
     assert rep.ok and rep.loc_size == 3
     rep = theorem1_check(z6, 0)
-    assert rep.ok and rep.empty_case
+    assert rep.ok and not rep.opens and "empty basic open" in rep.summary()
 
 
 def test_theorem1_reports_a_fraction_map_that_is_not_injective(monkeypatch):
@@ -630,14 +630,17 @@ def test_theorem1_reports_a_fraction_map_that_is_not_injective(monkeypatch):
     # three-element stalk at (3), so two classes share one family
     monkeypatch.setattr(spectra, "multiplicative_closure", lambda r, seed: frozenset({r.one}))
     rep = theorem1_check(FiniteCRig.zmod(6), 2)
-    assert not rep.ok and not rep.bijective
+    assert not rep.ok
     assert rep.failures == [("two fraction classes with one family", 0, 3)]
     rep = theorem1_check(FiniteCRig.zmod(6), 0)
-    assert rep.empty_case and rep.failures == [("two fraction classes with one family", 0, 1)]
+    assert not rep.ok and not rep.opens
+    assert rep.failures == [("two fraction classes with one family", 0, 1)]
 
 
-def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
-    """Reference oracle: the two-path structure-sheaf check, kept as written.
+def _literal_theorem1_check(r: FiniteCRig, s: int) -> tuple[Theorem1Report, bool]:
+    """Reference oracle: the two-path structure-sheaf check, kept as written,
+    with its verdict: the map is bijective, preserves the operations and
+    records no failure.
 
     Compare the localization of r at the powers of s with the families
     of stalk elements over the basic open D(s) that are locally fractions.
@@ -652,16 +655,16 @@ def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
     loc = localize(r, powers)
     report = Theorem1Report(r.name, s, opens, loc.rig.size)
 
-    if not opens:
+    empty_case = not opens
+    if empty_case:
         # empty basic open: the sheaf value is the one-point rig, so the
         # fraction rig must collapse (s is nilpotent-like, 0 in powers)
-        report.empty_case = True
         report.families = report.local_families = 1
-        report.bijective = loc.rig.size == 1
-        report.preserves_ops = True
-        if not report.bijective:
+        bijective = loc.rig.size == 1
+        preserves_ops = True
+        if not bijective:
             report.failures.append(("nonempty localization over empty open", loc.rig.size))
-        return report
+        return report, bijective and preserves_ops and not report.failures
 
     stalks = {
         p: localize(r, frozenset(x for x in r.elements() if x not in p))
@@ -714,12 +717,12 @@ def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
     report.families = total
     report.local_families = len(all_fams)
     image_fams = set(image.values())
-    report.bijective = (
+    bijective = (
         len(image) == loc.rig.size
         and len(image_fams) == loc.rig.size
         and image_fams == set(all_fams)
     )
-    if not report.bijective:
+    if not bijective:
         missing = set(all_fams) - image_fams
         extra = image_fams - set(all_fams)
         if missing:
@@ -728,7 +731,7 @@ def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
             report.failures.append(("fractions outside local families", sorted(extra)))
 
     # operation preservation, checked through representatives
-    ok_ops = True
+    preserves_ops = True
     rev = {v: k for k, v in image.items()}
     for c1 in range(loc.rig.size):
         for c2 in range(loc.rig.size):
@@ -741,10 +744,9 @@ def _literal_theorem1_check(r: FiniteCRig, s: int) -> Theorem1Report:
                 for i, p in enumerate(prime_list)
             )
             if image[loc.rig.add(c1, c2)] != fam_sum or image[loc.rig.mul(c1, c2)] != fam_prod:
-                ok_ops = False
+                preserves_ops = False
                 report.failures.append(("operations disagree", c1, c2))
-    report.preserves_ops = ok_ops
-    return report
+    return report, bijective and preserves_ops and not report.failures
 
 
 def test_theorem1_matches_literal_oracle():
@@ -754,7 +756,8 @@ def test_theorem1_matches_literal_oracle():
     rigs += [localize(FiniteCRig.zmod(12), {1, 5, 7, 11}).rig]
     for r in rigs:
         for s in r.elements():
-            assert theorem1_check(r, s) == _literal_theorem1_check(r, s), (r.name, s)
+            rep = theorem1_check(r, s)
+            assert (rep, rep.ok) == _literal_theorem1_check(r, s), (r.name, s)
 
 
 def test_theorem1_full_sweep_small():
